@@ -8,15 +8,13 @@ import argparse
 import json
 import sys
 import textwrap
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import data
 from .grammar import GrammarError, compile_entry, load_declarations, \
     load_lexicon, render_sign
-from .parser import UnknownTokenError, parse, tokenize
-from .selres import Satisfiable, check_reading
-from .sorts import HierarchyError, load_hierarchy
+from .parser import UnknownTokenError, run_method, tokenize
+from .sorts import AmbiguousMeetError, HierarchyError, load_hierarchy
 
 
 def _add_common(sub):
@@ -62,37 +60,6 @@ def _load_resources(args):
     return hierarchy, lexicon, decls
 
 
-@dataclass
-class MethodReport:
-    method: str
-    pre_filter: int
-    post_filter: int
-    surviving: list   # (Reading, {var: sort})
-    violations: list  # (Reading, Violation)
-
-
-def run_method(tokens, hierarchy, lexicon, decls, method):
-    """Parse one sentence under one method and report counts and survivors."""
-    baseline = parse(tokens, lexicon, decls, hierarchy, "bg")
-    if method == "bg":
-        surviving, violations = [], []
-        for reading in baseline:
-            result = check_reading(reading, hierarchy)
-            if isinstance(result, Satisfiable):
-                surviving.append((reading, dict(result.assignment)))
-            else:
-                violations.append((reading, result))
-        return MethodReport("bg", len(baseline), len(surviving),
-                            surviving, violations)
-    readings = parse(tokens, lexicon, decls, hierarchy, "index")
-    surviving = []
-    for reading in readings:
-        numbers = reading.sign.index_numbering(hierarchy)
-        surviving.append((reading,
-                          {var: node.sort for node, var in numbers.items()}))
-    return MethodReport("index", len(baseline), len(readings), surviving, [])
-
-
 def _senses(reading, lexicon):
     out = []
     for leaf in reading.derivation.leaves():
@@ -120,31 +87,19 @@ def _violation_json(reading, violation, lexicon):
 
 
 def _record(sentence, method, reports, agree, lexicon):
-    if method == "both":
-        bg, index = reports
-        record = {
-            "sentence": sentence,
-            "method": "both",
-            "pre_filter": bg.pre_filter,
-            "post_filter": index.post_filter,
-            "readings": [_reading_json(r, a, lexicon)
-                         for r, a in index.surviving],
-            "violations": [_violation_json(r, v, lexicon)
-                           for r, v in bg.violations],
-            "agree": agree,
-        }
-    else:
-        rep = reports[0]
-        record = {
-            "sentence": sentence,
-            "method": rep.method,
-            "pre_filter": rep.pre_filter,
-            "post_filter": rep.post_filter,
-            "readings": [_reading_json(r, a, lexicon)
-                         for r, a in rep.surviving],
-            "violations": [_violation_json(r, v, lexicon)
-                           for r, v in rep.violations],
-        }
+    # under "both": survivors from index, violations from bg (reports[0])
+    first, last = reports[0], reports[-1]
+    record = {
+        "sentence": sentence,
+        "method": method,
+        "pre_filter": first.pre_filter,
+        "post_filter": last.post_filter,
+        "readings": [_reading_json(r, a, lexicon) for r, a in last.surviving],
+        "violations": [_violation_json(r, v, lexicon)
+                       for r, v in first.violations],
+    }
+    if agree is not None:
+        record["agree"] = agree
     return record
 
 
@@ -171,23 +126,12 @@ def _print_report(sentence, reports, agree, hierarchy, lexicon, explain):
         print("agreement: " + ("yes" if agree else "NO"))
 
 
-def _analyze(args, tokens, hierarchy, lexicon, decls):
-    methods = ["bg", "index"] if args.method == "both" else [args.method]
-    reports = [run_method(tokens, hierarchy, lexicon, decls, m)
-               for m in methods]
-    agree = None
-    if args.method == "both":
-        identities = [{r.identity for r, _ in rep.surviving} for rep in reports]
-        agree = identities[0] == identities[1]
-    return reports, agree
-
-
 def cmd_parse(args):
     hierarchy, lexicon, decls = _load_resources(args)
     tokens = tokenize(args.sentence)
     if not tokens:
         raise GrammarError("empty sentence")
-    reports, agree = _analyze(args, tokens, hierarchy, lexicon, decls)
+    reports, agree = run_method(tokens, lexicon, decls, hierarchy, args.method)
     sentence = " ".join(tokens)
     if args.json_lines:
         print(json.dumps(_record(sentence, args.method, reports, agree, lexicon)))
@@ -221,7 +165,10 @@ def _load_corpus(text):
             else:
                 raise GrammarError(
                     f"corpus line {lineno}: bad annotation {annotation!r}")
-        rows.append((sentence, verdict == "accept", expected_readings))
+        tokens = tokenize(sentence)
+        if not tokens:
+            raise GrammarError(f"corpus line {lineno}: empty sentence")
+        rows.append((sentence, tokens, verdict == "accept", expected_readings))
     return rows
 
 
@@ -229,9 +176,9 @@ def cmd_batch(args):
     hierarchy, lexicon, decls = _load_resources(args)
     rows = _load_corpus(Path(args.corpus).read_text())
     failures = 0
-    for sentence, expect_accept, expected_readings in rows:
-        tokens = tokenize(sentence)
-        reports, agree = _analyze(args, tokens, hierarchy, lexicon, decls)
+    for sentence, tokens, expect_accept, expected_readings in rows:
+        reports, agree = run_method(tokens, lexicon, decls, hierarchy,
+                                    args.method)
         problems = []
         for rep in reports:
             accepted = rep.post_filter > 0
@@ -303,7 +250,8 @@ def main(argv=None):
     args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HierarchyError, GrammarError, UnknownTokenError, OSError) as exc:
+    except (HierarchyError, AmbiguousMeetError, GrammarError,
+            UnknownTokenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,6 @@
 """Bottom-up chart parser over a small fixed schema set.
 
-Binary schemas (head marked *):
+Binary schemas, the rows of RULES (head marked *):
 
     s    -> np *vp          head_subject
     vp/s -> *v np           head_complement
@@ -22,6 +22,7 @@ quantifier set grows by the noun's restriction when a determiner attaches.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grammar import METHODS, PsoaRef, Sign, compile_entry
 from .selres import Satisfiable, check_reading
@@ -30,6 +31,7 @@ from .tfs import UnificationFailure, unify_map
 __all__ = [
     "Chart",
     "Edge",
+    "MethodReport",
     "Reading",
     "SCHEMAS",
     "UnknownTokenError",
@@ -38,19 +40,44 @@ __all__ = [
     "derivation_string",
     "lexical_edges",
     "parse",
+    "run_method",
     "tokenize",
 ]
 
-SCHEMAS = {
-    ("np", "vp"): "head_subject",
-    ("v", "np"): "head_complement",
-    ("det", "nbar"): "det_nbar",
-    ("adj", "nbar"): "adj_nbar",
-    ("np", "pp"): "np_pp",
-    ("np", "relc"): "np_relc",
-    ("prep", "np"): "prep_np",
-    ("relpro", "vp"): "relpro_vp",
+LEFT, RIGHT = 0, 1
+
+
+class Rule(NamedTuple):
+    """One binary schema: daughter categories, head, valence, mother.
+
+    When `slot` is set, the `selector` daughter's first pending `slot`
+    specification is unified with the other daughter's sign, and the
+    mother's parts move into the result graph.  Otherwise nothing is
+    unified.  The mother takes the head's core and remaining valence and
+    pools both daughters' restr, quants and bg, left before right.
+    """
+
+    left: str
+    right: str
+    head: int
+    selector: int | None
+    slot: str | None
+    mother: str | None      # None: derived from the remaining valence
+    quantify: bool = False  # the pooled restr becomes quantifiers
+
+
+RULES = {
+    "head_subject": Rule("np", "vp", RIGHT, RIGHT, "subj", "s"),
+    "head_complement": Rule("v", "np", LEFT, LEFT, "comps", None),
+    "det_nbar": Rule("det", "nbar", RIGHT, None, None, "np", quantify=True),
+    "adj_nbar": Rule("adj", "nbar", RIGHT, None, None, "nbar"),
+    "np_pp": Rule("np", "pp", LEFT, None, None, "np"),
+    "np_relc": Rule("np", "relc", LEFT, RIGHT, "subj", "np"),
+    "prep_np": Rule("prep", "np", LEFT, None, None, "pp"),
+    "relpro_vp": Rule("relpro", "vp", RIGHT, None, None, "relc"),
 }
+
+SCHEMAS = {(rule.left, rule.right): name for name, rule in RULES.items()}
 
 _PHRASE_LABEL = {"s": "S", "np": "NP", "vp": "VP", "pp": "PP", "relc": "RelC"}
 
@@ -131,19 +158,21 @@ class Reading:
         return (self.derivation_string, self.sense_ids)
 
 
-def _lexical_cat(entry, sign):
-    if entry.pos == "verb":
-        if sign.comps:
-            return "v"
-        return "vp" if sign.subj else "s"
-    return {
-        "noun": "nbar",
-        "proper-noun": "np",
-        "determiner": "det",
-        "preposition": "prep",
-        "relative-pronoun": "relpro",
-        "adjective": "adj",
-    }[entry.pos]
+_LEXICAL_CAT = {
+    "noun": "nbar",
+    "proper-noun": "np",
+    "determiner": "det",
+    "preposition": "prep",
+    "relative-pronoun": "relpro",
+    "adjective": "adj",
+}
+
+
+def _valence_cat(sign):
+    # verbs are not in _LEXICAL_CAT: their category follows pending valence
+    if sign.comps:
+        return "v"
+    return "vp" if sign.subj else "s"
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
@@ -155,8 +184,8 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     for i, token in enumerate(tokens):
         for entry in lexicon[token]:
             sign = compile_entry(entry, decls, method, hierarchy)
-            edges.append(Edge(i, i + 1, _lexical_cat(entry, sign), sign,
-                              entry=entry))
+            cat = _LEXICAL_CAT.get(entry.pos) or _valence_cat(sign)
+            edges.append(Edge(i, i + 1, cat, sign, entry=entry))
     return edges
 
 
@@ -164,11 +193,11 @@ def _remap(refs, mapping):
     return tuple(PsoaRef(mapping[ref.node], ref.source) for ref in refs)
 
 
-def _union_bg(left, right):
+def _distinct_bg(refs):
     # background sets never hold two instances with identical role fillers
     out = []
     seen = set()
-    for ref in (*left, *right):
+    for ref in refs:
         key = (ref.node.sort,
                tuple(sorted((f, id(v)) for f, v in ref.node.feats.items())))
         if key in seen:
@@ -178,106 +207,40 @@ def _union_bg(left, right):
     return tuple(out)
 
 
-def _adjoin(head, left, right):
-    # no valence involved: keep the head's core, pool the set-valued parts
-    return Sign(
-        phon=left.phon + right.phon,
-        fs=head.fs,
-        subj=head.subj,
-        comps=head.comps,
-        restr=left.restr + right.restr,
-        quants=left.quants + right.quants,
-        bg=_union_bg(left.bg, right.bg),
-    )
-
-
-def _determine(det, nbar):
-    # the determiner turns the noun's restriction into its quantifier
-    return Sign(
-        phon=det.phon + nbar.phon,
-        fs=nbar.fs,
-        subj=nbar.subj,
-        comps=nbar.comps,
-        restr=(),
-        quants=det.quants + nbar.quants + nbar.restr,
-        bg=_union_bg(det.bg, nbar.bg),
-    )
-
-
-def _saturate(head, slot, dep, left, right, hierarchy):
-    """Unify the head's next valence specification with the dependent's sign."""
-    specs = getattr(head, slot)
-    spec = specs[0]
-    mapping = unify_map([(spec, dep.fs)],
-                        head.graph_roots() + dep.graph_roots(), hierarchy)
-    if isinstance(mapping, UnificationFailure):
-        return None
-    other = "comps" if slot == "subj" else "subj"
-    valence = {
-        slot: tuple(mapping[s] for s in specs[1:]),
-        other: tuple(mapping[s] for s in getattr(head, other)),
-    }
-    return Sign(
-        phon=left.phon + right.phon,
-        fs=mapping[head.fs],
-        restr=_remap(left.restr, mapping) + _remap(right.restr, mapping),
-        quants=_remap(left.quants, mapping) + _remap(right.quants, mapping),
-        bg=_union_bg(_remap(left.bg, mapping), _remap(right.bg, mapping)),
-        **valence,
-    )
-
-
-def _attach_relative(np, relc, hierarchy):
-    """Satisfy the relative clause's pending subject with the modified NP."""
-    spec = relc.subj[0]
-    mapping = unify_map([(spec, np.fs)],
-                        np.graph_roots() + relc.graph_roots(), hierarchy)
-    if isinstance(mapping, UnificationFailure):
-        return None
-    return Sign(
-        phon=np.phon + relc.phon,
-        fs=mapping[np.fs],
-        restr=_remap(np.restr, mapping) + _remap(relc.restr, mapping),
-        quants=_remap(np.quants, mapping) + _remap(relc.quants, mapping),
-        bg=_union_bg(_remap(np.bg, mapping), _remap(relc.bg, mapping)),
-    )
-
-
 def combine(left, right, schema, hierarchy):
     """Apply one schema to two adjacent edges; None when unification blocks it."""
-    lsign, rsign = left.sign, right.sign
-    if schema == "head_subject":
-        sign = _saturate(rsign, "subj", lsign, lsign, rsign, hierarchy)
-        if sign is None:
-            return None
-        cat = "s"
-    elif schema == "head_complement":
-        sign = _saturate(lsign, "comps", rsign, lsign, rsign, hierarchy)
-        if sign is None:
-            return None
-        cat = "v" if sign.comps else ("vp" if sign.subj else "s")
-    elif schema == "np_relc":
-        sign = _attach_relative(lsign, rsign, hierarchy)
-        if sign is None:
-            return None
-        cat = "np"
-    elif schema == "relpro_vp":
-        sign = _adjoin(rsign, lsign, rsign)
-        cat = "relc"
-    elif schema == "det_nbar":
-        sign = _determine(lsign, rsign)
-        cat = "np"
-    elif schema == "adj_nbar":
-        sign = _adjoin(rsign, lsign, rsign)
-        cat = "nbar"
-    elif schema == "np_pp":
-        sign = _adjoin(lsign, lsign, rsign)
-        cat = "np"
-    elif schema == "prep_np":
-        sign = _adjoin(lsign, lsign, rsign)
-        cat = "pp"
-    else:
+    rule = RULES.get(schema)
+    if rule is None:
         raise ValueError(f"unknown schema {schema!r}")
+    signs = (left.sign, right.sign)
+    lsign, rsign = signs
+    head = signs[rule.head]
+    fs = head.fs
+    valence = {"subj": head.subj, "comps": head.comps}
+    restr = lsign.restr + rsign.restr
+    quants = lsign.quants + rsign.quants
+    bg = lsign.bg + rsign.bg
+    if rule.slot is not None:
+        selector = signs[rule.selector]
+        specs = getattr(selector, rule.slot)
+        mapping = unify_map([(specs[0], signs[1 - rule.selector].fs)],
+                            lsign.graph_roots() + rsign.graph_roots(),
+                            hierarchy)
+        if isinstance(mapping, UnificationFailure):
+            return None
+        if selector is head:
+            valence[rule.slot] = specs[1:]
+        fs = mapping[fs]
+        valence = {slot: tuple(mapping[spec] for spec in specs)
+                   for slot, specs in valence.items()}
+        restr = _remap(restr, mapping)
+        quants = _remap(quants, mapping)
+        bg = _remap(bg, mapping)
+    if rule.quantify:
+        restr, quants = (), quants + restr
+    sign = Sign(phon=lsign.phon + rsign.phon, fs=fs, restr=restr,
+                quants=quants, bg=_distinct_bg(bg), **valence)
+    cat = rule.mother or _valence_cat(sign)
     return Edge(left.start, right.end, cat, sign, schema, (left, right))
 
 
@@ -339,21 +302,61 @@ def parse(tokens, lexicon, decls, hierarchy, method="bg"):
     return Chart(tokens, lexicon, decls, hierarchy, method).readings()
 
 
-def count_parses(tokens, lexicon, decls, hierarchy, method="bg"):
-    """(pre_filter, post_filter) reading counts for one sentence.
+@dataclass
+class MethodReport:
+    """One method's verdict on one sentence."""
 
-    pre_filter counts readings with selectional checking disabled.  Nothing
-    prunes during a "bg" parse (all indices stay at the root sort and the
-    background set never blocks a unification), so the bg chart doubles as
-    the unfiltered baseline.  post_filter counts survivors: solver-approved
-    readings under "bg", the pruned chart's own readings under "index".
+    method: str
+    pre_filter: int
+    post_filter: int
+    surviving: list   # (Reading, {var: sort})
+    violations: list  # (Reading, Violation)
+
+
+def run_method(tokens, lexicon, decls, hierarchy, method):
+    """Analyse one sentence under "bg", "index" or "both".
+
+    Returns (reports, agree): one MethodReport per method, bg first, and
+    under "both" whether the two methods keep the same reading identities
+    (None otherwise).  pre_filter counts readings with selectional checking
+    disabled.  Nothing prunes during a "bg" parse (all indices stay at the
+    root sort and the background set never blocks a unification), so the bg
+    chart, filled once, doubles as the unfiltered baseline.  post_filter
+    counts survivors: solver-approved readings under "bg", the pruned
+    chart's own readings under "index".
     """
-    baseline = parse(tokens, lexicon, decls, hierarchy, "bg")
-    if method == "bg":
-        post = sum(1 for r in baseline
-                   if isinstance(check_reading(r, hierarchy), Satisfiable))
-    elif method == "index":
-        post = len(parse(tokens, lexicon, decls, hierarchy, "index"))
-    else:
+    if method not in (*METHODS, "both"):
         raise ValueError(f"unknown method {method!r}")
-    return len(baseline), post
+    baseline = parse(tokens, lexicon, decls, hierarchy, "bg")
+    reports = []
+    if method != "index":
+        surviving, violations = [], []
+        for reading in baseline:
+            result = check_reading(reading, hierarchy)
+            if isinstance(result, Satisfiable):
+                surviving.append((reading, dict(result.assignment)))
+            else:
+                violations.append((reading, result))
+        reports.append(MethodReport("bg", len(baseline), len(surviving),
+                                    surviving, violations))
+    if method != "bg":
+        surviving = []
+        for reading in parse(tokens, lexicon, decls, hierarchy, "index"):
+            numbers = reading.sign.index_numbering(hierarchy)
+            surviving.append((reading, {var: node.sort
+                                        for node, var in numbers.items()}))
+        reports.append(MethodReport("index", len(baseline), len(surviving),
+                                    surviving, []))
+    agree = None
+    if method == "both":
+        bg, index = ({r.identity for r, _ in rep.surviving} for rep in reports)
+        agree = bg == index
+    return reports, agree
+
+
+def count_parses(tokens, lexicon, decls, hierarchy, method="bg"):
+    """(pre_filter, post_filter) reading counts for one sentence and method."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    (report,), _ = run_method(tokens, lexicon, decls, hierarchy, method)
+    return report.pre_filter, report.post_filter

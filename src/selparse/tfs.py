@@ -143,31 +143,34 @@ def unify_map(pairs, roots, hierarchy):
             else:
                 ours[feat] = child
 
+    # Not recursive: a closure that calls itself is a reference cycle, which
+    # would keep these tables alive until the cyclic collector runs.
     built = {}
+    unfilled = []
 
     def build(node):
         rep = find(node)
-        if rep in built:
-            return built[rep]
-        activate(rep)
-        fresh = FeatureStructure(sort_of[rep])
-        built[rep] = fresh
-        for feat, child in feats_of[rep].items():
-            fresh.feats[feat] = build(child)
+        fresh = built.get(rep)
+        if fresh is None:
+            activate(rep)
+            fresh = built[rep] = FeatureStructure(sort_of[rep])
+            unfilled.append((rep, fresh))
         return fresh
 
     mapping = {}
     stack = list(roots)
     for a, b in pairs:
         stack += [a, b]
-    seen = set()
     while stack:
         node = stack.pop()
-        if node in seen:
+        if node in mapping:
             continue
-        seen.add(node)
         mapping[node] = build(node)
         stack.extend(node.feats.values())
+    for rep, fresh in unfilled:  # build() appends while this loop runs
+        feats = fresh.feats
+        for feat, child in feats_of[rep].items():
+            feats[feat] = build(child)
     return mapping
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from selparse import data
 from selparse.cli import main
+from selparse.parser import Chart
 
 NON_BCPO = """\
 top
@@ -125,6 +126,31 @@ def test_batch_wrong_expectation_fails(capsys, tmp_path):
     assert out.count("FAIL") == 1
 
 
+def test_batch_fills_two_charts_per_sentence(capsys, monkeypatch):
+    # one bg chart (also the unfiltered baseline) and one index chart
+    fills = []
+    original = Chart.fill
+
+    def counting_fill(chart):
+        fills.append(chart.method)
+        return original(chart)
+
+    monkeypatch.setattr(Chart, "fill", counting_fill)
+    code, out, _ = run(capsys, "batch")
+    assert code == 0
+    assert "8/8 sentences as expected" in out
+    assert sorted(fills) == ["bg"] * 8 + ["index"] * 8
+
+
+def test_batch_empty_sentence_is_input_error(capsys, tmp_path):
+    corpus = tmp_path / "dots.corpus"
+    corpus.write_text("tom ate a banana => accept\n... => accept\n")
+    code, out, err = run(capsys, "batch", str(corpus))
+    assert code == 1
+    assert out == ""
+    assert err == "error: corpus line 2: empty sentence\n"
+
+
 def test_batch_malformed_line(capsys, tmp_path):
     corpus = tmp_path / "bad.corpus"
     corpus.write_text("tom ate a banana\n")
@@ -148,6 +174,20 @@ def test_validate_non_bcpo_names_pair(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--hierarchy", str(bad))
     assert code == 1
     assert "bcpo: violation (a, b)" in out
+
+
+@pytest.mark.parametrize("method", ["index", "both"])
+def test_parse_non_bcpo_meet_is_input_error(capsys, tmp_path, method):
+    # x and y are both maximal lower bounds of animate and banana
+    bad = tmp_path / "bad.sorts"
+    bad.write_text(data.HIERARCHY.read_text()
+                   + "x: person, banana\ny: person, banana\n")
+    code, out, err = run(capsys, "parse", "--method", method, "--hierarchy",
+                         str(bad), "a banana ate a banana")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sorts 'animate' and 'banana' have several")
+    assert err.count("\n") == 1
 
 
 def test_validate_missing_lexicon(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_structure
+from selparse.parser import parse, tokenize
 from selparse.tfs import (CyclicStructureError, FeatureStructure,
                           UnificationFailure, check_acyclic, isomorphic,
                           render, subsumes_fs, unify)
@@ -174,3 +176,18 @@ def test_unify_associative_when_all_succeed(hierarchy, seed):
         assert isinstance(right, UnificationFailure)
     else:
         assert isomorphic(left, right)
+
+
+def test_unify_and_parse_leave_no_reference_cycles(hierarchy, lexicon, decls):
+    # unify_map runs on every combine; garbage it leaves for the cyclic
+    # collector costs a collection pass per few hundred edges
+    gc.collect()
+    gc.disable()
+    try:
+        unify(fs("sign", f=fs("person")), fs("sign", f=fs("animate")),
+              hierarchy)
+        parse(tokenize("list the employees of the departments that retire"),
+              lexicon, decls, hierarchy, "bg")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
