@@ -217,7 +217,7 @@ def cmd_validate(args):
     code = 0
     try:
         hierarchy = load_hierarchy(Path(args.hierarchy).read_text())
-    except (HierarchyError, OSError) as exc:
+    except (HierarchyError, OSError, UnicodeDecodeError) as exc:
         print(f"hierarchy: ERROR {exc}")
         return 1
     print(f"hierarchy: {len(hierarchy)} sorts, root {hierarchy.root!r}, acyclic")
@@ -240,7 +240,7 @@ def cmd_validate(args):
                 for method in ("bg", "index"):
                     compile_entry(entry, decls, method, hierarchy)
         print("compilation: ok")
-    except (GrammarError, OSError) as exc:
+    except (GrammarError, OSError, UnicodeDecodeError) as exc:
         print(f"resources: ERROR {exc}")
         return 1
     return code
@@ -251,7 +251,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (HierarchyError, AmbiguousMeetError, GrammarError,
-            UnknownTokenError, OSError) as exc:
+            UnknownTokenError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -109,31 +109,24 @@ def _reduce_variable(var, group, hierarchy):
     Returns (final sort, None) on success, or (None, conflict) where the
     conflict is the first irreplaceable pair met on the leftmost branch.
     """
+    # a stack of pending fold states, each a list of (sort, sources); the
+    # candidates go on in reverse so the leftmost branch is explored first
     first_conflict = None
-
-    def dfs(items):
-        nonlocal first_conflict
+    stack = [[(atom.sort, (atom.source,) if atom.source else ())
+              for atom in group]]
+    while stack:
+        items = stack.pop()
         if len(items) == 1:
-            return items[0][0]
+            return items[0][0], None
         (s1, src1), (s2, src2) = items[0], items[1]
-        rest = items[2:]
         candidates = merge_pair(ConstraintAtom(s1, var),
                                 ConstraintAtom(s2, var), hierarchy)
-        if not candidates:
-            if first_conflict is None:
-                first_conflict = ((s1, src1), (s2, src2))
-            return None
+        if not candidates and first_conflict is None:
+            first_conflict = ((s1, src1), (s2, src2))
         merged_sources = src1 + src2
-        for candidate in sorted(c.sort for c in candidates):
-            final = dfs([(candidate, merged_sources)] + rest)
-            if final is not None:
-                return final
-        return None
-
-    items = [(atom.sort, (atom.source,) if atom.source else ())
-             for atom in group]
-    final = dfs(items)
-    return final, (None if final is not None else first_conflict)
+        for candidate in sorted((c.sort for c in candidates), reverse=True):
+            stack.append([(candidate, merged_sources)] + items[2:])
+    return None, first_conflict
 
 
 def solve(atoms, hierarchy):

@@ -59,17 +59,16 @@ class SortHierarchy:
         if len(roots) > 1:
             raise HierarchyError("multiple roots: " + ", ".join(roots))
         self.root = roots[0]
-        self._up = {}
+        up = {}
         for s in self._toposort():
             anc = {s}
             for p in self.parents[s]:
-                anc.update(self._up[p])
-            self._up[s] = frozenset(anc)
+                anc.update(up[p])
+            up[s] = anc
         self._down = {s: set() for s in self.sorts}
-        for s, anc in self._up.items():
+        for s, anc in up.items():
             for a in anc:
                 self._down[a].add(s)
-        self._bcpo_ok = None
 
     def _toposort(self):
         # parents before children; a sort that can never be placed sits on a cycle
@@ -103,12 +102,7 @@ class SortHierarchy:
         """True iff a == b or a is an ancestor of b (a is at least as general)."""
         self._check(a)
         self._check(b)
-        return a in self._up[b]
-
-    def ancestors(self, sort):
-        """All sorts subsuming `sort`, including itself."""
-        self._check(sort)
-        return self._up[sort]
+        return b in self._down[a]
 
     def descendants(self, sort):
         """All sorts subsumed by `sort`, including itself."""
@@ -119,11 +113,11 @@ class SortHierarchy:
         """Most general sorts subsumed by both a and b; empty means conflict."""
         self._check(a)
         self._check(b)
+        # common is closed downwards, so s is maximal in it exactly when
+        # none of its parents is in it
         common = self._down[a] & self._down[b]
-        return frozenset(
-            s for s in common
-            if not any(t != s and s in self._down[t] for t in common)
-        )
+        return frozenset(s for s in common
+                         if common.isdisjoint(self.parents[s]))
 
     def glb(self, a, b):
         """The unique maximal lower bound of a and b, or None when they conflict.
@@ -149,19 +143,13 @@ class SortHierarchy:
                 out.append((a, b, mlbs))
         return out
 
-    @property
-    def is_bcpo(self):
-        if self._bcpo_ok is None:
-            self._bcpo_ok = not self.bcpo_violations()
-        return self._bcpo_ok
 
-
-def load_hierarchy(text, require_bcpo=False):
+def load_hierarchy(text):
     """Parse the line-oriented hierarchy format (see HIERARCHY_FORMAT).
 
     Raises HierarchyError for duplicate or ill-formed declarations, undeclared
-    parents, a missing or non-unique root, or a parent cycle; with
-    require_bcpo=True, also for pairs lacking a unique maximal lower bound.
+    parents, a missing or non-unique root, or a parent cycle.  Bounded
+    completeness is not required here; `bcpo_violations` reports it.
     """
     parents = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -185,12 +173,4 @@ def load_hierarchy(text, require_bcpo=False):
         parents[name] = ps
     if not parents:
         raise HierarchyError("empty hierarchy document")
-    hierarchy = SortHierarchy(parents)
-    if require_bcpo:
-        bad = hierarchy.bcpo_violations()
-        if bad:
-            a, b, mlbs = bad[0]
-            raise HierarchyError(
-                f"not bounded complete: sorts {a!r} and {b!r} share maximal "
-                "lower bounds {" + ", ".join(sorted(mlbs)) + "}")
-    return hierarchy
+    return SortHierarchy(parents)

@@ -190,6 +190,30 @@ def test_parse_non_bcpo_meet_is_input_error(capsys, tmp_path, method):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, stage", [
+    pytest.param(["parse", "--hierarchy", "BAD", "tom ate"], None, id="parse"),
+    pytest.param(["batch", "BAD"], None, id="batch"),
+    pytest.param(["validate", "--hierarchy", "BAD"], "hierarchy: ERROR",
+                 id="validate-hierarchy"),
+    pytest.param(["validate", "--lexicon", "BAD"], "resources: ERROR",
+                 id="validate-lexicon"),
+])
+def test_non_utf8_input_is_input_error(capsys, tmp_path, argv, stage):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ref\n\xff\n")
+    code, out, err = run(capsys, *(str(bad) if a == "BAD" else a
+                                   for a in argv))
+    assert code == 1
+    if stage is None:
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+    else:
+        assert out.splitlines()[-1].startswith(stage)
+        assert err == ""
+    assert "can't decode byte 0xff" in out + err
+
+
 def test_validate_missing_lexicon(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--lexicon",
                        str(tmp_path / "missing.lex"))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_structure
 from selparse.parser import parse, tokenize
+from selparse.selres import check_reading
 from selparse.tfs import (CyclicStructureError, FeatureStructure,
                           UnificationFailure, check_acyclic, isomorphic,
                           render, subsumes_fs, unify)
@@ -188,6 +189,10 @@ def test_unify_and_parse_leave_no_reference_cycles(hierarchy, lexicon, decls):
               hierarchy)
         parse(tokenize("list the employees of the departments that retire"),
               lexicon, decls, hierarchy, "bg")
+        for reading in parse(tokenize("list the printer of the printer "
+                                      "that retire"),
+                             lexicon, decls, hierarchy, "bg"):
+            check_reading(reading, hierarchy)
         assert gc.collect() == 0
     finally:
         gc.enable()
