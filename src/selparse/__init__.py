@@ -14,9 +14,8 @@ from . import data
 from .grammar import (GrammarError, LexicalEntry, PsoaRef, QfpsoaDecl, Sign,
                       apply_qfpsoa_declarations, compile_entry,
                       load_declarations, load_lexicon, render_sign)
-from .parser import (Chart, Edge, MethodReport, Reading, UnknownTokenError,
-                     combine, count_parses, derivation_string, lexical_edges,
-                     parse, run_method, tokenize)
+from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,
+                     count_parses, lexical_edges, parse, run_method, tokenize)
 from .selres import (ConstraintAtom, Satisfiable, Violation, check_reading,
                      extract_constraints, merge_pair, solve)
 from .sorts import (AmbiguousMeetError, HierarchyError, SortHierarchy,

@@ -17,19 +17,27 @@ from .parser import UnknownTokenError, run_method, tokenize
 from .sorts import AmbiguousMeetError, HierarchyError, load_hierarchy
 
 
-def _add_common(sub):
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line and exit 1 like any input error; exit 2 is a batch mismatch
+        self.exit(1, f"error: {message}\n")
+
+
+def _add_resources(sub):
     sub.add_argument("--hierarchy", default=str(data.HIERARCHY), metavar="PATH")
     sub.add_argument("--lexicon", default=str(data.LEXICON), metavar="PATH")
     sub.add_argument("--decls", default=str(data.DECLS), metavar="PATH")
+
+
+def _add_analysis(sub):
+    _add_resources(sub)
     sub.add_argument("--method", choices=("bg", "index", "both"), default="both")
-    sub.add_argument("--explain", action="store_true",
-                     help="render the sign of each surviving reading")
     sub.add_argument("--json", dest="json_lines", action="store_true",
                      help="emit one JSON record per sentence")
 
 
 def _arg_parser():
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="selparse",
         description="Parse sentences under selectional restrictions, either "
                     "checked after parsing (bg) or enforced during parsing "
@@ -37,32 +45,42 @@ def _arg_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse one sentence")
-    _add_common(p)
+    _add_analysis(p)
+    p.add_argument("--explain", action="store_true",
+                   help="render the sign of each surviving reading")
     p.add_argument("sentence")
     p.set_defaults(func=cmd_parse)
 
     b = sub.add_parser("batch", help="run a corpus of annotated sentences")
-    _add_common(b)
+    _add_analysis(b)
     b.add_argument("corpus", nargs="?", default=str(data.CORPUS))
     b.set_defaults(func=cmd_batch)
 
     v = sub.add_parser("validate",
                        help="check the hierarchy, declarations and lexicon")
-    _add_common(v)
+    _add_resources(v)
     v.set_defaults(func=cmd_validate)
     return top
 
 
+def _read(path):
+    """A resource or corpus file's text; a file that is not UTF-8 is named."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GrammarError(f"{path}: {exc}") from None
+
+
 def _load_resources(args):
-    hierarchy = load_hierarchy(Path(args.hierarchy).read_text())
-    decls = load_declarations(Path(args.decls).read_text(), hierarchy)
-    lexicon = load_lexicon(Path(args.lexicon).read_text(), hierarchy, decls)
+    hierarchy = load_hierarchy(_read(args.hierarchy))
+    decls = load_declarations(_read(args.decls), hierarchy)
+    lexicon = load_lexicon(_read(args.lexicon), hierarchy, decls)
     return hierarchy, lexicon, decls
 
 
 def _senses(reading, lexicon):
     out = []
-    for leaf in reading.derivation.leaves():
+    for leaf in reading.leaves():
         word = leaf.entry.phon
         if len(lexicon[word]) > 1:
             out.append(f"{word}={leaf.entry.sense_id}")
@@ -174,7 +192,7 @@ def _load_corpus(text):
 
 def cmd_batch(args):
     hierarchy, lexicon, decls = _load_resources(args)
-    rows = _load_corpus(Path(args.corpus).read_text())
+    rows = _load_corpus(_read(args.corpus))
     failures = 0
     for sentence, tokens, expect_accept, expected_readings in rows:
         reports, agree = run_method(tokens, lexicon, decls, hierarchy,
@@ -216,8 +234,8 @@ def cmd_batch(args):
 def cmd_validate(args):
     code = 0
     try:
-        hierarchy = load_hierarchy(Path(args.hierarchy).read_text())
-    except (HierarchyError, OSError, UnicodeDecodeError) as exc:
+        hierarchy = load_hierarchy(_read(args.hierarchy))
+    except (HierarchyError, GrammarError, OSError) as exc:
         print(f"hierarchy: ERROR {exc}")
         return 1
     print(f"hierarchy: {len(hierarchy)} sorts, root {hierarchy.root!r}, acyclic")
@@ -230,9 +248,9 @@ def cmd_validate(args):
     else:
         print("bcpo: ok")
     try:
-        decls = load_declarations(Path(args.decls).read_text(), hierarchy)
+        decls = load_declarations(_read(args.decls), hierarchy)
         print(f"declarations: {len(decls)} qfpsoas")
-        lexicon = load_lexicon(Path(args.lexicon).read_text(), hierarchy, decls)
+        lexicon = load_lexicon(_read(args.lexicon), hierarchy, decls)
         entries = sum(len(senses) for senses in lexicon.values())
         print(f"lexicon: {entries} entries for {len(lexicon)} words")
         for senses in lexicon.values():
@@ -240,7 +258,7 @@ def cmd_validate(args):
                 for method in ("bg", "index"):
                     compile_entry(entry, decls, method, hierarchy)
         print("compilation: ok")
-    except (GrammarError, OSError, UnicodeDecodeError) as exc:
+    except (GrammarError, OSError) as exc:
         print(f"resources: ERROR {exc}")
         return 1
     return code
@@ -251,7 +269,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (HierarchyError, AmbiguousMeetError, GrammarError,
-            UnknownTokenError, OSError, UnicodeDecodeError) as exc:
+            UnknownTokenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

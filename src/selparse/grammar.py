@@ -118,8 +118,8 @@ class Sign:
 
     `fs` holds cat|head and cont (nuc or index); subj/comps are pending
     valence specifications; restr, quants and bg are relation-instance sets.
-    All of them reference nodes of one shared graph, so they must be
-    relocated together whenever the sign takes part in a unification.
+    All of them reference nodes of one shared graph, so `relocated` moves
+    them together whenever the sign takes part in a unification.
     """
 
     phon: tuple
@@ -148,6 +148,27 @@ class Sign:
                 *(r.node for r in self.restr),
                 *(r.node for r in self.quants),
                 *(r.node for r in self.bg)]
+
+    def relocated(self, mapping):
+        """This sign with every part replaced by its image under `mapping`.
+
+        `mapping` is what `unify_map` returns for this sign's graph roots.
+        Background instances it made identical (same relation, same role
+        fillers) are kept once, the first of them.
+        """
+        def refs(parts):
+            return tuple(PsoaRef(mapping[r.node], r.source) for r in parts)
+
+        bg = {}
+        for ref in refs(self.bg):
+            key = (ref.node.sort, tuple(sorted(
+                (feat, id(filler)) for feat, filler in ref.node.feats.items())))
+            bg.setdefault(key, ref)
+        return Sign(phon=self.phon, fs=mapping[self.fs],
+                    subj=tuple(mapping[s] for s in self.subj),
+                    comps=tuple(mapping[s] for s in self.comps),
+                    restr=refs(self.restr), quants=refs(self.quants),
+                    bg=tuple(bg.values()))
 
     def index_numbering(self, hierarchy):
         """Stable small-integer names for this sign's referential indices.

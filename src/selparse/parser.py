@@ -24,7 +24,7 @@ quantifier set grows by the noun's restriction when a determiner attaches.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .grammar import METHODS, PsoaRef, Sign, compile_entry
+from .grammar import METHODS, Sign, compile_entry
 from .selres import Satisfiable, check_reading
 from .tfs import UnificationFailure, unify_map
 
@@ -32,12 +32,10 @@ __all__ = [
     "Chart",
     "Edge",
     "MethodReport",
-    "Reading",
     "SCHEMAS",
     "UnknownTokenError",
     "combine",
     "count_parses",
-    "derivation_string",
     "lexical_edges",
     "parse",
     "run_method",
@@ -50,11 +48,11 @@ LEFT, RIGHT = 0, 1
 class Rule(NamedTuple):
     """One binary schema: daughter categories, head, valence, mother.
 
-    When `slot` is set, the `selector` daughter's first pending `slot`
-    specification is unified with the other daughter's sign, and the
-    mother's parts move into the result graph.  Otherwise nothing is
-    unified.  The mother takes the head's core and remaining valence and
-    pools both daughters' restr, quants and bg, left before right.
+    The mother takes the head's core and remaining valence and pools both
+    daughters' restr, quants and bg, left before right.  When `slot` is
+    set, the `selector` daughter's first pending `slot` specification is
+    then unified with the other daughter's sign, and only what the mother
+    reaches is copied into the result graph.  Otherwise nothing is unified.
     """
 
     left: str
@@ -104,7 +102,10 @@ def tokenize(text):
 
 @dataclass(eq=False)
 class Edge:
-    """A chart edge: a sign over a token span plus its derivation record."""
+    """A chart edge: a sign over a token span plus its derivation record.
+
+    A complete analysis (a reading) is an "s" edge spanning every token.
+    """
 
     start: int
     end: int
@@ -125,37 +126,21 @@ class Edge:
     def __repr__(self):
         return f"<Edge {self.cat} {self.start}:{self.end} {' '.join(self.sign.phon)}>"
 
-
-def derivation_string(edge):
-    """Bracketed derivation like `(S (NP tom) (VP ate (NP a keyboard)))`."""
-    if edge.children:
-        inner = " ".join(derivation_string(child) for child in edge.children)
-    else:
-        inner = " ".join(edge.sign.phon)
-    label = _PHRASE_LABEL.get(edge.cat)
-    return f"({label} {inner})" if label else inner
-
-
-@dataclass(eq=False)
-class Reading:
-    """One complete analysis: the sentence sign plus its derivation."""
-
-    sign: Sign
-    derivation: Edge
-    method: str
-
     @property
     def derivation_string(self):
-        return derivation_string(self.derivation)
-
-    @property
-    def sense_ids(self):
-        return tuple(leaf.entry.sense_id for leaf in self.derivation.leaves())
+        """Bracketed derivation like `(S (NP tom) (VP ate (NP a keyboard)))`."""
+        if self.children:
+            inner = " ".join(child.derivation_string for child in self.children)
+        else:
+            inner = " ".join(self.sign.phon)
+        label = _PHRASE_LABEL.get(self.cat)
+        return f"({label} {inner})" if label else inner
 
     @property
     def identity(self):
         """Hashable identity: derivation shape plus lexical sense choices."""
-        return (self.derivation_string, self.sense_ids)
+        return (self.derivation_string,
+                tuple(leaf.entry.sense_id for leaf in self.leaves()))
 
 
 _LEXICAL_CAT = {
@@ -189,24 +174,6 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     return edges
 
 
-def _remap(refs, mapping):
-    return tuple(PsoaRef(mapping[ref.node], ref.source) for ref in refs)
-
-
-def _distinct_bg(refs):
-    # background sets never hold two instances with identical role fillers
-    out = []
-    seen = set()
-    for ref in refs:
-        key = (ref.node.sort,
-               tuple(sorted((f, id(v)) for f, v in ref.node.feats.items())))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(ref)
-    return tuple(out)
-
-
 def combine(left, right, schema, hierarchy):
     """Apply one schema to two adjacent edges; None when unification blocks it."""
     rule = RULES.get(schema)
@@ -215,31 +182,24 @@ def combine(left, right, schema, hierarchy):
     signs = (left.sign, right.sign)
     lsign, rsign = signs
     head = signs[rule.head]
-    fs = head.fs
     valence = {"subj": head.subj, "comps": head.comps}
-    restr = lsign.restr + rsign.restr
-    quants = lsign.quants + rsign.quants
-    bg = lsign.bg + rsign.bg
     if rule.slot is not None:
         selector = signs[rule.selector]
         specs = getattr(selector, rule.slot)
-        mapping = unify_map([(specs[0], signs[1 - rule.selector].fs)],
-                            lsign.graph_roots() + rsign.graph_roots(),
-                            hierarchy)
-        if isinstance(mapping, UnificationFailure):
-            return None
         if selector is head:
             valence[rule.slot] = specs[1:]
-        fs = mapping[fs]
-        valence = {slot: tuple(mapping[spec] for spec in specs)
-                   for slot, specs in valence.items()}
-        restr = _remap(restr, mapping)
-        quants = _remap(quants, mapping)
-        bg = _remap(bg, mapping)
+    restr = lsign.restr + rsign.restr
+    quants = lsign.quants + rsign.quants
     if rule.quantify:
         restr, quants = (), quants + restr
-    sign = Sign(phon=lsign.phon + rsign.phon, fs=fs, restr=restr,
-                quants=quants, bg=_distinct_bg(bg), **valence)
+    sign = Sign(phon=lsign.phon + rsign.phon, fs=head.fs, restr=restr,
+                quants=quants, bg=lsign.bg + rsign.bg, **valence)
+    if rule.slot is not None:
+        mapping = unify_map(specs[0], signs[1 - rule.selector].fs,
+                            sign.graph_roots(), hierarchy)
+        if isinstance(mapping, UnificationFailure):
+            return None
+        sign = sign.relocated(mapping)
     cat = rule.mother or _valence_cat(sign)
     return Edge(left.start, right.end, cat, sign, schema, (left, right))
 
@@ -293,8 +253,7 @@ class Chart:
         """Complete-sentence readings: saturated verbal edges spanning everything."""
         self.fill()
         full = self.cells.get((0, len(self.tokens)), ())
-        return [Reading(edge.sign, edge, self.method)
-                for edge in full if edge.cat == "s"]
+        return [edge for edge in full if edge.cat == "s"]
 
 
 def parse(tokens, lexicon, decls, hierarchy, method="bg"):
@@ -309,8 +268,8 @@ class MethodReport:
     method: str
     pre_filter: int
     post_filter: int
-    surviving: list   # (Reading, {var: sort})
-    violations: list  # (Reading, Violation)
+    surviving: list   # (reading Edge, {var: sort})
+    violations: list  # (reading Edge, Violation)
 
 
 def run_method(tokens, lexicon, decls, hierarchy, method):

@@ -135,9 +135,21 @@ class SortHierarchy:
         return next(iter(mlbs))
 
     def bcpo_violations(self):
-        """Sort pairs with more than one maximal lower bound."""
+        """Sort pairs with more than one maximal lower bound, in sorted order.
+
+        Such a pair is incomparable, so each of its bounds has two or more
+        parents (one parent would be a greater common lower bound), and both
+        sorts are strict ancestors of it.  Only pairs of strict ancestors of
+        a multi-parent sort are checked.
+        """
+        pairs = set()
+        for s, ps in self.parents.items():
+            if len(ps) > 1:
+                above = sorted(a for a in self.sorts
+                               if a != s and s in self._down[a])
+                pairs.update(combinations(above, 2))
         out = []
-        for a, b in combinations(sorted(self.sorts), 2):
+        for a, b in sorted(pairs):
             mlbs = self.maximal_lower_bounds(a, b)
             if len(mlbs) > 1:
                 out.append((a, b, mlbs))

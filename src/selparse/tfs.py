@@ -94,14 +94,15 @@ def _meet(s1, s2, hierarchy):
     return None
 
 
-def unify_map(pairs, roots, hierarchy):
-    """Merge node pairs inside one shared graph universe.
+def unify_map(a, b, roots, hierarchy):
+    """Unify nodes a and b inside one shared graph universe.
 
-    Returns a mapping from every node reachable from `roots` or the paired
-    nodes to its counterpart in a freshly built result graph, or a
-    UnificationFailure.  Inputs are never mutated.  This is the workhorse
-    behind `unify`; sign composition uses it directly because it needs the
-    mapping to relocate the set-valued parts of a sign.
+    Returns a mapping from every node reachable from `roots` to its
+    counterpart in a freshly built result graph, or a UnificationFailure.
+    Only those counterparts (and what they reach) are built, and inputs are
+    never mutated.  This is the workhorse behind `unify`; sign composition
+    uses it directly because it needs the mapping to relocate the
+    set-valued parts of a sign.
     """
     parent = {}
 
@@ -121,7 +122,7 @@ def unify_map(pairs, roots, hierarchy):
             sort_of[rep] = rep.sort
             feats_of[rep] = dict(rep.feats)
 
-    agenda = [(a, b, ()) for a, b in pairs]
+    agenda = [(a, b, ())]
     while agenda:
         a, b, path = agenda.pop()
         ra, rb = find(a), find(b)
@@ -159,8 +160,6 @@ def unify_map(pairs, roots, hierarchy):
 
     mapping = {}
     stack = list(roots)
-    for a, b in pairs:
-        stack += [a, b]
     while stack:
         node = stack.pop()
         if node in mapping:
@@ -182,7 +181,7 @@ def unify(a, b, hierarchy):
     into the fresh result.  A sort clash at any corresponding node pair
     returns a UnificationFailure naming the feature path and the two sorts.
     """
-    got = unify_map([(a, b)], (a, b), hierarchy)
+    got = unify_map(a, b, (a,), hierarchy)
     if isinstance(got, UnificationFailure):
         return got
     return got[a]

@@ -17,6 +17,17 @@ CORPUS_SENTENCES = [
     "the printer repaired the printer",
 ]
 
+# ambiguity ladders: k copies of the step phrase before the relative clause
+LADDERS = {
+    "attachment": ("list the employees", "of the departments"),
+    "sense": ("list the printer", "of the printer"),
+}
+
+
+def ladder(family, k):
+    head, step = LADDERS[family]
+    return " ".join([head, *[step] * k, "that retire"])
+
 
 @pytest.fixture(scope="session")
 def hierarchy():

@@ -212,6 +212,23 @@ def test_non_utf8_input_is_input_error(capsys, tmp_path, argv, stage):
         assert out.splitlines()[-1].startswith(stage)
         assert err == ""
     assert "can't decode byte 0xff" in out + err
+    assert f"{bad}: " in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--json"],
+    ["validate", "--method", "index"],
+    ["batch", "--explain"],
+    ["parse", "--bogus", "x"],
+], ids=" ".join)
+def test_option_the_subcommand_does_not_take_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_validate_missing_lexicon(capsys, tmp_path):

@@ -14,19 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import LADDERS, ladder
 from selparse.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-LADDERS = {
-    "attachment": ("list the employees", "of the departments"),
-    "sense": ("list the printer", "of the printer"),
-}
-
-
-def ladder(family, k):
-    head, step = LADDERS[family]
-    return " ".join([head, *[step] * k, "that retire"])
 
 
 def _parse_runs(flag):

@@ -2,10 +2,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import CORPUS_SENTENCES, parse_sentence
+import selparse.parser
+from conftest import CORPUS_SENTENCES, ladder, parse_sentence
 from selparse.parser import (Chart, SCHEMAS, UnknownTokenError, combine,
                              count_parses, lexical_edges, parse, tokenize)
 from selparse.selres import Satisfiable, check_reading
+from selparse.tfs import UnificationFailure
 
 
 def tokens_of(sentence):
@@ -109,7 +111,7 @@ def test_double_printer_survivor_senses(hierarchy, lexicon, decls):
                               lexicon, decls, hierarchy, "index")
     assert len(readings) == 1
     senses = [leaf.entry.sense_id
-              for leaf in readings[0].derivation.leaves()
+              for leaf in readings[0].leaves()
               if leaf.entry.phon == "printer"]
     assert senses == ["printer_person", "printer_peripheral"]
 
@@ -143,7 +145,7 @@ def _assert_contextual_consistency(edge):
 def test_mother_bg_is_union_of_daughters(hierarchy, lexicon, decls,
                                          sentence, method):
     for reading in parse_sentence(sentence, lexicon, decls, hierarchy, method):
-        _assert_contextual_consistency(reading.derivation)
+        _assert_contextual_consistency(reading)
 
 
 @pytest.mark.parametrize("sentence", CORPUS_SENTENCES)
@@ -203,7 +205,7 @@ def test_chart_matches_brute_force_enumeration(hierarchy, lexicon, decls,
     assert len(tokens) <= 12
     chart_readings = parse(tokens, lexicon, decls, hierarchy, method)
     oracle = brute_force_complete(tokens, lexicon, decls, hierarchy, method)
-    assert Counter(repr(_skeleton(r.derivation)) for r in chart_readings) \
+    assert Counter(repr(_skeleton(r)) for r in chart_readings) \
         == Counter(repr(_skeleton(e)) for e in oracle)
 
 
@@ -235,3 +237,70 @@ def test_chart_edge_statistics(hierarchy, lexicon, decls):
     assert len(unfiltered.readings()) == 4
     assert len(pruned.readings()) == 1
     assert pruned.edges_built < unfiltered.edges_built
+
+
+# (bg edges, bg readings, index edges, index readings, bg solver survivors)
+@pytest.mark.parametrize("family, k, expected", [
+    ("attachment", 1, (21, 2, 17, 1, 1)),
+    ("attachment", 2, (42, 5, 30, 2, 2)),
+    ("attachment", 3, (91, 14, 57, 5, 5)),
+    ("attachment", 4, (224, 42, 124, 14, 14)),
+    ("attachment", 5, (621, 132, 313, 42, 42)),
+    ("attachment", 6, (1876, 429, 890, 132, 132)),
+    ("sense", 1, (47, 8, 37, 4, 4)),
+    ("sense", 2, (175, 40, 125, 20, 20)),
+    ("sense", 3, (831, 224, 557, 112, 112)),
+])
+def test_ladder_edge_and_reading_counts_are_exact(hierarchy, lexicon, decls,
+                                                  family, k, expected):
+    tokens = tokenize(ladder(family, k))
+    bg = Chart(tokens, lexicon, decls, hierarchy, "bg")
+    readings = bg.readings()
+    index = Chart(tokens, lexicon, decls, hierarchy, "index")
+    pruned = index.readings()
+    survivors = sum(isinstance(check_reading(r, hierarchy), Satisfiable)
+                    for r in readings)
+    assert (bg.edges_built, len(readings), index.edges_built, len(pruned),
+            survivors) == expected
+
+
+def _reachable(roots):
+    seen = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.feats.values())
+    return seen
+
+
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_combine_builds_only_what_the_mother_reaches(hierarchy, lexicon, decls,
+                                                     monkeypatch, method):
+    real_unify_map, real_combine = selparse.parser.unify_map, combine
+    mappings = []
+    unreachable = checked = 0
+
+    def recording_unify_map(*args):
+        got = real_unify_map(*args)
+        if not isinstance(got, UnificationFailure):
+            mappings.append(got)
+        return got
+
+    def checking_combine(*args):
+        nonlocal unreachable, checked
+        mappings.clear()
+        edge = real_combine(*args)
+        for mapping in mappings:
+            built = set(mapping.values())
+            unreachable += len(built - _reachable(edge.sign.graph_roots()))
+            checked += 1
+        return edge
+
+    monkeypatch.setattr(selparse.parser, "unify_map", recording_unify_map)
+    monkeypatch.setattr(selparse.parser, "combine", checking_combine)
+    assert parse_sentence(ladder("attachment", 1), lexicon, decls, hierarchy,
+                          method)
+    assert checked > 0
+    assert unreachable == 0

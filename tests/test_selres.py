@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_maximal_lower_bounds, parse_sentence
 from selparse.grammar import compile_entry
-from selparse.parser import Reading
+from selparse.parser import Edge
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
                              solve)
@@ -50,7 +50,7 @@ def test_extract_skips_relations_without_matching_sort(hierarchy, lexicon,
 
 def test_extract_nothing_from_bare_sign(hierarchy, lexicon, decls):
     sign = compile_entry(lexicon["the"][0], decls, "bg", hierarchy)
-    reading = Reading(sign=sign, derivation=None, method="bg")
+    reading = Edge(0, 1, "s", sign)
     assert extract_constraints(reading, hierarchy) == []
 
 
