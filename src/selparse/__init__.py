@@ -10,12 +10,14 @@ constraint solver.  The same lexical entries parse under two methods:
                unification prunes violating analyses during parsing.
 """
 
+from pathlib import Path
+
 from . import data
 from .grammar import (GrammarError, LexicalEntry, PsoaRef, QfpsoaDecl, Sign,
                       apply_qfpsoa_declarations, compile_entry,
                       load_declarations, load_lexicon, render_sign)
 from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,
-                     count_parses, lexical_edges, parse, run_method, tokenize)
+                     lexical_edges, run_method, tokenize)
 from .selres import (ConstraintAtom, Satisfiable, Violation, check_reading,
                      extract_constraints, merge_pair, solve)
 from .sorts import (AmbiguousMeetError, HierarchyError, SortHierarchy,
@@ -26,9 +28,21 @@ from .tfs import (CyclicStructureError, FeatureStructure, UnificationFailure,
 __version__ = "0.1.0"
 
 
-def load_default_resources():
-    """The bundled hierarchy, lexicon and declarations, ready to parse with."""
-    hierarchy = load_hierarchy(data.HIERARCHY.read_text())
-    decls = load_declarations(data.DECLS.read_text(), hierarchy)
-    lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
-    return hierarchy, lexicon, decls
+def read_resource(path):
+    """A resource or corpus file's text; a file that is not UTF-8 is named."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GrammarError(f"{path}: {exc}") from None
+
+
+def load_resources(hierarchy=data.HIERARCHY, decls=data.DECLS,
+                   lexicon=data.LEXICON):
+    """(hierarchy, lexicon, decls) read from the three resource files.
+
+    Each argument is a file path; the defaults are the bundled files.
+    """
+    sorts = load_hierarchy(read_resource(hierarchy))
+    relations = load_declarations(read_resource(decls), sorts)
+    words = load_lexicon(read_resource(lexicon), sorts, relations)
+    return sorts, words, relations

@@ -8,9 +8,7 @@ import argparse
 import json
 import sys
 import textwrap
-from pathlib import Path
-
-from . import data
+from . import data, load_resources, read_resource
 from .grammar import GrammarError, compile_entry, load_declarations, \
     load_lexicon, render_sign
 from .parser import UnknownTokenError, run_method, tokenize
@@ -61,21 +59,6 @@ def _arg_parser():
     _add_resources(v)
     v.set_defaults(func=cmd_validate)
     return top
-
-
-def _read(path):
-    """A resource or corpus file's text; a file that is not UTF-8 is named."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise GrammarError(f"{path}: {exc}") from None
-
-
-def _load_resources(args):
-    hierarchy = load_hierarchy(_read(args.hierarchy))
-    decls = load_declarations(_read(args.decls), hierarchy)
-    lexicon = load_lexicon(_read(args.lexicon), hierarchy, decls)
-    return hierarchy, lexicon, decls
 
 
 def _senses(reading, lexicon):
@@ -145,7 +128,8 @@ def _print_report(sentence, reports, agree, hierarchy, lexicon, explain):
 
 
 def cmd_parse(args):
-    hierarchy, lexicon, decls = _load_resources(args)
+    hierarchy, lexicon, decls = load_resources(args.hierarchy, args.decls,
+                                               args.lexicon)
     tokens = tokenize(args.sentence)
     if not tokens:
         raise GrammarError("empty sentence")
@@ -191,8 +175,9 @@ def _load_corpus(text):
 
 
 def cmd_batch(args):
-    hierarchy, lexicon, decls = _load_resources(args)
-    rows = _load_corpus(_read(args.corpus))
+    hierarchy, lexicon, decls = load_resources(args.hierarchy, args.decls,
+                                               args.lexicon)
+    rows = _load_corpus(read_resource(args.corpus))
     failures = 0
     for sentence, tokens, expect_accept, expected_readings in rows:
         reports, agree = run_method(tokens, lexicon, decls, hierarchy,
@@ -234,7 +219,7 @@ def cmd_batch(args):
 def cmd_validate(args):
     code = 0
     try:
-        hierarchy = load_hierarchy(_read(args.hierarchy))
+        hierarchy = load_hierarchy(read_resource(args.hierarchy))
     except (HierarchyError, GrammarError, OSError) as exc:
         print(f"hierarchy: ERROR {exc}")
         return 1
@@ -248,9 +233,9 @@ def cmd_validate(args):
     else:
         print("bcpo: ok")
     try:
-        decls = load_declarations(_read(args.decls), hierarchy)
+        decls = load_declarations(read_resource(args.decls), hierarchy)
         print(f"declarations: {len(decls)} qfpsoas")
-        lexicon = load_lexicon(_read(args.lexicon), hierarchy, decls)
+        lexicon = load_lexicon(read_resource(args.lexicon), hierarchy, decls)
         entries = sum(len(senses) for senses in lexicon.values())
         print(f"lexicon: {entries} entries for {len(lexicon)} words")
         for senses in lexicon.values():

@@ -116,8 +116,9 @@ class PsoaRef:
 class Sign:
     """A compiled sign: the unifiable core plus set-valued parts alongside.
 
-    `fs` holds cat|head and cont (nuc or index); subj/comps are pending
-    valence specifications; restr, quants and bg are relation-instance sets.
+    `fs` holds cat|head and cont (nuc or index); subj/comps are the pending
+    valence slots, each a nucleus role filler that a dependent's index
+    unifies with; restr, quants and bg are relation-instance sets.
     All of them reference nodes of one shared graph, so `relocated` moves
     them together whenever the sign takes part in a unification.
     """
@@ -366,10 +367,6 @@ def _sign_node(head_sort, cont_feats=None):
     return FeatureStructure("sign", feats)
 
 
-def _nominal_spec(index):
-    return _sign_node("noun", {"index": index})
-
-
 def compile_entry(entry, decls, method, hierarchy):
     """Compile one lexical entry into a fresh Sign under the given method.
 
@@ -389,7 +386,6 @@ def compile_entry(entry, decls, method, hierarchy):
         nuc = FeatureStructure(
             entry.nucleus,
             {role: idx for (role, _sort), idx in zip(effective, indices)})
-        specs = [_nominal_spec(idx) for idx in indices]
         bg = []
         if method == "bg":
             for (_role, sort), idx in zip(effective, indices):
@@ -397,7 +393,7 @@ def compile_entry(entry, decls, method, hierarchy):
                     bg.append(PsoaRef(
                         FeatureStructure(sort, {"inst": idx}), word))
         return Sign(phon=(word,), fs=_sign_node("verb", {"nuc": nuc}),
-                    subj=tuple(specs[:nsubj]), comps=tuple(specs[nsubj:]),
+                    subj=tuple(indices[:nsubj]), comps=tuple(indices[nsubj:]),
                     bg=tuple(bg))
 
     if entry.pos in ("noun", "proper-noun"):
@@ -439,10 +435,9 @@ def render_sign(sign, hierarchy):
     numbers = sign.index_numbering(hierarchy)
     lines = [f"phon: {' '.join(sign.phon)}",
              f"cat|head: {sign.head_sort}"]
-    for slot, specs in (("subj", sign.subj), ("comps", sign.comps)):
-        rendered = ", ".join(
-            f"np[{_filler_str(s.get('cont', 'index'), numbers)}]" for s in specs)
-        lines.append(f"{slot}: < {rendered} >" if rendered else f"{slot}: < >")
+    for label, slots in (("subj", sign.subj), ("comps", sign.comps)):
+        rendered = ", ".join(f"np[{_filler_str(s, numbers)}]" for s in slots)
+        lines.append(f"{label}: < {rendered} >" if rendered else f"{label}: < >")
     if sign.nucleus is not None:
         lines.append(f"cont|nuc: {_psoa_str(sign.nucleus, numbers)}")
     if sign.index is not None:

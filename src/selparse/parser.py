@@ -14,11 +14,12 @@ Binary schemas, the rows of RULES (head marked *):
 Verbal categories are derived from valence: a verb edge with pending
 complements is v, with complements saturated but a pending subject vp, and
 with nothing pending s.  Head-subject, head-complement and the relative
-clause's subject satisfaction each unify a valence specification with the
-dependent's whole sign, so sortal conflicts between indices surface here and,
-under the "index" compilation method, prune analyses while parsing.  The
-background set of every mother is the union of its daughters' sets; the
-quantifier set grows by the noun's restriction when a determiner attaches.
+clause's subject satisfaction each unify a pending valence slot, the index
+of one of the verb's roles, with the dependent noun phrase's index, so
+sortal conflicts between indices surface here and, under the "index"
+compilation method, prune analyses while parsing.  The background set of
+every mother is the union of its daughters' sets; the quantifier set grows
+by the noun's restriction when a determiner attaches.
 """
 
 from dataclasses import dataclass
@@ -35,9 +36,7 @@ __all__ = [
     "SCHEMAS",
     "UnknownTokenError",
     "combine",
-    "count_parses",
     "lexical_edges",
-    "parse",
     "run_method",
     "tokenize",
 ]
@@ -50,8 +49,8 @@ class Rule(NamedTuple):
 
     The mother takes the head's core and remaining valence and pools both
     daughters' restr, quants and bg, left before right.  When `slot` is
-    set, the `selector` daughter's first pending `slot` specification is
-    then unified with the other daughter's sign, and only what the mother
+    set, the `selector` daughter's first pending `slot` index is then
+    unified with the other daughter's index, and only what the mother
     reaches is copied into the result graph.  Otherwise nothing is unified.
     """
 
@@ -116,11 +115,15 @@ class Edge:
     entry: object = None            # LexicalEntry on lexical edges
 
     def leaves(self):
-        if self.schema is None:
-            return [self]
-        out = []
-        for child in self.children:
-            out.extend(child.leaves())
+        """The lexical edges under this one, left to right."""
+        # an explicit stack: an adjective stack nests one level per word
+        out, stack = [], [self]
+        while stack:
+            edge = stack.pop()
+            if edge.schema is None:
+                out.append(edge)
+            else:
+                stack.extend(reversed(edge.children))
         return out
 
     def __repr__(self):
@@ -129,12 +132,21 @@ class Edge:
     @property
     def derivation_string(self):
         """Bracketed derivation like `(S (NP tom) (VP ate (NP a keyboard)))`."""
-        if self.children:
-            inner = " ".join(child.derivation_string for child in self.children)
-        else:
-            inner = " ".join(self.sign.phon)
-        label = _PHRASE_LABEL.get(self.cat)
-        return f"({label} {inner})" if label else inner
+        parts, stack = [], [self]   # stack items: edges and closing text
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            label = _PHRASE_LABEL.get(item.cat)
+            if label:
+                parts.append(f"({label} ")
+                stack.append(")")
+            if not item.children:
+                parts.append(" ".join(item.sign.phon))
+            for i, child in enumerate(reversed(item.children)):
+                stack.extend((" ", child) if i else (child,))
+        return "".join(parts)
 
     @property
     def identity(self):
@@ -185,9 +197,9 @@ def combine(left, right, schema, hierarchy):
     valence = {"subj": head.subj, "comps": head.comps}
     if rule.slot is not None:
         selector = signs[rule.selector]
-        specs = getattr(selector, rule.slot)
+        pending = getattr(selector, rule.slot)
         if selector is head:
-            valence[rule.slot] = specs[1:]
+            valence[rule.slot] = pending[1:]
     restr = lsign.restr + rsign.restr
     quants = lsign.quants + rsign.quants
     if rule.quantify:
@@ -195,7 +207,7 @@ def combine(left, right, schema, hierarchy):
     sign = Sign(phon=lsign.phon + rsign.phon, fs=head.fs, restr=restr,
                 quants=quants, bg=lsign.bg + rsign.bg, **valence)
     if rule.slot is not None:
-        mapping = unify_map(specs[0], signs[1 - rule.selector].fs,
+        mapping = unify_map(pending[0], signs[1 - rule.selector].index,
                             sign.graph_roots(), hierarchy)
         if isinstance(mapping, UnificationFailure):
             return None
@@ -207,8 +219,9 @@ def combine(left, right, schema, hierarchy):
 class Chart:
     """One parse's worth of edges, kept per span, plus size statistics.
 
-    A chart is private to one parse; distinct sentences may be parsed
-    concurrently against the same (immutable) lexicon and hierarchy.
+    A chart is filled when it is built and is private to one parse;
+    distinct sentences may be parsed concurrently against the same
+    (immutable) lexicon and hierarchy.
     """
 
     def __init__(self, tokens, lexicon, decls, hierarchy, method="bg"):
@@ -221,15 +234,13 @@ class Chart:
         self.method = method
         self.cells = {}
         self.edges_built = 0
-        self._filled = False
+        self.fill()
 
     def _add(self, edge):
         self.cells.setdefault((edge.start, edge.end), []).append(edge)
         self.edges_built += 1
 
     def fill(self):
-        if self._filled:
-            return self
         for edge in lexical_edges(self.tokens, self.lexicon, self.decls,
                                   self.hierarchy, self.method):
             self._add(edge)
@@ -246,19 +257,11 @@ class Chart:
                             edge = combine(l_edge, r_edge, schema, self.hierarchy)
                             if edge is not None:
                                 self._add(edge)
-        self._filled = True
-        return self
 
     def readings(self):
         """Complete-sentence readings: saturated verbal edges spanning everything."""
-        self.fill()
         full = self.cells.get((0, len(self.tokens)), ())
         return [edge for edge in full if edge.cat == "s"]
-
-
-def parse(tokens, lexicon, decls, hierarchy, method="bg"):
-    """All complete-sentence readings of the token list under one method."""
-    return Chart(tokens, lexicon, decls, hierarchy, method).readings()
 
 
 @dataclass
@@ -286,7 +289,7 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     """
     if method not in (*METHODS, "both"):
         raise ValueError(f"unknown method {method!r}")
-    baseline = parse(tokens, lexicon, decls, hierarchy, "bg")
+    baseline = Chart(tokens, lexicon, decls, hierarchy, "bg").readings()
     reports = []
     if method != "index":
         surviving, violations = [], []
@@ -300,7 +303,8 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
                                     surviving, violations))
     if method != "bg":
         surviving = []
-        for reading in parse(tokens, lexicon, decls, hierarchy, "index"):
+        pruned = Chart(tokens, lexicon, decls, hierarchy, "index").readings()
+        for reading in pruned:
             numbers = reading.sign.index_numbering(hierarchy)
             surviving.append((reading, {var: node.sort
                                         for node, var in numbers.items()}))
@@ -311,11 +315,3 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
         bg, index = ({r.identity for r, _ in rep.surviving} for rep in reports)
         agree = bg == index
     return reports, agree
-
-
-def count_parses(tokens, lexicon, decls, hierarchy, method="bg"):
-    """(pre_filter, post_filter) reading counts for one sentence and method."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    (report,), _ = run_method(tokens, lexicon, decls, hierarchy, method)
-    return report.pre_filter, report.post_filter

@@ -2,7 +2,7 @@ import pytest
 
 from selparse import data
 from selparse.grammar import load_declarations, load_lexicon
-from selparse.parser import parse, tokenize
+from selparse.parser import Chart, tokenize
 from selparse.sorts import load_hierarchy
 from selparse.tfs import FeatureStructure
 
@@ -45,7 +45,8 @@ def lexicon(hierarchy, decls):
 
 
 def parse_sentence(sentence, lexicon, decls, hierarchy, method):
-    return parse(tokenize(sentence), lexicon, decls, hierarchy, method)
+    return Chart(tokenize(sentence), lexicon, decls, hierarchy,
+                 method).readings()
 
 
 def brute_maximal_lower_bounds(hierarchy, a, b):

@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds,
                       parse_sentence, random_structure)
-from selparse.parser import Chart, count_parses, parse, tokenize
+from selparse.parser import Chart, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, solve)
 from selparse.tfs import UnificationFailure, isomorphic, subsumes_fs, unify
@@ -51,9 +51,9 @@ def test_criterion_3_repair_pair(hierarchy, lexicon, decls):
     assert parse_sentence("tom repaired the technician", lexicon, decls,
                           hierarchy, "index") == []
 
-    for method in ("bg", "index"):
-        assert count_parses(tokenize("tom repaired the keyboard"),
-                            lexicon, decls, hierarchy, method) == (1, 1)
+    reports, _ = run_method(tokenize("tom repaired the keyboard"),
+                            lexicon, decls, hierarchy, "both")
+    assert [(r.pre_filter, r.post_filter) for r in reports] == [(1, 1)] * 2
     _passed(3, "repairing the technician rejected {technician, artifact}; "
                "repairing the keyboard accepted both ways")
 
@@ -65,9 +65,9 @@ def test_criterion_4_word_sense_disambiguation(hierarchy, lexicon, decls):
     ]
     for sentence, surviving_sense in expectations:
         tokens = tokenize(sentence)
-        for method in ("bg", "index"):
-            assert count_parses(tokens, lexicon, decls, hierarchy, method) \
-                == (2, 1)
+        reports, _ = run_method(tokens, lexicon, decls, hierarchy, "both")
+        assert [(r.pre_filter, r.post_filter) for r in reports] \
+            == [(2, 1)] * 2
         survivors = [
             r for r in parse_sentence(sentence, lexicon, decls, hierarchy,
                                       "bg")
@@ -197,14 +197,14 @@ def test_criterion_7_property_suites(hierarchy):
 
 def test_criterion_8_multiplicative_effect(hierarchy, lexicon, decls):
     tokens = tokenize("the printer repaired the printer")
-    unfiltered = Chart(tokens, lexicon, decls, hierarchy, "bg").fill()
+    unfiltered = Chart(tokens, lexicon, decls, hierarchy, "bg")
     assert len(unfiltered.readings()) == 4  # two 2-way ambiguous nouns
 
-    pruned = Chart(tokens, lexicon, decls, hierarchy, "index").fill()
+    pruned = Chart(tokens, lexicon, decls, hierarchy, "index")
     assert len(pruned.readings()) == 1
     assert pruned.edges_built < unfiltered.edges_built
 
-    assert count_parses(tokens, lexicon, decls, hierarchy, "bg") == (4, 1)
-    assert count_parses(tokens, lexicon, decls, hierarchy, "index") == (4, 1)
+    reports, _ = run_method(tokens, lexicon, decls, hierarchy, "both")
+    assert [(r.pre_filter, r.post_filter) for r in reports] == [(4, 1)] * 2
     _passed(8, f"pre=4 post=1; chart edges {pruned.edges_built} (index) < "
                f"{unfiltered.edges_built} (unfiltered)")

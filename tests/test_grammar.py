@@ -1,5 +1,6 @@
 import pytest
 
+from selparse import load_resources
 from selparse.grammar import (GrammarError, apply_qfpsoa_declarations,
                               compile_entry, load_declarations, load_lexicon)
 from selparse.tfs import isomorphic
@@ -18,6 +19,23 @@ def test_declarations_loaded(hierarchy, decls):
     assert decls["eat"].roles == (("eater", "animate"), ("eaten", "edible"))
     assert decls["repair"].roles == (("repairer", "person"),
                                      ("repaired", "artifact"))
+
+
+def test_load_resources_defaults_to_the_bundled_files(hierarchy, decls,
+                                                      lexicon):
+    loaded_hierarchy, loaded_lexicon, loaded_decls = load_resources()
+    assert loaded_hierarchy.sorts == hierarchy.sorts
+    assert loaded_hierarchy.root == hierarchy.root
+    assert (loaded_lexicon, loaded_decls) == (lexicon, decls)
+
+
+def test_load_resources_names_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "lexicon.txt"
+    bad.write_bytes(b"tom | proper-noun | man\n\xff\n")
+    with pytest.raises(GrammarError) as info:
+        load_resources(lexicon=bad)
+    assert str(info.value).startswith(f"{bad}: ")
+    assert "can't decode byte 0xff" in str(info.value)
 
 
 def test_declaration_errors(hierarchy):
@@ -106,9 +124,9 @@ def test_compile_ate_bg(hierarchy, decls, lexicon):
     assert list(nuc.feats) == ["eater", "eaten"]
     eater, eaten = nuc.feats["eater"], nuc.feats["eaten"]
     assert eater.sort == "ref" and eaten.sort == "ref"
-    # valence specifications share the nucleus role fillers
-    assert sign.subj[0].get("cont", "index") is eater
-    assert sign.comps[0].get("cont", "index") is eaten
+    # the valence slots are the nucleus role fillers
+    assert sign.subj[0] is eater
+    assert sign.comps[0] is eaten
     restrictions = {(r.node.sort, next(iter(r.node.feats.values())))
                     for r in sign.bg}
     assert restrictions == {("animate", eater), ("edible", eaten)}
@@ -153,8 +171,7 @@ def test_compile_keyboard_both_methods(hierarchy, decls, lexicon):
 def _restriction_pairs_bg(sign, hierarchy):
     """(slot, sort) pairs read off a bg-compiled sign, naming excluded."""
     pairs = set()
-    slots = {spec.get("cont", "index"): i
-             for i, spec in enumerate((*sign.subj, *sign.comps))}
+    slots = {slot: i for i, slot in enumerate((*sign.subj, *sign.comps))}
     if sign.index is not None:
         slots.setdefault(sign.index, "self")
     for ref in (*sign.bg, *sign.restr):
@@ -167,8 +184,8 @@ def _restriction_pairs_bg(sign, hierarchy):
 
 def _restriction_pairs_index(sign, hierarchy):
     pairs = set()
-    for i, spec in enumerate((*sign.subj, *sign.comps)):
-        sort = spec.get("cont", "index").sort
+    for i, slot in enumerate((*sign.subj, *sign.comps)):
+        sort = slot.sort
         if sort != hierarchy.root:
             pairs.add((i, sort))
     if sign.index is not None and sign.index.sort != hierarchy.root:

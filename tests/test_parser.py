@@ -5,7 +5,7 @@ import pytest
 import selparse.parser
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
 from selparse.parser import (Chart, SCHEMAS, UnknownTokenError, combine,
-                             count_parses, lexical_edges, parse, tokenize)
+                             lexical_edges, run_method, tokenize)
 from selparse.selres import Satisfiable, check_reading
 from selparse.tfs import UnificationFailure
 
@@ -102,8 +102,9 @@ def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
 ])
 @pytest.mark.parametrize("method", ["bg", "index"])
 def test_count_parses(hierarchy, lexicon, decls, sentence, expected, method):
-    got = count_parses(tokenize(sentence), lexicon, decls, hierarchy, method)
-    assert got == expected
+    (report,), _ = run_method(tokenize(sentence), lexicon, decls, hierarchy,
+                              method)
+    assert (report.pre_filter, report.post_filter) == expected
 
 
 def test_double_printer_survivor_senses(hierarchy, lexicon, decls):
@@ -118,7 +119,7 @@ def test_double_printer_survivor_senses(hierarchy, lexicon, decls):
 
 def test_unknown_token_listed(hierarchy, lexicon, decls):
     with pytest.raises(UnknownTokenError, match="gizmo"):
-        parse(["tom", "ate", "a", "gizmo"], lexicon, decls, hierarchy, "bg")
+        Chart(["tom", "ate", "a", "gizmo"], lexicon, decls, hierarchy, "bg")
 
 
 def test_zero_readings_is_normal(hierarchy, lexicon, decls):
@@ -203,7 +204,8 @@ def test_chart_matches_brute_force_enumeration(hierarchy, lexicon, decls,
                                                sentence, method):
     tokens = tokenize(sentence)
     assert len(tokens) <= 12
-    chart_readings = parse(tokens, lexicon, decls, hierarchy, method)
+    chart_readings = Chart(tokens, lexicon, decls, hierarchy,
+                           method).readings()
     oracle = brute_force_complete(tokens, lexicon, decls, hierarchy, method)
     assert Counter(repr(_skeleton(r)) for r in chart_readings) \
         == Counter(repr(_skeleton(e)) for e in oracle)
@@ -232,8 +234,8 @@ def test_adjective_supported(hierarchy, lexicon, decls):
 
 def test_chart_edge_statistics(hierarchy, lexicon, decls):
     tokens = tokenize("the printer repaired the printer")
-    unfiltered = Chart(tokens, lexicon, decls, hierarchy, "bg").fill()
-    pruned = Chart(tokens, lexicon, decls, hierarchy, "index").fill()
+    unfiltered = Chart(tokens, lexicon, decls, hierarchy, "bg")
+    pruned = Chart(tokens, lexicon, decls, hierarchy, "index")
     assert len(unfiltered.readings()) == 4
     assert len(pruned.readings()) == 1
     assert pruned.edges_built < unfiltered.edges_built
@@ -262,6 +264,23 @@ def test_ladder_edge_and_reading_counts_are_exact(hierarchy, lexicon, decls,
                     for r in readings)
     assert (bg.edges_built, len(readings), index.edges_built, len(pruned),
             survivors) == expected
+
+
+def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
+    # adj_nbar nests one tree level per adjective
+    n = 3000
+    the, *adjectives, noun = lexical_edges(
+        ["the", *["overseas"] * n, "departments"], lexicon, decls, hierarchy,
+        "bg")
+    nbar = noun
+    for adjective in reversed(adjectives):
+        nbar = combine(adjective, nbar, "adj_nbar", hierarchy)
+    np = combine(the, nbar, "det_nbar", hierarchy)
+    words = " ".join(["the", *["overseas"] * n, "departments"])
+    assert np.derivation_string == f"(NP {words})"
+    assert np.leaves() == [the, *adjectives, noun]  # Edge compares by identity
+    assert np.identity == (f"(NP {words})",
+                           ("the", *["overseas"] * n, "department"))
 
 
 def _reachable(roots):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_structure
-from selparse.parser import parse, tokenize
+from selparse.parser import Chart, tokenize
 from selparse.selres import check_reading
 from selparse.tfs import (CyclicStructureError, FeatureStructure,
                           UnificationFailure, check_acyclic, isomorphic,
@@ -187,11 +187,11 @@ def test_unify_and_parse_leave_no_reference_cycles(hierarchy, lexicon, decls):
     try:
         unify(fs("sign", f=fs("person")), fs("sign", f=fs("animate")),
               hierarchy)
-        parse(tokenize("list the employees of the departments that retire"),
+        Chart(tokenize("list the employees of the departments that retire"),
               lexicon, decls, hierarchy, "bg")
-        for reading in parse(tokenize("list the printer of the printer "
+        for reading in Chart(tokenize("list the printer of the printer "
                                       "that retire"),
-                             lexicon, decls, hierarchy, "bg"):
+                             lexicon, decls, hierarchy, "bg").readings():
             check_reading(reading, hierarchy)
         assert gc.collect() == 0
     finally:
