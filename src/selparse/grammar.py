@@ -9,9 +9,9 @@ ordinary typed unification enforces them during parsing.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .tfs import FeatureStructure
+from .tfs import FeatureStructure, unify_map
 
 __all__ = [
     "GrammarError",
@@ -114,49 +114,38 @@ class PsoaRef:
 
 @dataclass
 class Sign:
-    """A compiled sign: the unifiable core plus set-valued parts alongside.
+    """A compiled sign: its head sort and content nodes plus set-valued parts.
 
-    `fs` holds cat|head and cont (nuc or index); subj/comps are the pending
-    valence slots, each a nucleus role filler that a dependent's index
-    unifies with; restr, quants and bg are relation-instance sets.
-    All of them reference nodes of one shared graph, so `relocated` moves
-    them together whenever the sign takes part in a unification.
+    `index` (nouns) or `nucleus` (verbs) is the content; subj/comps are the
+    pending valence slots, each a nucleus role filler that a dependent's
+    index unifies with; restr, quants and bg are relation-instance sets.
+    All of them reference nodes of one shared graph, so `unified` moves
+    them together when the sign takes part in a unification.
     """
 
     phon: tuple
-    fs: FeatureStructure
+    head: str
+    index: FeatureStructure | None = None
+    nucleus: FeatureStructure | None = None
     subj: tuple = ()
     comps: tuple = ()
     restr: tuple = ()
     quants: tuple = ()
     bg: tuple = ()
 
-    @property
-    def head_sort(self):
-        return self.fs.get("cat", "head").sort
+    def unified(self, pairs, hierarchy):
+        """This sign with each (a, b) node pair of `pairs` unified.
 
-    @property
-    def index(self):
-        return self.fs.get("cont", "index")
-
-    @property
-    def nucleus(self):
-        return self.fs.get("cont", "nuc")
-
-    def graph_roots(self):
-        """Every entry point into this sign's node graph."""
-        return [self.fs, *self.subj, *self.comps,
-                *(r.node for r in self.restr),
-                *(r.node for r in self.quants),
-                *(r.node for r in self.bg)]
-
-    def relocated(self, mapping):
-        """This sign with every part replaced by its image under `mapping`.
-
-        `mapping` is what `unify_map` returns for this sign's graph roots.
-        Background instances it made identical (same relation, same role
-        fillers) are kept once, the first of them.
+        The pairs must unify.  Every part is replaced by its image in the
+        fresh graph; background instances made identical (same relation,
+        same role fillers) are kept once, the first of them.
         """
+        instances = (*self.restr, *self.quants, *self.bg)
+        roots = [node for node in (self.index, self.nucleus, *self.subj,
+                                   *self.comps, *(r.node for r in instances))
+                 if node is not None]
+        mapping = unify_map(pairs, roots, hierarchy)
+
         def refs(parts):
             return tuple(PsoaRef(mapping[r.node], r.source) for r in parts)
 
@@ -165,11 +154,12 @@ class Sign:
             key = (ref.node.sort, tuple(sorted(
                 (feat, id(filler)) for feat, filler in ref.node.feats.items())))
             bg.setdefault(key, ref)
-        return Sign(phon=self.phon, fs=mapping[self.fs],
-                    subj=tuple(mapping[s] for s in self.subj),
-                    comps=tuple(mapping[s] for s in self.comps),
-                    restr=refs(self.restr), quants=refs(self.quants),
-                    bg=tuple(bg.values()))
+        return replace(self, index=mapping.get(self.index),
+                       nucleus=mapping.get(self.nucleus),
+                       subj=tuple(mapping[s] for s in self.subj),
+                       comps=tuple(mapping[s] for s in self.comps),
+                       restr=refs(self.restr), quants=refs(self.quants),
+                       bg=tuple(bg.values()))
 
     def index_numbering(self, hierarchy):
         """Stable small-integer names for this sign's referential indices.
@@ -360,13 +350,6 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
     return tuple(effective)
 
 
-def _sign_node(head_sort, cont_feats=None):
-    feats = {"cat": FeatureStructure("cat", {"head": FeatureStructure(head_sort)})}
-    if cont_feats is not None:
-        feats["cont"] = FeatureStructure("cont", cont_feats)
-    return FeatureStructure("sign", feats)
-
-
 def compile_entry(entry, decls, method, hierarchy):
     """Compile one lexical entry into a fresh Sign under the given method.
 
@@ -392,7 +375,7 @@ def compile_entry(entry, decls, method, hierarchy):
                 if sort != top:
                     bg.append(PsoaRef(
                         FeatureStructure(sort, {"inst": idx}), word))
-        return Sign(phon=(word,), fs=_sign_node("verb", {"nuc": nuc}),
+        return Sign(phon=(word,), head="verb", nucleus=nuc,
                     subj=tuple(indices[:nsubj]), comps=tuple(indices[nsubj:]),
                     bg=tuple(bg))
 
@@ -412,10 +395,10 @@ def compile_entry(entry, decls, method, hierarchy):
         elif method == "bg":
             restr = (PsoaRef(
                 FeatureStructure(entry.index_sort, {"inst": idx}), word),)
-        return Sign(phon=(word,), fs=_sign_node("noun", {"index": idx}),
-                    restr=restr, bg=tuple(bg))
+        return Sign(phon=(word,), head="noun", index=idx, restr=restr,
+                    bg=tuple(bg))
 
-    return Sign(phon=(word,), fs=_sign_node(_HEAD_SORT[entry.pos]))
+    return Sign(phon=(word,), head=_HEAD_SORT[entry.pos])
 
 
 def _filler_str(node, numbers):
@@ -434,7 +417,7 @@ def render_sign(sign, hierarchy):
     """Compact AVM-style rendering of a sign, with #n tags on shared indices."""
     numbers = sign.index_numbering(hierarchy)
     lines = [f"phon: {' '.join(sign.phon)}",
-             f"cat|head: {sign.head_sort}"]
+             f"cat|head: {sign.head}"]
     for label, slots in (("subj", sign.subj), ("comps", sign.comps)):
         rendered = ", ".join(f"np[{_filler_str(s, numbers)}]" for s in slots)
         lines.append(f"{label}: < {rendered} >" if rendered else f"{label}: < >")

@@ -14,20 +14,22 @@ Binary schemas, the rows of RULES (head marked *):
 Verbal categories are derived from valence: a verb edge with pending
 complements is v, with complements saturated but a pending subject vp, and
 with nothing pending s.  Head-subject, head-complement and the relative
-clause's subject satisfaction each unify a pending valence slot, the index
-of one of the verb's roles, with the dependent noun phrase's index, so
-sortal conflicts between indices surface here and, under the "index"
-compilation method, prune analyses while parsing.  The background set of
-every mother is the union of its daughters' sets; the quantifier set grows
-by the noun's restriction when a determiner attaches.
+clause's subject satisfaction each identify a pending valence slot, the
+index of one of the verb's roles, with the dependent noun phrase's index:
+one meet of two sorts, so sortal conflicts between indices surface here
+and, under the "index" compilation method, prune analyses while parsing.
+No graph is copied: an edge's sign is unified when it is first read.  The
+background set of every mother is the union of its daughters' sets; the
+quantifier set grows by the noun's restriction when a determiner attaches.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from .grammar import METHODS, Sign, compile_entry
 from .selres import Satisfiable, check_reading
-from .tfs import UnificationFailure, unify_map
+from .tfs import meet
 
 __all__ = [
     "Chart",
@@ -50,8 +52,8 @@ class Rule(NamedTuple):
     The mother takes the head's core and remaining valence and pools both
     daughters' restr, quants and bg, left before right.  When `slot` is
     set, the `selector` daughter's first pending `slot` index is then
-    unified with the other daughter's index, and only what the mother
-    reaches is copied into the result graph.  Otherwise nothing is unified.
+    identified with the other daughter's index, provided their sorts meet.
+    Otherwise nothing is identified.
     """
 
     left: str
@@ -103,16 +105,28 @@ def tokenize(text):
 class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
-    A complete analysis (a reading) is an "s" edge spanning every token.
+    While parsing, an edge holds only what `combine` reads; its full `sign`
+    is built when it is first read.  A complete analysis (a reading) is an
+    "s" edge spanning every token.
     """
 
     start: int
     end: int
     cat: str
-    sign: Sign
+    parts: Sign                     # the daughters pooled; nodes stay lexical
     schema: str | None = None       # None marks a lexical edge
     children: tuple = ()
     entry: object = None            # LexicalEntry on lexical edges
+    hierarchy: object = None
+    index_sort: str | None = None   # the sort `binds` leave on the index
+    binds: tuple = ()               # (slot, index) identifications below
+
+    @cached_property
+    def sign(self):
+        """The full sign: `parts` with every identification below unified."""
+        if not self.binds:
+            return self.parts
+        return self.parts.unified(self.binds, self.hierarchy)
 
     def leaves(self):
         """The lexical edges under this one, left to right."""
@@ -127,7 +141,7 @@ class Edge:
         return out
 
     def __repr__(self):
-        return f"<Edge {self.cat} {self.start}:{self.end} {' '.join(self.sign.phon)}>"
+        return f"<Edge {self.cat} {self.start}:{self.end} {' '.join(self.parts.phon)}>"
 
     @property
     def derivation_string(self):
@@ -143,7 +157,7 @@ class Edge:
                 parts.append(f"({label} ")
                 stack.append(")")
             if not item.children:
-                parts.append(" ".join(item.sign.phon))
+                parts.append(" ".join(item.parts.phon))
             for i, child in enumerate(reversed(item.children)):
                 stack.extend((" ", child) if i else (child,))
         return "".join(parts)
@@ -182,38 +196,42 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
         for entry in lexicon[token]:
             sign = compile_entry(entry, decls, method, hierarchy)
             cat = _LEXICAL_CAT.get(entry.pos) or _valence_cat(sign)
-            edges.append(Edge(i, i + 1, cat, sign, entry=entry))
+            edges.append(Edge(i, i + 1, cat, sign, entry=entry,
+                              index_sort=sign.index and sign.index.sort))
     return edges
 
 
 def combine(left, right, schema, hierarchy):
-    """Apply one schema to two adjacent edges; None when unification blocks it."""
+    """Apply one schema to two adjacent edges; None when the index sorts clash."""
     rule = RULES.get(schema)
     if rule is None:
         raise ValueError(f"unknown schema {schema!r}")
-    signs = (left.sign, right.sign)
-    lsign, rsign = signs
-    head = signs[rule.head]
-    valence = {"subj": head.subj, "comps": head.comps}
+    edges = (left, right)
+    lsign, rsign = left.parts, right.parts
+    head = edges[rule.head]
+    valence = {}
+    binds = left.binds + right.binds
+    index_sort = head.index_sort
     if rule.slot is not None:
-        selector = signs[rule.selector]
-        pending = getattr(selector, rule.slot)
+        selector, dependent = edges[rule.selector], edges[1 - rule.selector]
+        slot, *rest = getattr(selector.parts, rule.slot)
+        met = meet(slot.sort, dependent.index_sort, hierarchy)
+        if met is None:
+            return None
         if selector is head:
-            valence[rule.slot] = pending[1:]
+            valence[rule.slot] = tuple(rest)
+        else:   # np_relc: the relative clause's subject narrows the head's index
+            index_sort = met
+        binds += ((slot, dependent.parts.index),)
     restr = lsign.restr + rsign.restr
     quants = lsign.quants + rsign.quants
     if rule.quantify:
         restr, quants = (), quants + restr
-    sign = Sign(phon=lsign.phon + rsign.phon, fs=head.fs, restr=restr,
-                quants=quants, bg=lsign.bg + rsign.bg, **valence)
-    if rule.slot is not None:
-        mapping = unify_map(pending[0], signs[1 - rule.selector].index,
-                            sign.graph_roots(), hierarchy)
-        if isinstance(mapping, UnificationFailure):
-            return None
-        sign = sign.relocated(mapping)
+    sign = replace(head.parts, phon=lsign.phon + rsign.phon, restr=restr,
+                   quants=quants, bg=lsign.bg + rsign.bg, **valence)
     cat = rule.mother or _valence_cat(sign)
-    return Edge(left.start, right.end, cat, sign, schema, (left, right))
+    return Edge(left.start, right.end, cat, sign, schema, edges,
+                hierarchy=hierarchy, index_sort=index_sort, binds=binds)
 
 
 class Chart:
@@ -233,11 +251,15 @@ class Chart:
         self.hierarchy = hierarchy
         self.method = method
         self.cells = {}
+        self.ends = [[] for _ in self.tokens]  # per start, ascending
         self.edges_built = 0
         self.fill()
 
     def _add(self, edge):
-        self.cells.setdefault((edge.start, edge.end), []).append(edge)
+        cell = self.cells.setdefault((edge.start, edge.end), [])
+        if not cell:
+            self.ends[edge.start].append(edge.end)
+        cell.append(edge)
         self.edges_built += 1
 
     def fill(self):
@@ -248,8 +270,10 @@ class Chart:
         for width in range(2, n + 1):
             for start in range(0, n - width + 1):
                 end = start + width
-                for split in range(start + 1, end):
-                    for l_edge in self.cells.get((start, split), ()):
+                for split in self.ends[start]:
+                    if split >= end:
+                        break
+                    for l_edge in self.cells[start, split]:
                         for r_edge in self.cells.get((split, end), ()):
                             schema = SCHEMAS.get((l_edge.cat, r_edge.cat))
                             if schema is None:
@@ -282,8 +306,8 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     under "both" whether the two methods keep the same reading identities
     (None otherwise).  pre_filter counts readings with selectional checking
     disabled.  Nothing prunes during a "bg" parse (all indices stay at the
-    root sort and the background set never blocks a unification), so the bg
-    chart, filled once, doubles as the unfiltered baseline.  post_filter
+    root sort, so every meet in `combine` succeeds), so the bg chart,
+    filled once, doubles as the unfiltered baseline.  post_filter
     counts survivors: solver-approved readings under "bg", the pruned
     chart's own readings under "index".
     """

@@ -6,9 +6,9 @@ and unification always returns fresh nodes, so lexical signs and chart edges
 can be reused across analyses.
 
 Only sorts declared in the semantic hierarchy have nontrivial meets.  Every
-other node sort (structural sorts such as "sign" or "cat", and atoms such as
-proper-name strings) belongs to a flat open inventory in which unification
-demands equality.
+other node sort (relation names such as "eat", and atoms such as proper-name
+strings) belongs to a flat open inventory in which unification demands
+equality.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +19,7 @@ __all__ = [
     "UnificationFailure",
     "check_acyclic",
     "isomorphic",
+    "meet",
     "render",
     "subsumes_fs",
     "unify",
@@ -32,15 +33,6 @@ class FeatureStructure:
 
     sort: str
     feats: dict = field(default_factory=dict)
-
-    def get(self, *path):
-        """Follow a feature path; None when any step is missing."""
-        node = self
-        for feat in path:
-            node = node.feats.get(feat)
-            if node is None:
-                return None
-        return node
 
     def __repr__(self):
         inner = " " + ",".join(self.feats) if self.feats else ""
@@ -86,7 +78,8 @@ def check_acyclic(root):
     visit(root, ())
 
 
-def _meet(s1, s2, hierarchy):
+def meet(s1, s2, hierarchy):
+    """The meet of two node sorts, or None; equal sorts meet without a lookup."""
     if s1 == s2:
         return s1
     if hierarchy.declared(s1) and hierarchy.declared(s2):
@@ -94,15 +87,15 @@ def _meet(s1, s2, hierarchy):
     return None
 
 
-def unify_map(a, b, roots, hierarchy):
-    """Unify nodes a and b inside one shared graph universe.
+def unify_map(pairs, roots, hierarchy):
+    """Unify each (a, b) node pair of `pairs` inside one shared graph universe.
 
     Returns a mapping from every node reachable from `roots` to its
     counterpart in a freshly built result graph, or a UnificationFailure.
     Only those counterparts (and what they reach) are built, and inputs are
-    never mutated.  This is the workhorse behind `unify`; sign composition
-    uses it directly because it needs the mapping to relocate the
-    set-valued parts of a sign.
+    never mutated.  `unify` passes one pair; a chart edge's sign passes the
+    index identifications below the edge when it is first read, and moves
+    its set-valued parts by the mapping.
     """
     parent = {}
 
@@ -122,7 +115,7 @@ def unify_map(a, b, roots, hierarchy):
             sort_of[rep] = rep.sort
             feats_of[rep] = dict(rep.feats)
 
-    agenda = [(a, b, ())]
+    agenda = [(a, b, ()) for a, b in pairs]
     while agenda:
         a, b, path = agenda.pop()
         ra, rb = find(a), find(b)
@@ -130,7 +123,7 @@ def unify_map(a, b, roots, hierarchy):
             continue
         activate(ra)
         activate(rb)
-        met = _meet(sort_of[ra], sort_of[rb], hierarchy)
+        met = meet(sort_of[ra], sort_of[rb], hierarchy)
         if met is None:
             return UnificationFailure(path, (sort_of[ra], sort_of[rb]))
         parent[rb] = ra
@@ -181,7 +174,7 @@ def unify(a, b, hierarchy):
     into the fresh result.  A sort clash at any corresponding node pair
     returns a UnificationFailure naming the feature path and the two sorts.
     """
-    got = unify_map(a, b, (a,), hierarchy)
+    got = unify_map([(a, b)], (a,), hierarchy)
     if isinstance(got, UnificationFailure):
         return got
     return got[a]

@@ -1,12 +1,16 @@
 """Golden contract: CLI output on the corpus and the ladders, byte for byte.
 
-Each file under tests/golden/ is a transcript of `selparse` runs: one
+Each .txt file under tests/golden/ is a transcript of `selparse` runs: one
 `$ selparse ...` line per run, then its exit code and standard output.
-Regenerate the files, after a deliberate change of output, with
+edge-signs.sha256 pins every chart edge, not only the readings: the edge
+count and the SHA-256 of each edge's span, derivation and rendered sign over
+the corpus and the ladders, under both methods.  Regenerate the files, after
+a deliberate change of output, with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 import io
 import shlex
 from contextlib import redirect_stdout
@@ -14,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LADDERS, ladder
+from conftest import CORPUS_SENTENCES, LADDERS, ladder
+from selparse import load_resources
 from selparse.cli import main
+from selparse.grammar import METHODS, render_sign
+from selparse.parser import Chart, tokenize
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -52,7 +59,31 @@ def test_cli_output_matches_golden(name):
     assert transcript(TRANSCRIPTS[name]) == expected
 
 
+def edge_signs():
+    """'<edge count> <SHA-256>' over every chart edge, cell by cell."""
+    hierarchy, lexicon, decls = load_resources()
+    sentences = [*CORPUS_SENTENCES,
+                 *(ladder("attachment", k) for k in range(1, 6)),
+                 *(ladder("sense", k) for k in (1, 2))]
+    digest, count = hashlib.sha256(), 0
+    for sentence in sentences:
+        for method in METHODS:
+            chart = Chart(tokenize(sentence), lexicon, decls, hierarchy, method)
+            for span in sorted(chart.cells):
+                for edge in chart.cells[span]:
+                    record = (span, edge.derivation_string,
+                              render_sign(edge.sign, hierarchy))
+                    digest.update(repr(record).encode() + b"\n")
+                    count += 1
+    return f"{count} {digest.hexdigest()}\n"
+
+
+def test_every_edge_sign_matches_golden():
+    assert edge_signs() == (GOLDEN / "edge-signs.sha256").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, runs in TRANSCRIPTS.items():
         (GOLDEN / name).write_text(transcript(runs))
+    (GOLDEN / "edge-signs.sha256").write_text(edge_signs())

@@ -2,8 +2,8 @@ import pytest
 
 from selparse import load_resources
 from selparse.grammar import (GrammarError, apply_qfpsoa_declarations,
-                              compile_entry, load_declarations, load_lexicon)
-from selparse.tfs import isomorphic
+                              compile_entry, load_declarations, load_lexicon,
+                              render_sign)
 
 
 def entry_of(lexicon, word, sense=None):
@@ -208,5 +208,8 @@ def test_compilation_deterministic(hierarchy, decls, lexicon):
             for method in ("bg", "index"):
                 one = compile_entry(entry, decls, method, hierarchy)
                 two = compile_entry(entry, decls, method, hierarchy)
-                assert isomorphic(one.fs, two.fs)
-                assert one.fs is not two.fs
+                assert render_sign(one, hierarchy) \
+                    == render_sign(two, hierarchy)
+                for part in ("index", "nucleus"):
+                    node = getattr(one, part)
+                    assert node is None or node is not getattr(two, part)

@@ -1,13 +1,15 @@
+import time
 from collections import Counter
 
 import pytest
 
+import selparse.grammar
 import selparse.parser
+import selparse.tfs
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
 from selparse.parser import (Chart, SCHEMAS, UnknownTokenError, combine,
                              lexical_edges, run_method, tokenize)
 from selparse.selres import Satisfiable, check_reading
-from selparse.tfs import UnificationFailure
 
 
 def tokens_of(sentence):
@@ -283,43 +285,36 @@ def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
                            ("the", *["overseas"] * n, "department"))
 
 
-def _reachable(roots):
-    seen = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen.add(node)
-            stack.extend(node.feats.values())
-    return seen
-
-
 @pytest.mark.parametrize("method", ["bg", "index"])
-def test_combine_builds_only_what_the_mother_reaches(hierarchy, lexicon, decls,
-                                                     monkeypatch, method):
-    real_unify_map, real_combine = selparse.parser.unify_map, combine
-    mappings = []
-    unreachable = checked = 0
+def test_fill_unifies_nothing_and_a_read_sign_once(hierarchy, lexicon, decls,
+                                                   monkeypatch, method):
+    real_unify_map = selparse.tfs.unify_map
+    calls = []
 
-    def recording_unify_map(*args):
-        got = real_unify_map(*args)
-        if not isinstance(got, UnificationFailure):
-            mappings.append(got)
-        return got
+    def counting_unify_map(*args):
+        calls.append(args)
+        return real_unify_map(*args)
 
-    def checking_combine(*args):
-        nonlocal unreachable, checked
-        mappings.clear()
-        edge = real_combine(*args)
-        for mapping in mappings:
-            built = set(mapping.values())
-            unreachable += len(built - _reachable(edge.sign.graph_roots()))
-            checked += 1
-        return edge
+    for module in (selparse.grammar, selparse.parser):  # wherever it is held
+        monkeypatch.setattr(module, "unify_map", counting_unify_map,
+                            raising=False)
+    chart = Chart(tokenize(ladder("attachment", 2)), lexicon, decls,
+                  hierarchy, method)
+    assert chart.edges_built > 0
+    assert calls == []
+    readings = chart.readings()
+    assert readings
+    for reading in readings:
+        sign = reading.sign
+        assert reading.sign is sign
+    assert len(calls) == len(readings)  # every reading identifies a slot
 
-    monkeypatch.setattr(selparse.parser, "unify_map", recording_unify_map)
-    monkeypatch.setattr(selparse.parser, "combine", checking_combine)
-    assert parse_sentence(ladder("attachment", 1), lexicon, decls, hierarchy,
-                          method)
-    assert checked > 0
-    assert unreachable == 0
+
+def test_fill_follows_the_edges(hierarchy, lexicon, decls):
+    # 480 stacked adjectives: about n * n / 2 spans, nearly all of them empty
+    tokens = ["list", "the", *["overseas"] * 480, "departments"]
+    start = time.perf_counter()
+    chart = Chart(tokens, lexicon, decls, hierarchy, "bg")
+    elapsed = time.perf_counter() - start
+    assert (chart.edges_built, len(chart.readings())) == (965, 1)
+    assert elapsed < 1.0

@@ -180,8 +180,8 @@ def test_unify_associative_when_all_succeed(hierarchy, seed):
 
 
 def test_unify_and_parse_leave_no_reference_cycles(hierarchy, lexicon, decls):
-    # unify_map runs on every combine; garbage it leaves for the cyclic
-    # collector costs a collection pass per few hundred edges
+    # unify_map runs for every sign that is read; garbage it leaves for the
+    # cyclic collector costs a collection pass per few hundred calls
     gc.collect()
     gc.disable()
     try:
