@@ -13,7 +13,7 @@ constraint solver.  The same lexical entries parse under two methods:
 from pathlib import Path
 
 from . import data
-from .grammar import (GrammarError, LexicalEntry, PsoaRef, QfpsoaDecl, Sign,
+from .grammar import (GrammarError, LexicalEntry, PsoaRef, Sign,
                       apply_qfpsoa_declarations, compile_entry,
                       load_declarations, load_lexicon, render_sign)
 from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,
@@ -22,8 +22,8 @@ from .selres import (ConstraintAtom, Satisfiable, Violation, check_reading,
                      extract_constraints, merge_pair, solve)
 from .sorts import (AmbiguousMeetError, HierarchyError, SortHierarchy,
                     load_hierarchy)
-from .tfs import (CyclicStructureError, FeatureStructure, UnificationFailure,
-                  check_acyclic, isomorphic, render, subsumes_fs, unify)
+from .tfs import (FeatureStructure, UnificationFailure, isomorphic,
+                  subsumes_fs, unify)
 
 __version__ = "0.1.0"
 
@@ -36,13 +36,22 @@ def read_resource(path):
         raise GrammarError(f"{path}: {exc}") from None
 
 
+def _load_file(path, loader, *args):
+    """`loader` run on a resource file's text; a load error names the file."""
+    text = read_resource(path)
+    try:
+        return loader(text, *args)
+    except (GrammarError, HierarchyError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_resources(hierarchy=data.HIERARCHY, decls=data.DECLS,
                    lexicon=data.LEXICON):
     """(hierarchy, lexicon, decls) read from the three resource files.
 
     Each argument is a file path; the defaults are the bundled files.
     """
-    sorts = load_hierarchy(read_resource(hierarchy))
-    relations = load_declarations(read_resource(decls), sorts)
-    words = load_lexicon(read_resource(lexicon), sorts, relations)
+    sorts = _load_file(hierarchy, load_hierarchy)
+    relations = _load_file(decls, load_declarations, sorts)
+    words = _load_file(lexicon, load_lexicon, sorts, relations)
     return sorts, words, relations

@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 import textwrap
-from . import data, load_resources, read_resource
+from . import _load_file, data, load_resources, read_resource
 from .grammar import GrammarError, compile_entry, load_declarations, \
     load_lexicon, render_sign
 from .parser import UnknownTokenError, run_method, tokenize
@@ -162,11 +162,20 @@ def _load_corpus(text):
         expected_readings = None
         for annotation in parts[1:]:
             key, sep, value = annotation.partition("=")
-            if key.strip() == "readings" and sep and value.strip().isdigit():
-                expected_readings = int(value)
-            else:
+            if key.strip() != "readings" or not sep \
+                    or not value.strip().isdecimal():
                 raise GrammarError(
                     f"corpus line {lineno}: bad annotation {annotation!r}")
+            if expected_readings is not None:
+                raise GrammarError(
+                    f"corpus line {lineno}: duplicate annotation 'readings'")
+            if verdict == "reject":
+                raise GrammarError(
+                    f"corpus line {lineno}: a reject line takes no readings")
+            expected_readings = int(value)
+            if expected_readings < 1:
+                raise GrammarError(
+                    f"corpus line {lineno}: readings must be at least 1")
         tokens = tokenize(sentence)
         if not tokens:
             raise GrammarError(f"corpus line {lineno}: empty sentence")
@@ -188,7 +197,7 @@ def cmd_batch(args):
             if accepted != expect_accept:
                 problems.append(
                     f"{rep.method}: {'accepted' if accepted else 'rejected'}")
-            elif expect_accept and expected_readings is not None \
+            elif expected_readings is not None \
                     and rep.post_filter != expected_readings:
                 problems.append(f"{rep.method}: readings={rep.post_filter}")
         if agree is False:
@@ -219,7 +228,7 @@ def cmd_batch(args):
 def cmd_validate(args):
     code = 0
     try:
-        hierarchy = load_hierarchy(read_resource(args.hierarchy))
+        hierarchy = _load_file(args.hierarchy, load_hierarchy)
     except (HierarchyError, GrammarError, OSError) as exc:
         print(f"hierarchy: ERROR {exc}")
         return 1
@@ -233,9 +242,9 @@ def cmd_validate(args):
     else:
         print("bcpo: ok")
     try:
-        decls = load_declarations(read_resource(args.decls), hierarchy)
+        decls = _load_file(args.decls, load_declarations, hierarchy)
         print(f"declarations: {len(decls)} qfpsoas")
-        lexicon = load_lexicon(read_resource(args.lexicon), hierarchy, decls)
+        lexicon = _load_file(args.lexicon, load_lexicon, hierarchy, decls)
         entries = sum(len(senses) for senses in lexicon.values())
         print(f"lexicon: {entries} entries for {len(lexicon)} words")
         for senses in lexicon.values():

@@ -17,7 +17,6 @@ __all__ = [
     "GrammarError",
     "LexicalEntry",
     "PsoaRef",
-    "QfpsoaDecl",
     "Sign",
     "apply_qfpsoa_declarations",
     "compile_entry",
@@ -75,17 +74,6 @@ _DECL_RE = re.compile(r"([a-z_][a-z0-9_]*)\s*\(([^()]*)\)$")
 
 class GrammarError(ValueError):
     """A lexicon or declaration document is malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class QfpsoaDecl:
-    """A relation name with its ordered, sort-restricted semantic roles."""
-
-    name: str
-    roles: tuple  # ((role, restriction sort), ...)
-
-    def arity(self):
-        return len(self.roles)
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,7 @@ class Sign:
 
 
 def load_declarations(text, hierarchy):
-    """Parse relation declarations (see DECLARATIONS_FORMAT) into a name map."""
+    """Parse relation declarations (see DECLARATIONS_FORMAT): name -> roles."""
     decls = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip().lower()
@@ -214,7 +202,7 @@ def load_declarations(text, hierarchy):
             roles.append((role, sort))
         if not roles:
             raise GrammarError(f"line {lineno}: {name!r} declares no roles")
-        decls[name] = QfpsoaDecl(name, tuple(roles))
+        decls[name] = tuple(roles)
     return decls
 
 
@@ -277,21 +265,24 @@ def load_lexicon(text, hierarchy, decls):
             bad = [f for f in flags if f not in VALENCES]
             if bad:
                 raise GrammarError(f"line {lineno}: unknown flag {bad[0]!r}")
-            decl = decls.get(core)
-            if decl is None:
+            roles = decls.get(core)
+            if roles is None:
                 raise GrammarError(f"line {lineno}: unknown qfpsoa {core!r}")
             slots = sum(VALENCES[valences[0]])
-            if decl.arity() != slots:
+            if len(roles) != slots:
                 raise GrammarError(
                     f"line {lineno}: {word!r} offers {slots} argument slot(s) "
-                    f"but {core!r} has {decl.arity()} role(s)")
+                    f"but {core!r} has {len(roles)} role(s)")
             entry = LexicalEntry(
                 phon=word, pos=pos, sense_id=sense or core, nucleus=core,
                 valence=valences[0],
                 overrides=tuple(sorted((role, sort.lower())
                                        for role, sort in pairs.items())))
             # force override validation now rather than at first compile
-            apply_qfpsoa_declarations(entry, decls, hierarchy)
+            try:
+                apply_qfpsoa_declarations(entry, decls, hierarchy)
+            except GrammarError as exc:
+                raise GrammarError(f"line {lineno}: {exc}") from None
         elif pos in ("noun", "proper-noun"):
             if flags or pairs:
                 leftover = (flags + sorted(pairs))[0]
@@ -303,9 +294,14 @@ def load_lexicon(text, hierarchy, decls):
                 raise GrammarError(f"line {lineno}: {word!r} names no index sort")
             if not hierarchy.declared(core):
                 raise GrammarError(f"line {lineno}: unknown sort {core!r}")
+            if pos == "proper-noun":
+                name_atom = name_atom or fields[0]
+                if hierarchy.declared(name_atom):
+                    raise GrammarError(f"line {lineno}: name atom "
+                                       f"{name_atom!r} is a declared sort")
             entry = LexicalEntry(
                 phon=word, pos=pos, sense_id=sense or core, index_sort=core,
-                name_atom=(name_atom or fields[0]) if pos == "proper-noun" else None)
+                name_atom=name_atom)
         else:
             if core is not None or flags or pairs or name_atom is not None:
                 raise GrammarError(
@@ -326,12 +322,12 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
     relation share them; an entry-local override must be subsumed by the
     declared sort.
     """
-    decl = decls.get(entry.nucleus)
-    if decl is None:
+    roles = decls.get(entry.nucleus)
+    if roles is None:
         raise GrammarError(f"{entry.phon!r}: unknown qfpsoa {entry.nucleus!r}")
     overrides = dict(entry.overrides)
     effective = []
-    for role, sort in decl.roles:
+    for role, sort in roles:
         if role in overrides:
             narrowed = overrides.pop(role)
             if not hierarchy.declared(narrowed):

@@ -104,11 +104,6 @@ class SortHierarchy:
         self._check(b)
         return b in self._down[a]
 
-    def descendants(self, sort):
-        """All sorts subsumed by `sort`, including itself."""
-        self._check(sort)
-        return frozenset(self._down[sort])
-
     def maximal_lower_bounds(self, a, b):
         """Most general sorts subsumed by both a and b; empty means conflict."""
         self._check(a)

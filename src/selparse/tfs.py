@@ -14,13 +14,10 @@ equality.
 from dataclasses import dataclass, field
 
 __all__ = [
-    "CyclicStructureError",
     "FeatureStructure",
     "UnificationFailure",
-    "check_acyclic",
     "isomorphic",
     "meet",
-    "render",
     "subsumes_fs",
     "unify",
     "unify_map",
@@ -52,30 +49,6 @@ class UnificationFailure:
     def __str__(self):
         where = "|".join(self.path) or "(root)"
         return f"sort conflict at {where}: {self.sorts[0]} ^ {self.sorts[1]}"
-
-
-class CyclicStructureError(ValueError):
-    """A feature path leads back to one of its own ancestors."""
-
-
-def check_acyclic(root):
-    """Reject structures whose feature paths cycle (sharing must stay DAG-shaped)."""
-    on_path = set()
-    done = set()
-
-    def visit(node, path):
-        if node in done:
-            return
-        if node in on_path:
-            raise CyclicStructureError(
-                "feature cycle at " + ("|".join(path) or "(root)"))
-        on_path.add(node)
-        for feat, child in node.feats.items():
-            visit(child, path + (feat,))
-        on_path.discard(node)
-        done.add(node)
-
-    visit(root, ())
 
 
 def meet(s1, s2, hierarchy):
@@ -226,36 +199,3 @@ def isomorphic(a, b):
         return all(walk(x.feats[f], y.feats[f]) for f in x.feats)
 
     return walk(a, b)
-
-
-def render(root):
-    """Indented `feature: value` rendering; shared nodes are tagged #n."""
-    counts = {}
-    stack = [root]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        counts[node] = counts.get(node, 0) + 1
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node.feats.values())
-    shared = {node for node, n in counts.items() if n > 1}
-
-    tags = {}
-    lines = []
-
-    def visit(node, prefix, label):
-        mark = ""
-        if node in shared:
-            if node in tags:
-                lines.append(f"{prefix}{label}#{tags[node]}")
-                return
-            tags[node] = len(tags) + 1
-            mark = f"#{tags[node]} "
-        lines.append(f"{prefix}{label}{mark}{node.sort}")
-        for feat, child in node.feats.items():
-            visit(child, prefix + "  ", f"{feat}: ")
-
-    visit(root, "", "")
-    return "\n".join(lines)

@@ -14,6 +14,10 @@ c: a, b
 d: a, b
 """
 
+# line 6 of the bundled lexicon is `ate`: widen its object past `edible`
+OVERRIDE_LEXICON = data.LEXICON.read_text().replace(
+    "ate | verb | eat | trans\n", "ate | verb | eat | trans, eaten=keybd\n")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -159,6 +163,22 @@ def test_batch_malformed_line(capsys, tmp_path):
     assert "corpus line 1" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("reject, readings=2", "a reject line takes no readings"),
+    ("accept, readings=0", "readings must be at least 1"),
+    ("accept, readings=5, readings=1", "duplicate annotation 'readings'"),
+    ("accept, readings=\u00b2", "bad annotation 'readings=\u00b2'"),
+], ids=["reject", "zero", "duplicate", "superscript"])
+def test_batch_uncheckable_annotation_is_input_error(capsys, tmp_path, line,
+                                                     message):
+    corpus = tmp_path / "bad.corpus"
+    corpus.write_text("tom ate a banana => accept\n"
+                      f"tom ate a banana => {line}\n", encoding="utf-8")
+    code, out, err = run(capsys, "batch", str(corpus))
+    assert (code, out) == (1, "")
+    assert err == f"error: corpus line 2: {message}\n"
+
+
 def test_validate_bundled(capsys):
     code, out, _ = run(capsys, "validate")
     assert code == 0
@@ -213,6 +233,35 @@ def test_non_utf8_input_is_input_error(capsys, tmp_path, argv, stage):
         assert err == ""
     assert "can't decode byte 0xff" in out + err
     assert f"{bad}: " in out + err
+
+
+@pytest.mark.parametrize("option, text, message", [
+    pytest.param("--hierarchy", "ref\nx: nope\n",
+                 "sort 'x' names undeclared parent 'nope'", id="hierarchy"),
+    pytest.param("--decls", "eat(eater: nothing)\n",
+                 "line 1: unknown restriction sort 'nothing'", id="decls"),
+    pytest.param("--lexicon", "tom | bogus\n",
+                 "line 1: unknown part of speech 'bogus'", id="lexicon"),
+    pytest.param("--lexicon", OVERRIDE_LEXICON,
+                 "line 6: 'ate': override eaten=keybd is not subsumed by the "
+                 "declared restriction 'edible'", id="override"),
+    pytest.param("--lexicon", "tom | proper-noun | man | name=man\n",
+                 "line 1: name atom 'man' is a declared sort", id="name-atom"),
+])
+@pytest.mark.parametrize("command", ["parse", "validate"])
+def test_resource_error_names_its_file(capsys, tmp_path, command, option, text,
+                                       message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    sentence = ["tom ate a banana"] if command == "parse" else []
+    code, out, err = run(capsys, command, option, str(bad), *sentence)
+    assert code == 1
+    if command == "parse":
+        assert (out, err) == ("", f"error: {bad}: {message}\n")
+    else:
+        stage = "hierarchy" if option == "--hierarchy" else "resources"
+        assert out.splitlines()[-1] == f"{stage}: ERROR {bad}: {message}"
+        assert err == ""
 
 
 @pytest.mark.parametrize("argv", [

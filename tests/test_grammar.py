@@ -16,9 +16,9 @@ def entry_of(lexicon, word, sense=None):
 
 def test_declarations_loaded(hierarchy, decls):
     assert set(decls) == {"eat", "repair", "naming", "call", "retire", "list"}
-    assert decls["eat"].roles == (("eater", "animate"), ("eaten", "edible"))
-    assert decls["repair"].roles == (("repairer", "person"),
-                                     ("repaired", "artifact"))
+    assert decls["eat"] == (("eater", "animate"), ("eaten", "edible"))
+    assert decls["repair"] == (("repairer", "person"),
+                               ("repaired", "artifact"))
 
 
 def test_load_resources_defaults_to_the_bundled_files(hierarchy, decls,
@@ -85,6 +85,11 @@ def test_lexicon_errors(hierarchy, decls):
         ("rock | noun\n", "names no index sort"),
         ("the | determiner | ref\n", "takes no core or extras"),
         ("rock | noun | keybd | name=Rocky\n", "takes no name atom"),
+        # a name atom that is a sort would be numbered as an index
+        ("tom | proper-noun | man | name=man\n",
+         "^line 1: name atom 'man' is a declared sort$"),
+        ("man | proper-noun | man\n",
+         "^line 1: name atom 'man' is a declared sort$"),
         ("printer | noun | keybd | sense=x\nprinter | noun | banana | sense=x\n",
          "duplicate sense"),
     ]

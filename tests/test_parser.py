@@ -97,6 +97,15 @@ def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
     assert len(sentence.sign.bg) == len(np.sign.bg) + len(vp.sign.bg)
 
 
+def test_identified_bg_instances_are_kept_once(hierarchy, lexicon, decls):
+    # both verbs restrict the one employee to person: one instance survives
+    (reading,) = parse_sentence("the employees that retire retire", lexicon,
+                                decls, hierarchy, "bg")
+    (person,) = reading.sign.bg
+    assert person.node.sort == "person"
+    assert person.node.feats["inst"] is reading.sign.nucleus.feats["retirer"]
+
+
 @pytest.mark.parametrize("sentence,expected", [
     ("the printer called", (2, 1)),
     ("tom ate a banana", (1, 1)),

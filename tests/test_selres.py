@@ -9,6 +9,11 @@ from selparse.parser import Edge
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
                              solve)
+from selparse.sorts import load_hierarchy
+
+# not BCPO: a and b meet in both x and y, and only y lies below c
+BRANCHING = load_hierarchy("top\na: top\nb: top\nc: top\nx: a, b\n"
+                           "y: a, b, c\n")
 
 
 def atom(sort, var, source=None):
@@ -155,26 +160,33 @@ def oracle_variable(hierarchy, sorts):
 
 def test_solve_agrees_with_sort_scan_oracle(hierarchy):
     rng = random.Random(20240817)
-    sorts = sorted(hierarchy.sorts)
-    for _ in range(200):
-        atoms = []
-        per_var = {}
-        for var in range(1, rng.randint(2, 4)):
-            chosen = [rng.choice(sorts) for _ in range(rng.randint(1, 4))]
-            per_var[var] = chosen
-            atoms.extend(atom(s, var) for s in chosen)
-        rng.shuffle(atoms)
-        verdict = solve(atoms, hierarchy)
-        feasible = {var: oracle_variable(hierarchy, chosen)
-                    for var, chosen in per_var.items()}
-        if isinstance(verdict, Satisfiable):
-            assert all(feasible[var] for var in per_var)
-            for var, sort in verdict.assignment.items():
-                assert sort in feasible[var]
-                for constraint in per_var[var]:
-                    assert hierarchy.subsumes(constraint, sort)
-        else:
-            assert feasible[verdict.var] == set()
+    for hierarchy in (hierarchy, BRANCHING):
+        sorts = sorted(hierarchy.sorts)
+        for _ in range(200):
+            atoms = []
+            per_var = {}
+            for var in range(1, rng.randint(2, 4)):
+                chosen = [rng.choice(sorts) for _ in range(rng.randint(1, 4))]
+                per_var[var] = chosen
+                atoms.extend(atom(s, var) for s in chosen)
+            rng.shuffle(atoms)
+            verdict = solve(atoms, hierarchy)
+            feasible = {var: oracle_variable(hierarchy, chosen)
+                        for var, chosen in per_var.items()}
+            if isinstance(verdict, Satisfiable):
+                assert all(feasible[var] for var in per_var)
+                for var, sort in verdict.assignment.items():
+                    assert sort in feasible[var]
+                    for constraint in per_var[var]:
+                        assert hierarchy.subsumes(constraint, sort)
+            else:
+                assert feasible[verdict.var] == set()
+
+
+def test_solve_explores_every_maximal_lower_bound():
+    # a ^ b branches to x and y; x fails against c, so only y survives
+    atoms = [atom("a", 1), atom("b", 1), atom("c", 1)]
+    assert solve(atoms, BRANCHING) == Satisfiable({1: "y"})
 
 
 def test_satisfiable_assignments_are_sound_on_corpus(hierarchy, lexicon,

@@ -38,7 +38,6 @@ def test_minimal_hierarchy():
     h = load_hierarchy("ref\n")
     assert h.root == "ref"
     assert h.sorts == {"ref"}
-    assert h.descendants("ref") == {"ref"}
 
 
 def test_case_insensitive_load():

@@ -1,16 +1,14 @@
 import gc
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_structure
 from selparse.parser import Chart, tokenize
 from selparse.selres import check_reading
-from selparse.tfs import (CyclicStructureError, FeatureStructure,
-                          UnificationFailure, check_acyclic, isomorphic,
-                          render, subsumes_fs, unify)
+from selparse.tfs import (FeatureStructure, UnificationFailure, isomorphic,
+                          subsumes_fs, unify)
 
 
 def fs(sort, **feats):
@@ -91,13 +89,6 @@ def test_unification_may_create_cycles_and_still_terminates(hierarchy):
     result = unify(a, b, hierarchy)
     assert result.feats["f"] is result.feats["g"]
     assert result.feats["f"].feats["h"] is result.feats["f"]
-    with pytest.raises(CyclicStructureError):
-        check_acyclic(result)
-
-
-def test_check_acyclic_accepts_dags():
-    shared = fs("ref")
-    check_acyclic(fs("sign", f=shared, g=shared))
 
 
 def test_subsumes_fs_examples(hierarchy):
@@ -116,13 +107,6 @@ def test_subsumes_fs_requires_features_and_sharing(hierarchy):
     flat = fs("sign", f=fs("ref"), g=fs("ref"))
     assert not subsumes_fs(reentrant, flat, hierarchy)
     assert subsumes_fs(flat, reentrant, hierarchy)
-
-
-def test_render_tags_shared_nodes(hierarchy):
-    shared = fs("man")
-    text = render(fs("sign", f=shared, g=shared))
-    assert "f: #1 man" in text
-    assert "g: #1" in text
 
 
 @settings(max_examples=120, deadline=None)
