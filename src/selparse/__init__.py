@@ -15,9 +15,9 @@ from pathlib import Path
 from . import data
 from .grammar import (GrammarError, LexicalEntry, PsoaRef, Sign,
                       apply_qfpsoa_declarations, compile_entry,
-                      load_declarations, load_lexicon, render_sign)
+                      load_declarations, load_lexicon, render_sign, tokenize)
 from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,
-                     lexical_edges, run_method, tokenize)
+                     lexical_edges, run_method)
 from .selres import (ConstraintAtom, Satisfiable, Violation, check_reading,
                      extract_constraints, merge_pair, solve)
 from .sorts import (AmbiguousMeetError, HierarchyError, SortHierarchy,

@@ -10,9 +10,9 @@ import sys
 import textwrap
 from . import _load_file, data, load_resources, read_resource
 from .grammar import GrammarError, compile_entry, load_declarations, \
-    load_lexicon, render_sign
-from .parser import UnknownTokenError, run_method, tokenize
-from .sorts import AmbiguousMeetError, HierarchyError, load_hierarchy
+    load_lexicon, render_sign, tokenize
+from .parser import UnknownTokenError, run_method
+from .sorts import AmbiguousMeetError, HierarchyError, lines, load_hierarchy
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -144,10 +144,7 @@ def cmd_parse(args):
 
 def _load_corpus(text):
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines(text):
         sentence, sep, rest = line.partition("=>")
         sentence = sentence.strip()
         if not sep or not sentence:

@@ -11,6 +11,7 @@ ordinary typed unification enforces them during parsing.
 import re
 from dataclasses import dataclass, replace
 
+from .sorts import lines
 from .tfs import FeatureStructure, unify_map
 
 __all__ = [
@@ -23,25 +24,25 @@ __all__ = [
     "load_declarations",
     "load_lexicon",
     "render_sign",
+    "tokenize",
 ]
 
 METHODS = ("bg", "index")
 
-POS_VALUES = ("verb", "noun", "proper-noun", "determiner", "preposition",
-              "relative-pronoun", "adjective")
+# part of speech -> (head sort, chart category of its lexical edge); a
+# verb's category is None because it follows the verb's pending valence
+PARTS_OF_SPEECH = {
+    "verb": ("verb", None),
+    "noun": ("noun", "nbar"),
+    "proper-noun": ("noun", "np"),
+    "determiner": ("det", "det"),
+    "preposition": ("prep", "prep"),
+    "relative-pronoun": ("relpro", "relpro"),
+    "adjective": ("adj", "adj"),
+}
 
 # (subject slots, complement slots); "imp" is a subjectless imperative verb
 VALENCES = {"trans": (1, 1), "intrans": (1, 0), "imp": (0, 1)}
-
-_HEAD_SORT = {
-    "verb": "verb",
-    "noun": "noun",
-    "proper-noun": "noun",
-    "determiner": "det",
-    "preposition": "prep",
-    "relative-pronoun": "relpro",
-    "adjective": "adj",
-}
 
 LEXICON_FORMAT = """\
 One entry per line, fields separated by '|':
@@ -58,7 +59,8 @@ speech.  Extras are comma-separated:
     name=<Atom>               proper-noun naming atom (default: the word)
     sense=<id>                explicit sense id for homograph entries
 
-A word may have several entries (one per sense).  '#' starts a comment.
+A word is a single token (see tokenize) and may have several entries (one
+per sense).  '#' starts a comment.
 """
 
 DECLARATIONS_FORMAT = """\
@@ -70,6 +72,8 @@ Role restrictions must be declared sorts.  '#' starts a comment.
 """
 
 _DECL_RE = re.compile(r"([a-z_][a-z0-9_]*)\s*\(([^()]*)\)$")
+
+_PUNCTUATION = ".,!?;:"
 
 
 class GrammarError(ValueError):
@@ -174,19 +178,28 @@ class Sign:
         return numbers
 
 
+def tokenize(text):
+    """Lowercased whitespace tokens with edge punctuation stripped."""
+    tokens = []
+    for raw in text.lower().split():
+        token = raw.strip(_PUNCTUATION)
+        if token:
+            tokens.append(token)
+    return tokens
+
+
 def load_declarations(text, hierarchy):
     """Parse relation declarations (see DECLARATIONS_FORMAT): name -> roles."""
     decls = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip().lower()
-        if not line:
-            continue
+    for lineno, line in lines(text.lower()):
         m = _DECL_RE.match(line)
         if not m:
             raise GrammarError(f"line {lineno}: bad declaration {line!r}")
         name, body = m.group(1), m.group(2)
         if name in decls:
             raise GrammarError(f"line {lineno}: duplicate declaration {name!r}")
+        if not body.strip():
+            raise GrammarError(f"line {lineno}: {name!r} declares no roles")
         roles = []
         for part in body.split(","):
             role, sep, sort = part.partition(":")
@@ -200,8 +213,6 @@ def load_declarations(text, hierarchy):
                 raise GrammarError(
                     f"line {lineno}: unknown restriction sort {sort!r}")
             roles.append((role, sort))
-        if not roles:
-            raise GrammarError(f"line {lineno}: {name!r} declares no roles")
         decls[name] = tuple(roles)
     return decls
 
@@ -234,10 +245,7 @@ def load_lexicon(text, hierarchy, decls):
     restriction overrides, which must narrow the declared sort.
     """
     lexicon = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines(text):
         fields = [f.strip() for f in line.split("|")]
         if len(fields) < 2 or len(fields) > 4:
             raise GrammarError(
@@ -246,15 +254,18 @@ def load_lexicon(text, hierarchy, decls):
         pos = fields[1].lower()
         core = fields[2].lower() if len(fields) > 2 and fields[2] else None
         extras = fields[3] if len(fields) > 3 else ""
-        if not word:
-            raise GrammarError(f"line {lineno}: empty word")
-        if pos not in POS_VALUES:
+        if tokenize(word) != [word]:
+            raise GrammarError(f"line {lineno}: {word!r} is not a single token")
+        if pos not in PARTS_OF_SPEECH:
             raise GrammarError(f"line {lineno}: unknown part of speech {pos!r}")
         flags, pairs = _parse_extras(extras, lineno)
         sense = pairs.pop("sense", None)
         name_atom = pairs.pop("name", None)
 
         if pos == "verb":
+            if name_atom is not None:
+                raise GrammarError(
+                    f"line {lineno}: verb {word!r} takes no name atom")
             if core is None:
                 raise GrammarError(f"line {lineno}: verb {word!r} names no qfpsoa")
             valences = [f for f in flags if f in VALENCES]
@@ -356,6 +367,7 @@ def compile_entry(entry, decls, method, hierarchy):
         raise ValueError(f"unknown method {method!r}")
     top = hierarchy.root
     word = entry.phon
+    head = PARTS_OF_SPEECH[entry.pos][0]
 
     if entry.pos == "verb":
         effective = apply_qfpsoa_declarations(entry, decls, hierarchy)
@@ -371,7 +383,7 @@ def compile_entry(entry, decls, method, hierarchy):
                 if sort != top:
                     bg.append(PsoaRef(
                         FeatureStructure(sort, {"inst": idx}), word))
-        return Sign(phon=(word,), head="verb", nucleus=nuc,
+        return Sign(phon=(word,), head=head, nucleus=nuc,
                     subj=tuple(indices[:nsubj]), comps=tuple(indices[nsubj:]),
                     bg=tuple(bg))
 
@@ -391,10 +403,10 @@ def compile_entry(entry, decls, method, hierarchy):
         elif method == "bg":
             restr = (PsoaRef(
                 FeatureStructure(entry.index_sort, {"inst": idx}), word),)
-        return Sign(phon=(word,), head="noun", index=idx, restr=restr,
+        return Sign(phon=(word,), head=head, index=idx, restr=restr,
                     bg=tuple(bg))
 
-    return Sign(phon=(word,), head=_HEAD_SORT[entry.pos])
+    return Sign(phon=(word,), head=head)
 
 
 def _filler_str(node, numbers):

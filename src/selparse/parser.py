@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .grammar import METHODS, Sign, compile_entry
+from .grammar import METHODS, PARTS_OF_SPEECH, Sign, compile_entry, tokenize
 from .selres import Satisfiable, check_reading
 from .tfs import meet
 
@@ -40,7 +40,7 @@ __all__ = [
     "combine",
     "lexical_edges",
     "run_method",
-    "tokenize",
+    "tokenize",     # defined in grammar, beside the lexicon's token rule
 ]
 
 LEFT, RIGHT = 0, 1
@@ -80,8 +80,6 @@ SCHEMAS = {(rule.left, rule.right): name for name, rule in RULES.items()}
 
 _PHRASE_LABEL = {"s": "S", "np": "NP", "vp": "VP", "pp": "PP", "relc": "RelC"}
 
-_PUNCTUATION = ".,!?;:"
-
 
 class UnknownTokenError(ValueError):
     """One or more tokens have no lexical entry."""
@@ -89,16 +87,6 @@ class UnknownTokenError(ValueError):
     def __init__(self, tokens):
         self.tokens = tuple(tokens)
         super().__init__("unknown token(s): " + ", ".join(self.tokens))
-
-
-def tokenize(text):
-    """Lowercased whitespace tokens with edge punctuation stripped."""
-    tokens = []
-    for raw in text.lower().split():
-        token = raw.strip(_PUNCTUATION)
-        if token:
-            tokens.append(token)
-    return tokens
 
 
 @dataclass(eq=False)
@@ -169,18 +157,7 @@ class Edge:
                 tuple(leaf.entry.sense_id for leaf in self.leaves()))
 
 
-_LEXICAL_CAT = {
-    "noun": "nbar",
-    "proper-noun": "np",
-    "determiner": "det",
-    "preposition": "prep",
-    "relative-pronoun": "relpro",
-    "adjective": "adj",
-}
-
-
 def _valence_cat(sign):
-    # verbs are not in _LEXICAL_CAT: their category follows pending valence
     if sign.comps:
         return "v"
     return "vp" if sign.subj else "s"
@@ -195,7 +172,7 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     for i, token in enumerate(tokens):
         for entry in lexicon[token]:
             sign = compile_entry(entry, decls, method, hierarchy)
-            cat = _LEXICAL_CAT.get(entry.pos) or _valence_cat(sign)
+            cat = PARTS_OF_SPEECH[entry.pos][1] or _valence_cat(sign)
             edges.append(Edge(i, i + 1, cat, sign, entry=entry,
                               index_sort=sign.index and sign.index.sort))
     return edges

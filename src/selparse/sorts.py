@@ -12,6 +12,7 @@ __all__ = [
     "AmbiguousMeetError",
     "HierarchyError",
     "SortHierarchy",
+    "lines",
     "load_hierarchy",
 ]
 
@@ -31,9 +32,21 @@ _NAME = re.compile(r"[a-z_][a-z0-9_]*$")
 class HierarchyError(ValueError):
     """A hierarchy document is malformed or structurally inconsistent."""
 
+    def __init__(self, message, sort=None):
+        super().__init__(message)
+        self.sort = sort    # the sort a structural error is about, if any
+
 
 class AmbiguousMeetError(LookupError):
     """A sort pair has several maximal lower bounds where one is required."""
+
+
+def lines(text):
+    """(line number, stripped line) per line not blank once '#...' is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 class SortHierarchy:
@@ -52,7 +65,8 @@ class SortHierarchy:
         for s in sorted(self.parents):
             for p in sorted(self.parents[s]):
                 if p not in self.sorts:
-                    raise HierarchyError(f"sort {s!r} names undeclared parent {p!r}")
+                    raise HierarchyError(
+                        f"sort {s!r} names undeclared parent {p!r}", s)
         roots = sorted(s for s, ps in self.parents.items() if not ps)
         if not roots:
             raise HierarchyError("no root: every sort declares a parent")
@@ -71,15 +85,20 @@ class SortHierarchy:
                 self._down[a].add(s)
 
     def _toposort(self):
-        # parents before children; a sort that can never be placed sits on a cycle
+        # parents before children; a sort never placed is on or below a cycle
         order = []
         placed = set()
         pending = set(self.sorts)
         while pending:
             ready = sorted(s for s in pending if self.parents[s] <= placed)
             if not ready:
-                culprit = sorted(pending)[0]
-                raise HierarchyError(f"cycle detected through sort {culprit!r}")
+                # each pending sort has a pending parent; climbing from one
+                # by smallest such parent must revisit a sort on a cycle
+                seen, s = set(), min(pending)
+                while s not in seen:
+                    seen.add(s)
+                    s = min(self.parents[s] & pending)
+                raise HierarchyError(f"cycle detected through sort {s!r}", s)
             order.extend(ready)
             placed.update(ready)
             pending.difference_update(ready)
@@ -155,14 +174,13 @@ def load_hierarchy(text):
     """Parse the line-oriented hierarchy format (see HIERARCHY_FORMAT).
 
     Raises HierarchyError for duplicate or ill-formed declarations, undeclared
-    parents, a missing or non-unique root, or a parent cycle.  Bounded
-    completeness is not required here; `bcpo_violations` reports it.
+    parents, a missing or non-unique root, or a parent cycle; each names the
+    line of the sort it is about, if there is one.  Bounded completeness is
+    not required here; `bcpo_violations` reports it.
     """
     parents = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    linenos = {}
+    for lineno, line in lines(text):
         name, _, rest = line.partition(":")
         name = name.strip().lower()
         if not _NAME.match(name):
@@ -178,6 +196,12 @@ def load_hierarchy(text):
                 raise HierarchyError(f"line {lineno}: bad parent name {p!r}")
             ps.append(p)
         parents[name] = ps
+        linenos[name] = lineno
     if not parents:
         raise HierarchyError("empty hierarchy document")
-    return SortHierarchy(parents)
+    try:
+        return SortHierarchy(parents)
+    except HierarchyError as exc:
+        if exc.sort is None:
+            raise
+        raise HierarchyError(f"line {linenos[exc.sort]}: {exc}") from None

@@ -58,6 +58,10 @@ def test_parse_unknown_token_exits_nonzero(capsys):
     assert "gizmo" in err
 
 
+def test_parse_empty_sentence_is_input_error(capsys):
+    assert run(capsys, "parse", "...") == (1, "", "error: empty sentence\n")
+
+
 def test_rejection_is_not_an_error(capsys):
     code, out, _ = run(capsys, "parse", "--method", "index",
                        "tom ate a keyboard")
@@ -155,6 +159,18 @@ def test_batch_empty_sentence_is_input_error(capsys, tmp_path):
     assert err == "error: corpus line 2: empty sentence\n"
 
 
+def test_batch_wrong_reading_count_fails(capsys, tmp_path):
+    corpus = tmp_path / "count.corpus"
+    corpus.write_text("tom ate a banana => accept, readings=2\n")
+    code, out, err = run(capsys, "batch", str(corpus))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "FAIL  tom ate a banana  expected=accept(2) got bg=1/1 index=1/1  "
+        "[bg: readings=1; index: readings=1]",
+        "0/1 sentences as expected",
+    ]
+
+
 def test_batch_malformed_line(capsys, tmp_path):
     corpus = tmp_path / "bad.corpus"
     corpus.write_text("tom ate a banana\n")
@@ -237,7 +253,11 @@ def test_non_utf8_input_is_input_error(capsys, tmp_path, argv, stage):
 
 @pytest.mark.parametrize("option, text, message", [
     pytest.param("--hierarchy", "ref\nx: nope\n",
-                 "sort 'x' names undeclared parent 'nope'", id="hierarchy"),
+                 "line 2: sort 'x' names undeclared parent 'nope'",
+                 id="hierarchy"),
+    # w hangs below the z-y cycle; the error names a sort on it
+    pytest.param("--hierarchy", "ref\nq: ref\nw: z\nz: y\ny: z\n",
+                 "line 4: cycle detected through sort 'z'", id="cycle"),
     pytest.param("--decls", "eat(eater: nothing)\n",
                  "line 1: unknown restriction sort 'nothing'", id="decls"),
     pytest.param("--lexicon", "tom | bogus\n",

@@ -47,6 +47,13 @@ def test_declaration_errors(hierarchy):
         load_declarations("eat(eater: gadget)\n", hierarchy)
     with pytest.raises(GrammarError, match="duplicate declaration"):
         load_declarations("eat(eater: ref)\neat(eater: ref)\n", hierarchy)
+    for text in ("eat()\n", "Eat(  )\n"):
+        with pytest.raises(GrammarError,
+                           match="^line 1: 'eat' declares no roles$"):
+            load_declarations(text, hierarchy)
+    with pytest.raises(GrammarError,
+                       match="^line 1: expected 'role: sort', got ''$"):
+        load_declarations("eat(a: ref,)\n", hierarchy)
 
 
 def test_bundled_lexicon_shape(lexicon):
@@ -92,6 +99,22 @@ def test_lexicon_errors(hierarchy, decls):
          "^line 1: name atom 'man' is a declared sort$"),
         ("printer | noun | keybd | sense=x\nprinter | noun | banana | sense=x\n",
          "duplicate sense"),
+        ("gobble | verb | eat | trans, name=Foo\n",
+         "^line 1: verb 'gobble' takes no name atom$"),
+        # no sentence can reach a word that tokenize splits or trims
+        ("ice cream | noun | banana\n",
+         "^line 1: 'ice cream' is not a single token$"),
+        ("tom. | proper-noun | man\n", r"^line 1: 'tom\.' is not a single token$"),
+        (" | noun | banana\n", "^line 1: '' is not a single token$"),
+        ("runs | verb\n", "^line 1: verb 'runs' names no qfpsoa$"),
+        ("runs | verb | eat | trans, fast\n", "^line 1: unknown flag 'fast'$"),
+        ("nibbled | verb | eat | trans, eaten=\n",
+         "^line 1: bad extra 'eaten='$"),
+        ("nibbled | verb | eat | trans, eaten=banana, eaten=banana\n",
+         "^line 1: duplicate extra 'eaten'$"),
+        ("rock | noun | keybd | shiny\n", "^line 1: unknown extra 'shiny'$"),
+        ("gnawed | verb | eat | trans, eaten=gadget\n",
+         "^line 1: 'gnawed': unknown sort 'gadget' for role 'eaten'$"),
     ]
     for text, message in cases:
         with pytest.raises(GrammarError, match=message):

@@ -55,6 +55,21 @@ def test_undeclared_parent():
         load_hierarchy("ref\nthing: nowhere\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ref\n9x: ref\n", "line 2: bad sort name '9x'"),
+    ("ref\nx: ref, r-f\n", "line 2: bad parent name 'r-f'"),
+    ("ref\n\n# x\nx: nope\n", "line 4: sort 'x' names undeclared parent 'nope'"),
+    # w and v hang below the z-y cycle; the error names a sort on it
+    ("ref\nq: ref\nw: z\nz: y\ny: z\nv: w\n",
+     "line 4: cycle detected through sort 'z'"),
+    ("root\na: b, root\nb: a\n", "line 2: cycle detected through sort 'a'"),
+], ids=["sort-name", "parent-name", "undeclared", "below-cycle", "cycle"])
+def test_hierarchy_error_names_its_line(text, message):
+    with pytest.raises(HierarchyError) as info:
+        load_hierarchy(text)
+    assert str(info.value) == message
+
+
 def test_duplicate_sort():
     with pytest.raises(HierarchyError, match="duplicate sort 'thing'"):
         load_hierarchy("ref\nthing: ref\nthing: ref\n")
