@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .sorts import lines
-from .tfs import FeatureStructure, unify_map
+from .tfs import FeatureStructure
 
 __all__ = [
     "GrammarError",
@@ -110,9 +110,9 @@ class Sign:
 
     `index` (nouns) or `nucleus` (verbs) is the content; subj/comps are the
     pending valence slots, each a nucleus role filler that a dependent's
-    index unifies with; restr, quants and bg are relation-instance sets.
-    All of them reference nodes of one shared graph, so `unified` moves
-    them together when the sign takes part in a unification.
+    index is identified with; restr, quants and bg are relation-instance
+    sets over nodes of one shared graph.  A `variables` mapping (see
+    `parser.Edge.variables`) names the node that stands for each index.
     """
 
     phon: tuple
@@ -125,44 +125,49 @@ class Sign:
     quants: tuple = ()
     bg: tuple = ()
 
-    def unified(self, pairs, hierarchy):
-        """This sign with each (a, b) node pair of `pairs` unified.
+    def unified(self, variables):
+        """This sign with each index node replaced by its `variables` image.
 
-        The pairs must unify.  Every part is replaced by its image in the
-        fresh graph; background instances made identical (same relation,
-        same role fillers) are kept once, the first of them.
+        The relation nodes are rebuilt on the images; bg instances made
+        identical are kept once, the first of them (`distinct_bg`).
         """
-        instances = (*self.restr, *self.quants, *self.bg)
-        roots = [node for node in (self.index, self.nucleus, *self.subj,
-                                   *self.comps, *(r.node for r in instances))
-                 if node is not None]
-        mapping = unify_map(pairs, roots, hierarchy)
+        def moved(node):
+            return FeatureStructure(node.sort, {
+                feat: variables.get(filler, filler)
+                for feat, filler in node.feats.items()})
 
         def refs(parts):
-            return tuple(PsoaRef(mapping[r.node], r.source) for r in parts)
+            return tuple(PsoaRef(moved(r.node), r.source) for r in parts)
 
-        bg = {}
-        for ref in refs(self.bg):
-            key = (ref.node.sort, tuple(sorted(
-                (feat, id(filler)) for feat, filler in ref.node.feats.items())))
-            bg.setdefault(key, ref)
-        return replace(self, index=mapping.get(self.index),
-                       nucleus=mapping.get(self.nucleus),
-                       subj=tuple(mapping[s] for s in self.subj),
-                       comps=tuple(mapping[s] for s in self.comps),
+        return replace(self, index=variables.get(self.index, self.index),
+                       nucleus=self.nucleus and moved(self.nucleus),
+                       subj=tuple(variables.get(s, s) for s in self.subj),
+                       comps=tuple(variables.get(s, s) for s in self.comps),
                        restr=refs(self.restr), quants=refs(self.quants),
-                       bg=tuple(bg.values()))
+                       bg=refs(self.distinct_bg(variables)))
 
-    def index_numbering(self, hierarchy):
+    def distinct_bg(self, variables):
+        """The bg instances, those `variables` makes identical kept once."""
+        kept = {}
+        for ref in self.bg:
+            key = (ref.node.sort, tuple(sorted(
+                (feat, id(variables.get(filler, filler)))
+                for feat, filler in ref.node.feats.items())))
+            kept.setdefault(key, ref)
+        return tuple(kept.values())
+
+    def index_numbering(self, hierarchy, variables=None):
         """Stable small-integer names for this sign's referential indices.
 
         Nucleus role fillers come first (in declaration order), then fillers
         of quantifier, restriction and background instances, numbering each
-        hierarchy-sorted node once in order of first appearance.
+        hierarchy-sorted `variables` image once in order of first appearance.
         """
+        get = (variables or {}).get
         numbers = {}
 
         def note(node):
+            node = get(node, node)
             if node is not None and node not in numbers \
                     and hierarchy.declared(node.sort):
                 numbers[node] = len(numbers) + 1
@@ -259,6 +264,10 @@ def load_lexicon(text, hierarchy, decls):
         if pos not in PARTS_OF_SPEECH:
             raise GrammarError(f"line {lineno}: unknown part of speech {pos!r}")
         flags, pairs = _parse_extras(extras, lineno)
+        for key in ("sense", "name") if pos == "verb" else ():
+            if key in pairs and key in dict(decls.get(core, ())):
+                raise GrammarError(f"line {lineno}: extra {key!r} is ambiguous: "
+                                   f"{core!r} has a role named {key!r}")
         sense = pairs.pop("sense", None)
         name_atom = pairs.pop("name", None)
 

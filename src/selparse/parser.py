@@ -18,7 +18,7 @@ clause's subject satisfaction each identify a pending valence slot, the
 index of one of the verb's roles, with the dependent noun phrase's index:
 one meet of two sorts, so sortal conflicts between indices surface here
 and, under the "index" compilation method, prune analyses while parsing.
-No graph is copied: an edge's sign is unified when it is first read.  The
+No graph is copied: a reading's variables are read off its binds.  The
 background set of every mother is the union of its daughters' sets; the
 quantifier set grows by the noun's restriction when a determiner attaches.
 """
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .grammar import METHODS, PARTS_OF_SPEECH, Sign, compile_entry, tokenize
 from .selres import Satisfiable, check_reading
-from .tfs import meet
+from .tfs import FeatureStructure, meet
 
 __all__ = [
     "Chart",
@@ -93,9 +93,9 @@ class UnknownTokenError(ValueError):
 class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
-    While parsing, an edge holds only what `combine` reads; its full `sign`
-    is built when it is first read.  A complete analysis (a reading) is an
-    "s" edge spanning every token.
+    An edge holds only what `combine` reads; the checker reads `parts`
+    through `variables`.  A complete analysis (a reading) is an "s" edge
+    spanning every token.
     """
 
     start: int
@@ -110,11 +110,22 @@ class Edge:
     binds: tuple = ()               # (slot, index) identifications below
 
     @cached_property
+    def variables(self):
+        """Bound index node -> one fresh featureless node for its class."""
+        variables = {}
+        for pair in self.binds:
+            a, b = (variables.get(node) or FeatureStructure(node.sort)
+                    for node in pair)
+            if a is not b:  # b's class joins a's, under the meet of both sorts
+                a.sort = meet(a.sort, b.sort, self.hierarchy)
+                joined = [node for node, var in variables.items() if var is b]
+                variables.update(dict.fromkeys((*joined, *pair), a))
+        return variables
+
+    @cached_property
     def sign(self):
-        """The full sign: `parts` with every identification below unified."""
-        if not self.binds:
-            return self.parts
-        return self.parts.unified(self.binds, self.hierarchy)
+        """The full sign: `parts` with every identification below made."""
+        return self.parts.unified(self.variables)
 
     def leaves(self):
         """The lexical edges under this one, left to right."""
@@ -306,7 +317,7 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
         surviving = []
         pruned = Chart(tokens, lexicon, decls, hierarchy, "index").readings()
         for reading in pruned:
-            numbers = reading.sign.index_numbering(hierarchy)
+            numbers = reading.parts.index_numbering(hierarchy, reading.variables)
             surviving.append((reading, {var: node.sort
                                         for node, var in numbers.items()}))
         reports.append(MethodReport("index", len(baseline), len(surviving),

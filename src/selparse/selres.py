@@ -54,7 +54,7 @@ class Violation:
 
 
 def extract_constraints(reading, hierarchy):
-    """Constraint atoms read off a reading's sign.
+    """Constraint atoms read off a reading's parts, through its variables.
 
     Scans the quantifier set, the restriction set, the nucleus, and the
     background set, keeping single-role instances whose relation name is a
@@ -63,8 +63,8 @@ def extract_constraints(reading, hierarchy):
     under the "bg" method to be informative, since "index" compilation
     carries restrictions on the indices instead.
     """
-    sign = reading.sign
-    numbers = sign.index_numbering(hierarchy)
+    sign, variables = reading.parts, reading.variables
+    numbers = sign.index_numbering(hierarchy, variables)
     atoms = []
 
     def consider(node, source):
@@ -73,7 +73,7 @@ def extract_constraints(reading, hierarchy):
         if not hierarchy.declared(node.sort):
             return
         (filler,) = node.feats.values()
-        var = numbers.get(filler)
+        var = numbers.get(variables.get(filler, filler))
         if var is not None:
             atoms.append(ConstraintAtom(node.sort, var, source))
 
@@ -84,7 +84,7 @@ def extract_constraints(reading, hierarchy):
     nucleus = sign.nucleus
     if nucleus is not None:
         consider(nucleus, None)
-    for ref in sign.bg:
+    for ref in sign.distinct_bg(variables):
         consider(ref.node, ref.source)
     return atoms
 

@@ -2,8 +2,8 @@
 
 Nodes compare by identity; sharing one node between two feature paths is what
 makes a structure reentrant.  Structures are treated as immutable once built,
-and unification always returns fresh nodes, so lexical signs and chart edges
-can be reused across analyses.
+and unification always returns fresh nodes.  The parser copies no graph: it
+meets the sorts of two index nodes (`meet`) and records their identification.
 
 Only sorts declared in the semantic hierarchy have nontrivial meets.  Every
 other node sort (relation names such as "eat", and atoms such as proper-name
@@ -66,9 +66,7 @@ def unify_map(pairs, roots, hierarchy):
     Returns a mapping from every node reachable from `roots` to its
     counterpart in a freshly built result graph, or a UnificationFailure.
     Only those counterparts (and what they reach) are built, and inputs are
-    never mutated.  `unify` passes one pair; a chart edge's sign passes the
-    index identifications below the edge when it is first read, and moves
-    its set-valued parts by the mapping.
+    never mutated.  `unify` is its one caller in the package.
     """
     parent = {}
 

@@ -284,6 +284,30 @@ def test_resource_error_names_its_file(capsys, tmp_path, command, option, text,
         assert err == ""
 
 
+# sense=banana could narrow the sense role or name the entry's sense
+SENSE_DECLS = data.DECLS.read_text() + "sense_of(senser: animate, sense: ref)\n"
+SENSE_LEXICON = (data.LEXICON.read_text()
+                 + "smelt | verb | sense_of | trans, sense=banana\n")
+
+
+@pytest.mark.parametrize("command", ["parse", "validate"])
+def test_verb_extra_named_after_a_role_is_ambiguous(capsys, tmp_path, command):
+    decls, lexicon = tmp_path / "sense.psoa", tmp_path / "sense.lex"
+    decls.write_text(SENSE_DECLS)
+    lexicon.write_text(SENSE_LEXICON)
+    message = (f"{lexicon}: line {SENSE_LEXICON.count(chr(10))}: extra 'sense' "
+               "is ambiguous: 'sense_of' has a role named 'sense'")
+    sentence = ["tom smelt a keyboard"] if command == "parse" else []
+    code, out, err = run(capsys, command, "--decls", str(decls), "--lexicon",
+                         str(lexicon), *sentence)
+    assert code == 1
+    if command == "parse":
+        assert (out, err) == ("", f"error: {message}\n")
+    else:
+        assert out.splitlines()[-1] == f"resources: ERROR {message}"
+        assert err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--json"],
     ["validate", "--method", "index"],

@@ -101,6 +101,10 @@ def test_lexicon_errors(hierarchy, decls):
          "duplicate sense"),
         ("gobble | verb | eat | trans, name=Foo\n",
          "^line 1: verb 'gobble' takes no name atom$"),
+        # naming has a role called name: a role override or a name atom?
+        ("dubbed | verb | naming | trans, name=Foo\n",
+         "^line 1: extra 'name' is ambiguous: 'naming' has a role named "
+         "'name'$"),
         # no sentence can reach a word that tokenize splits or trims
         ("ice cream | noun | banana\n",
          "^line 1: 'ice cream' is not a single token$"),

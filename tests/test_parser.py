@@ -1,13 +1,15 @@
 import time
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
 import selparse.grammar
 import selparse.parser
+import selparse.selres
 import selparse.tfs
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
-from selparse.parser import (Chart, SCHEMAS, UnknownTokenError, combine,
+from selparse.parser import (Chart, Edge, SCHEMAS, UnknownTokenError, combine,
                              lexical_edges, run_method, tokenize)
 from selparse.selres import Satisfiable, check_reading
 
@@ -297,26 +299,42 @@ def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
 @pytest.mark.parametrize("method", ["bg", "index"])
 def test_fill_unifies_nothing_and_a_read_sign_once(hierarchy, lexicon, decls,
                                                    monkeypatch, method):
+    # a reading's variables are read off its binds: no graph is unified
     real_unify_map = selparse.tfs.unify_map
-    calls = []
+    unify_calls = []
 
     def counting_unify_map(*args):
-        calls.append(args)
+        unify_calls.append(args)
         return real_unify_map(*args)
 
-    for module in (selparse.grammar, selparse.parser):  # wherever it is held
+    for module in (selparse.tfs, selparse.grammar, selparse.parser,
+                   selparse.selres):    # wherever it is held
         monkeypatch.setattr(module, "unify_map", counting_unify_map,
                             raising=False)
-    chart = Chart(tokenize(ladder("attachment", 2)), lexicon, decls,
-                  hierarchy, method)
+    real_variables = Edge.variables.func
+    computed = []
+
+    def counting_variables(edge):
+        computed.append(edge)
+        return real_variables(edge)
+
+    variables = cached_property(counting_variables)
+    variables.__set_name__(Edge, "variables")
+    monkeypatch.setattr(Edge, "variables", variables)
+
+    tokens = tokenize(ladder("attachment", 2))
+    chart = Chart(tokens, lexicon, decls, hierarchy, method)
     assert chart.edges_built > 0
-    assert calls == []
     readings = chart.readings()
     assert readings
     for reading in readings:
+        check_reading(reading, hierarchy)
         sign = reading.sign
         assert reading.sign is sign
-    assert len(calls) == len(readings)  # every reading identifies a slot
+        assert reading.parts.index_numbering(hierarchy, reading.variables)
+    assert computed == readings     # once each, and only for readings
+    run_method(tokens, lexicon, decls, hierarchy, "both")
+    assert unify_calls == []
 
 
 def test_fill_follows_the_edges(hierarchy, lexicon, decls):

@@ -1,15 +1,18 @@
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
-from conftest import brute_maximal_lower_bounds, parse_sentence
-from selparse.grammar import compile_entry
-from selparse.parser import Edge
+from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
+                      parse_sentence)
+from selparse.grammar import PsoaRef, compile_entry
+from selparse.parser import Edge, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
                              solve)
 from selparse.sorts import load_hierarchy
+from selparse.tfs import unify_map
 
 # not BCPO: a and b meet in both x and y, and only y lies below c
 BRANCHING = load_hierarchy("top\na: top\nb: top\nc: top\nx: a, b\n"
@@ -191,7 +194,6 @@ def test_solve_explores_every_maximal_lower_bound():
 
 def test_satisfiable_assignments_are_sound_on_corpus(hierarchy, lexicon,
                                                      decls):
-    from conftest import CORPUS_SENTENCES
     for sentence in CORPUS_SENTENCES:
         for reading in parse_sentence(sentence, lexicon, decls, hierarchy,
                                       "bg"):
@@ -201,3 +203,76 @@ def test_satisfiable_assignments_are_sound_on_corpus(hierarchy, lexicon,
                 for constraint in atoms:
                     assert hierarchy.subsumes(
                         constraint.sort, verdict.assignment[constraint.var])
+
+
+def unified_reading(reading, hierarchy):
+    """The reading as a bind-free edge whose sign one unify_map built.
+
+    This is how a read sign was built before readings were checked through
+    their variables: every node the parts reach is copied into a fresh graph
+    in which the binds are unified, and background instances made identical
+    are kept once, the first of them.
+    """
+    parts = reading.parts
+    instances = (*parts.restr, *parts.quants, *parts.bg)
+    roots = [node for node in (parts.index, parts.nucleus, *parts.subj,
+                               *parts.comps, *(r.node for r in instances))
+             if node is not None]
+    mapping = unify_map(reading.binds, roots, hierarchy)
+
+    def refs(instances):
+        return tuple(PsoaRef(mapping[r.node], r.source) for r in instances)
+
+    bg = {}
+    for ref in refs(parts.bg):
+        key = (ref.node.sort, tuple(sorted(
+            (feat, id(filler)) for feat, filler in ref.node.feats.items())))
+        bg.setdefault(key, ref)
+    sign = replace(parts, index=mapping.get(parts.index),
+                   nucleus=mapping.get(parts.nucleus),
+                   subj=tuple(mapping[s] for s in parts.subj),
+                   comps=tuple(mapping[s] for s in parts.comps),
+                   restr=refs(parts.restr), quants=refs(parts.quants),
+                   bg=tuple(bg.values()))
+    return Edge(reading.start, reading.end, reading.cat, sign)
+
+
+def verdict(result):
+    if isinstance(result, Satisfiable):
+        return result.assignment
+    return (result.var, result.conflicting, result.narrative)
+
+
+def with_sources(atoms):
+    return [(a.sort, a.var, a.source) for a in atoms]
+
+
+@pytest.mark.parametrize("sentence", [
+    *CORPUS_SENTENCES,
+    "the employees that retire retire",   # two identical bg instances
+    *(ladder("attachment", k) for k in range(1, 6)),
+    *(ladder("sense", k) for k in range(1, 4)),
+])
+def test_reading_variables_agree_with_unifying_the_sign(hierarchy, lexicon,
+                                                        decls, sentence):
+    reports, _ = run_method(tokenize(sentence), lexicon, decls, hierarchy,
+                            "both")
+    bg, index = reports
+    assert bg.pre_filter > 0
+    for report in reports:
+        for reading, _ in (*report.surviving, *report.violations):
+            old = unified_reading(reading, hierarchy)
+            assert with_sources(extract_constraints(reading, hierarchy)) \
+                == with_sources(extract_constraints(old, hierarchy))
+            assert verdict(check_reading(reading, hierarchy)) \
+                == verdict(check_reading(old, hierarchy))
+    for reading, assignment in bg.surviving:
+        old = unified_reading(reading, hierarchy)
+        assert verdict(check_reading(old, hierarchy)) == assignment
+    for reading, violation in bg.violations:
+        old = unified_reading(reading, hierarchy)
+        assert verdict(check_reading(old, hierarchy)) == verdict(violation)
+    for reading, assignment in index.surviving:
+        numbers = unified_reading(reading, hierarchy).parts.index_numbering(
+            hierarchy)
+        assert {var: node.sort for node, var in numbers.items()} == assignment
