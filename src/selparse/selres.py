@@ -144,7 +144,11 @@ def solve(atoms, hierarchy):
         grouped.setdefault(atom.var, []).append(atom)
     assignment = {}
     for var in sorted(grouped):
-        final, conflict = _reduce_variable(var, grouped[var], hierarchy)
+        group = grouped[var]
+        if len(group) == 1:     # nothing to fold
+            assignment[var] = group[0].sort
+            continue
+        final, conflict = _reduce_variable(var, group, hierarchy)
         if final is None:
             (s1, sources1), (s2, sources2) = conflict
             words = [w for w in (*sources1, *sources2) if w]

@@ -1,8 +1,10 @@
 """Semantic sort hierarchies: types of world entities ordered by subsumption.
 
 A hierarchy is a rooted DAG of sort names.  It is loaded from a small
-line-oriented text format, validated, and immutable afterwards, so it can be
-shared freely across threads and parses.
+line-oriented text format and validated.  Its structure never changes
+afterwards; its only mutable state is a memo of the lower bounds of the sort
+pairs met so far.  Concurrent fills of one memo entry write equal values, so
+a hierarchy can still be shared across threads and parses.
 """
 
 import re
@@ -50,13 +52,14 @@ def lines(text):
 
 
 class SortHierarchy:
-    """Immutable DAG of sorts; an ancestor is more general than its descendants.
+    """Fixed DAG of sorts; an ancestor is more general than its descendants.
 
     `subsumes(a, b)` holds when a == b or a is an ancestor of b.  Two sorts
     are consistent when they share a lower bound; `maximal_lower_bounds`
     yields the most general shared subsorts, and `glb` the unique one (which
     exists for every consistent pair exactly when the hierarchy is a bounded
-    complete partial order, see `bcpo_violations`).
+    complete partial order, see `bcpo_violations`).  Both read a per-instance
+    memo of each pair's maximal lower bounds, filled on first use.
     """
 
     def __init__(self, parents):
@@ -83,6 +86,7 @@ class SortHierarchy:
         for s, anc in up.items():
             for a in anc:
                 self._down[a].add(s)
+        self._meets = {}    # (a, b) -> maximal lower bounds, both orders
 
     def _toposort(self):
         # parents before children; a sort never placed is on or below a cycle
@@ -125,8 +129,16 @@ class SortHierarchy:
 
     def maximal_lower_bounds(self, a, b):
         """Most general sorts subsumed by both a and b; empty means conflict."""
-        self._check(a)
-        self._check(b)
+        mlbs = self._meets.get((a, b))
+        if mlbs is None:
+            # only declared sorts reach the memo
+            self._check(a)
+            self._check(b)
+            mlbs = self._meets[a, b] = self._meets[b, a] = \
+                self._lower_bounds(a, b)
+        return mlbs
+
+    def _lower_bounds(self, a, b):
         # common is closed downwards, so s is maximal in it exactly when
         # none of its parents is in it
         common = self._down[a] & self._down[b]
@@ -154,7 +166,7 @@ class SortHierarchy:
         Such a pair is incomparable, so each of its bounds has two or more
         parents (one parent would be a greater common lower bound), and both
         sorts are strict ancestors of it.  Only pairs of strict ancestors of
-        a multi-parent sort are checked.
+        a multi-parent sort are checked, and the memo is left alone.
         """
         pairs = set()
         for s, ps in self.parents.items():
@@ -164,7 +176,7 @@ class SortHierarchy:
                 pairs.update(combinations(above, 2))
         out = []
         for a, b in sorted(pairs):
-            mlbs = self.maximal_lower_bounds(a, b)
+            mlbs = self._lower_bounds(a, b)
             if len(mlbs) > 1:
                 out.append((a, b, mlbs))
         return out

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
                       parse_sentence)
+from selparse import selres
 from selparse.grammar import PsoaRef, compile_entry
 from selparse.parser import Edge, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
@@ -190,6 +191,72 @@ def test_solve_explores_every_maximal_lower_bound():
     # a ^ b branches to x and y; x fails against c, so only y survives
     atoms = [atom("a", 1), atom("b", 1), atom("c", 1)]
     assert solve(atoms, BRANCHING) == Satisfiable({1: "y"})
+
+
+def fold_every_variable(atoms, hierarchy):
+    """Each variable folded: (var, sort) pairs, up to one (var, conflict)."""
+    grouped = {}
+    for a in atoms:
+        grouped.setdefault(a.var, []).append(a)
+    out = []
+    for var in sorted(grouped):
+        final, conflict = selres._reduce_variable(var, grouped[var],
+                                                  hierarchy)
+        out.append((var, final or conflict))
+        if final is None:
+            break
+    return out
+
+
+@pytest.fixture
+def merge_calls(monkeypatch):
+    calls = []
+    original = selres.merge_pair
+
+    def counting(c1, c2, hierarchy):
+        calls.append((c1, c2))
+        return original(c1, c2, hierarchy)
+
+    monkeypatch.setattr(selres, "merge_pair", counting)
+    return calls
+
+
+def test_solve_merges_nothing_for_one_atom_variables(hierarchy, merge_calls):
+    atoms = [atom("man", 1), atom("banana", 2), atom("keybd", 3)]
+    assert solve(atoms, hierarchy) \
+        == Satisfiable({1: "man", 2: "banana", 3: "keybd"})
+    assert merge_calls == []
+
+
+@pytest.mark.parametrize("sentence", [
+    *CORPUS_SENTENCES,
+    *(ladder("attachment", k) for k in range(1, 4)),
+    *(ladder("sense", k) for k in range(1, 3)),
+])
+def test_solve_merges_once_per_extra_atom_on_a_bcpo_hierarchy(
+        hierarchy, lexicon, decls, merge_calls, sentence):
+    # the bundled hierarchy is BCPO, so a fold never branches; a violation
+    # stops it early
+    assert hierarchy.bcpo_violations() == []
+    readings = parse_sentence(sentence, lexicon, decls, hierarchy, "bg")
+    assert readings
+    for reading in readings:
+        atoms = extract_constraints(reading, hierarchy)
+        folded = fold_every_variable(atoms, hierarchy)
+        merge_calls.clear()
+        verdict = solve(atoms, hierarchy)
+        extra = len(atoms) - len({a.var for a in atoms})
+        if isinstance(verdict, Satisfiable):
+            assert len(merge_calls) == extra
+            assert list(verdict.assignment.items()) == folded
+        else:
+            assert len(merge_calls) <= extra
+            var, ((s1, sources1), (s2, sources2)) = folded[-1]
+            words = ",".join((*sources1, *sources2))
+            narrative = f"violation: var={var} sorts={s1},{s2}" \
+                + (f" from={words}" if words else "")
+            assert (verdict.var, verdict.conflicting, verdict.narrative) \
+                == (var, {s1, s2}, narrative)
 
 
 def test_satisfiable_assignments_are_sound_on_corpus(hierarchy, lexicon,

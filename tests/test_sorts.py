@@ -189,3 +189,59 @@ def test_subsumption_implies_glb(hierarchy):
     for a, b in product(sorted(hierarchy.sorts), repeat=2):
         if hierarchy.subsumes(a, b):
             assert hierarchy.glb(a, b) == b
+
+
+def every_pair(h):
+    return list(product(sorted(h.sorts), repeat=2))
+
+
+def test_warm_memo_still_matches_oracle_in_both_orders(hierarchy):
+    for h in [hierarchy, load_hierarchy(NON_BCPO)] \
+            + [random_dag(seed) for seed in range(5)]:
+        for a, b in every_pair(h):
+            h.maximal_lower_bounds(a, b)
+        for a, b in every_pair(h):
+            expected = brute_maximal_lower_bounds(h, a, b)
+            assert h.maximal_lower_bounds(a, b) == expected, (a, b)
+            assert h.maximal_lower_bounds(b, a) == expected, (b, a)
+
+
+def test_unknown_sort_raises_with_warm_memo():
+    h = load_hierarchy(NON_BCPO)
+    for a, b in every_pair(h):
+        h.maximal_lower_bounds(a, b)
+    for call in (h.subsumes, h.maximal_lower_bounds, h.glb):
+        with pytest.raises(HierarchyError, match="unknown sort 'gadget'"):
+            call("a", "gadget")
+        with pytest.raises(HierarchyError, match="unknown sort 'gadget'"):
+            call("gadget", "a")
+
+
+def test_glb_ambiguous_on_every_call():
+    h = load_hierarchy(NON_BCPO)
+    for _ in range(2):
+        with pytest.raises(AmbiguousMeetError):
+            h.glb("a", "b")
+        with pytest.raises(AmbiguousMeetError):
+            h.glb("b", "a")
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_bcpo_violations_leaves_the_memo_alone(warm):
+    h = random_dag(3)
+    if warm:
+        h.maximal_lower_bounds("s5", "s7")
+        h.glb("s0", "s9")
+    before = dict(h._meets)
+    assert h.bcpo_violations()
+    assert h._meets == before
+
+
+def test_hierarchies_sharing_sort_names_keep_their_own_bounds():
+    meeting = load_hierarchy("top\na: top\nb: top\nc: a, b\n")
+    apart = load_hierarchy("top\na: top\nb: top\nc: top\n")
+    for _ in range(2):
+        assert meeting.maximal_lower_bounds("a", "b") == {"c"}
+        assert apart.maximal_lower_bounds("a", "b") == frozenset()
+        assert meeting.glb("b", "a") == "c"
+        assert apart.glb("b", "a") is None
