@@ -23,7 +23,7 @@ background set of every mother is the union of its daughters' sets; the
 quantifier set grows by the noun's restriction when a determiner attaches.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -95,7 +95,9 @@ class Edge:
 
     An edge holds only what `combine` reads; the checker reads `parts`
     through `variables`.  A complete analysis (a reading) is an "s" edge
-    spanning every token.
+    spanning every token.  Its `derivation_string` is built on first read,
+    from its daughters' strings, and kept, so the readings of one chart
+    share the strings of their common subtrees.
     """
 
     start: int
@@ -108,6 +110,7 @@ class Edge:
     hierarchy: object = None
     index_sort: str | None = None   # the sort `binds` leave on the index
     binds: tuple = ()               # (slot, index) identifications below
+    _derivation: str | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def variables(self):
@@ -145,21 +148,24 @@ class Edge:
     @property
     def derivation_string(self):
         """Bracketed derivation like `(S (NP tom) (VP ate (NP a keyboard)))`."""
-        parts, stack = [], [self]   # stack items: edges and closing text
+        # post-order over the edges not yet built, with an explicit stack:
+        # an adjective stack nests one level per word
+        stack = [self]
         while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
+            edge = stack[-1]
+            if edge._derivation is not None:
+                stack.pop()
                 continue
-            label = _PHRASE_LABEL.get(item.cat)
-            if label:
-                parts.append(f"({label} ")
-                stack.append(")")
-            if not item.children:
-                parts.append(" ".join(item.parts.phon))
-            for i, child in enumerate(reversed(item.children)):
-                stack.extend((" ", child) if i else (child,))
-        return "".join(parts)
+            pending = [c for c in edge.children if c._derivation is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            text = (" ".join(c._derivation for c in edge.children)
+                    if edge.children else " ".join(edge.parts.phon))
+            label = _PHRASE_LABEL.get(edge.cat)
+            edge._derivation = f"({label} {text})" if label else text
+        return self._derivation
 
     @property
     def identity(self):

@@ -9,8 +9,9 @@ import selparse.parser
 import selparse.selres
 import selparse.tfs
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
-from selparse.parser import (Chart, Edge, SCHEMAS, UnknownTokenError, combine,
-                             lexical_edges, run_method, tokenize)
+from selparse.parser import (_PHRASE_LABEL, Chart, Edge, SCHEMAS,
+                             UnknownTokenError, combine, lexical_edges,
+                             run_method, tokenize)
 from selparse.selres import Satisfiable, check_reading
 
 
@@ -181,6 +182,42 @@ def test_index_pruning_is_sound(hierarchy, lexicon, decls, sentence):
     assert pruned <= unfiltered
 
 
+def _viable_bg_edges(chart, hierarchy):
+    """Oracle: bg edges whose children are viable and whose atoms solve.
+
+    Open variables count: the atoms over an edge's variables must have a
+    common lower bound before the edge is complete.
+    """
+    viable = set()
+    for span in sorted(chart.cells, key=lambda span: span[1] - span[0]):
+        for edge in chart.cells[span]:
+            if (all(child in viable for child in edge.children)
+                    and isinstance(check_reading(edge, hierarchy),
+                                   Satisfiable)):
+                viable.add(edge)
+    return viable
+
+
+def _edge_keys(edges):
+    return Counter((e.start, e.end, e.cat, *e.identity) for e in edges)
+
+
+@pytest.mark.parametrize("sentence", [
+    *CORPUS_SENTENCES,
+    *(ladder("attachment", k) for k in range(1, 7)),
+    *(ladder("sense", k) for k in range(1, 4)),
+])
+def test_viable_bg_edges_are_the_index_edges(hierarchy, lexicon, decls,
+                                             sentence):
+    # the index method is the bg method with the check moved into the chart
+    tokens = tokenize(sentence)
+    bg = Chart(tokens, lexicon, decls, hierarchy, "bg")
+    index = Chart(tokens, lexicon, decls, hierarchy, "index")
+    index_edges = [e for cell in index.cells.values() for e in cell]
+    assert _edge_keys(_viable_bg_edges(bg, hierarchy)) \
+        == _edge_keys(index_edges)
+
+
 def _skeleton(edge):
     if edge.schema is None:
         return (edge.start, edge.entry.sense_id)
@@ -294,6 +331,39 @@ def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
     assert np.leaves() == [the, *adjectives, noun]  # Edge compares by identity
     assert np.identity == (f"(NP {words})",
                            ("the", *["overseas"] * n, "department"))
+
+
+def walked_derivation(edge):
+    """Oracle: the bracketed derivation by one walk over the whole tree."""
+    parts, stack = [], [edge]   # stack items: edges and closing text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        label = _PHRASE_LABEL.get(item.cat)
+        if label:
+            parts.append(f"({label} ")
+            stack.append(")")
+        if not item.children:
+            parts.append(" ".join(item.parts.phon))
+        for i, child in enumerate(reversed(item.children)):
+            stack.extend((" ", child) if i else (child,))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_a_derivation_is_built_once_per_edge(hierarchy, lexicon, decls,
+                                             method):
+    chart = Chart(tokenize(ladder("attachment", 6)), lexicon, decls,
+                  hierarchy, method)
+    readings = chart.readings()
+    assert len(readings) == {"bg": 429, "index": 132}[method]
+    for reading in readings:    # kept, not rebuilt on the second read
+        assert reading.derivation_string is reading.derivation_string
+    for cell in chart.cells.values():
+        for edge in cell:
+            assert edge.derivation_string == walked_derivation(edge)
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
