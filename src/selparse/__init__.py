@@ -29,9 +29,12 @@ __version__ = "0.1.0"
 
 
 def read_resource(path):
-    """A resource or corpus file's text; a file that is not UTF-8 is named."""
+    """A resource or corpus file's text, less any UTF-8 byte-order mark.
+
+    A file that is not UTF-8 raises a GrammarError naming it.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise GrammarError(f"{path}: {exc}") from None
 

@@ -92,12 +92,13 @@ class LexicalEntry:
     overrides: tuple = ()           # ((role, sort), ...)
 
 
-@dataclass
+@dataclass(eq=False)
 class PsoaRef:
     """One relation instance carried by a sign, with its contributing word.
 
     The node's sort is the relation name and its features are the role
-    fillers, which live inside the same graph as the owning sign.
+    fillers, which live inside the same graph as the owning sign.  Like its
+    node, an instance compares by identity.
     """
 
     node: FeatureStructure

@@ -96,8 +96,8 @@ class Edge:
     An edge holds only what `combine` reads; the checker reads `parts`
     through `variables`.  A complete analysis (a reading) is an "s" edge
     spanning every token.  Its `derivation_string` is built on first read,
-    from its daughters' strings, and kept, so the readings of one chart
-    share the strings of their common subtrees.
+    from its daughters' strings, and kept by lexical and labelled edges, so
+    the readings of one chart share the strings of their common subtrees.
     """
 
     start: int
@@ -149,23 +149,33 @@ class Edge:
     def derivation_string(self):
         """Bracketed derivation like `(S (NP tom) (VP ate (NP a keyboard)))`."""
         # post-order over the edges not yet built, with an explicit stack:
-        # an adjective stack nests one level per word
+        # an adjective stack nests one level per word.  An unlabelled
+        # phrasal edge hands its string to its parent and keeps none, or
+        # each level of an adjective stack would keep the words below it.
+        handed = {}
         stack = [self]
         while stack:
             edge = stack[-1]
             if edge._derivation is not None:
                 stack.pop()
                 continue
-            pending = [c for c in edge.children if c._derivation is None]
+            pending = [c for c in edge.children
+                       if c._derivation is None and c not in handed]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            text = (" ".join(c._derivation for c in edge.children)
+            text = (" ".join(c._derivation or handed.pop(c)
+                             for c in edge.children)
                     if edge.children else " ".join(edge.parts.phon))
             label = _PHRASE_LABEL.get(edge.cat)
-            edge._derivation = f"({label} {text})" if label else text
-        return self._derivation
+            if label:
+                edge._derivation = f"({label} {text})"
+            elif edge.children:
+                handed[edge] = text
+            else:
+                edge._derivation = text
+        return self._derivation or handed.pop(self)
 
     @property
     def identity(self):
@@ -298,6 +308,29 @@ class MethodReport:
     violations: list  # (reading Edge, Violation)
 
 
+def _constraint_key(reading):
+    """All that the checker and the index numbering read of a reading.
+
+    The content nodes and relation instances compare by identity, and the
+    identifications by their set: the order in which classes join does not
+    change them, since every meet in them is unique.
+    """
+    parts = reading.parts
+    return (parts.index, parts.nucleus, parts.quants, parts.restr, parts.bg,
+            frozenset(reading.binds))
+
+
+def _once_per_key(readings, compute):
+    """`compute` of each reading, called once per `_constraint_key`."""
+    results, out = {}, []
+    for reading in readings:
+        key = _constraint_key(reading)
+        if key not in results:
+            results[key] = compute(reading)
+        out.append(results[key])
+    return out
+
+
 def run_method(tokens, lexicon, decls, hierarchy, method):
     """Analyse one sentence under "bg", "index" or "both".
 
@@ -309,6 +342,11 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     filled once, doubles as the unfiltered baseline.  post_filter
     counts survivors: solver-approved readings under "bg", the pruned
     chart's own readings under "index".
+
+    Readings that differ only in attachment carry the same constraints over
+    the same variables: the solver and the index numbering run once per
+    distinct constraint set (`_constraint_key`), so such readings share one
+    verdict object, while each survivor gets its own assignment dict.
     """
     if method not in (*METHODS, "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -316,8 +354,9 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     reports = []
     if method != "index":
         surviving, violations = [], []
-        for reading in baseline:
-            result = check_reading(reading, hierarchy)
+        verdicts = _once_per_key(baseline,
+                                 lambda r: check_reading(r, hierarchy))
+        for reading, result in zip(baseline, verdicts):
             if isinstance(result, Satisfiable):
                 surviving.append((reading, dict(result.assignment)))
             else:
@@ -325,12 +364,12 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
         reports.append(MethodReport("bg", len(baseline), len(surviving),
                                     surviving, violations))
     if method != "bg":
-        surviving = []
         pruned = Chart(tokens, lexicon, decls, hierarchy, "index").readings()
-        for reading in pruned:
-            numbers = reading.parts.index_numbering(hierarchy, reading.variables)
-            surviving.append((reading, {var: node.sort
-                                        for node, var in numbers.items()}))
+        assignments = _once_per_key(pruned, lambda r: {
+            var: node.sort for node, var in
+            r.parts.index_numbering(hierarchy, r.variables).items()})
+        surviving = [(reading, dict(assignment))
+                     for reading, assignment in zip(pruned, assignments)]
         reports.append(MethodReport("index", len(baseline), len(surviving),
                                     surviving, []))
     agree = None

@@ -44,7 +44,7 @@ class Satisfiable:
     assignment: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Violation:
     """Failure on `var`: the conflicting sorts admit no common lower bound."""
 

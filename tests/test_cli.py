@@ -336,3 +336,24 @@ def test_missing_hierarchy_path(capsys, tmp_path):
                        str(tmp_path / "missing.sorts"), "tom ate a banana")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("option, path", [
+    pytest.param("--hierarchy", data.HIERARCHY, id="hierarchy"),
+    pytest.param("--decls", data.DECLS, id="decls"),
+    pytest.param("--lexicon", data.LEXICON, id="lexicon"),
+    pytest.param(None, data.CORPUS, id="corpus"),
+])
+def test_a_byte_order_mark_is_not_part_of_the_file(capsys, tmp_path, option,
+                                                   path):
+    marked = tmp_path / path.name
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    argv = ["batch", "--json", option, str(marked)] if option \
+        else ["batch", "--json", str(marked)]
+    assert run(capsys, *argv) == run(capsys, "batch", "--json")
+    # a marked file that is not UTF-8 past its mark is still named
+    marked.write_bytes(b"\xef\xbb\xbfref\n\xff\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"{marked}: " in err
+    assert "can't decode byte 0xff" in err

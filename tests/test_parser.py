@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from functools import cached_property
 
@@ -9,10 +10,13 @@ import selparse.parser
 import selparse.selres
 import selparse.tfs
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
+from selparse import data
+from selparse.grammar import load_declarations, load_lexicon
 from selparse.parser import (_PHRASE_LABEL, Chart, Edge, SCHEMAS,
                              UnknownTokenError, combine, lexical_edges,
                              run_method, tokenize)
 from selparse.selres import Satisfiable, check_reading
+from selparse.sorts import load_hierarchy
 
 
 def tokens_of(sentence):
@@ -415,3 +419,94 @@ def test_fill_follows_the_edges(hierarchy, lexicon, decls):
     elapsed = time.perf_counter() - start
     assert (chart.edges_built, len(chart.readings())) == (965, 1)
     assert elapsed < 1.0
+
+
+def test_an_adjective_stack_keeps_no_string_per_level(hierarchy, lexicon,
+                                                      decls):
+    # each unlabelled nbar level hands its words up instead of keeping them
+    n = 3000
+    the, *adjectives, noun = lexical_edges(
+        ["the", *["overseas"] * n, "departments"], lexicon, decls, hierarchy,
+        "bg")
+    nbar = noun
+    for adjective in reversed(adjectives):
+        nbar = combine(adjective, nbar, "adj_nbar", hierarchy)
+    np = combine(the, nbar, "det_nbar", hierarchy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        derivation = np.derivation_string
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert derivation == f"(NP the {' '.join(['overseas'] * n)} departments)"
+    assert kept < 1_000_000     # the NP's own string is 27 kB
+    assert nbar.derivation_string == derivation[len("(NP the "):-1]
+
+
+def counting_checks(monkeypatch):
+    """The readings `run_method` hands to `check_reading`, in order."""
+    checked = []
+
+    def counting(reading, hierarchy):
+        checked.append(reading)
+        return check_reading(reading, hierarchy)
+
+    monkeypatch.setattr(selparse.parser, "check_reading", counting)
+    return checked
+
+
+def assert_shared_results_are_fresh(reports, hierarchy):
+    """Each reading's verdict or assignment is the one made for it alone."""
+    for report in reports:
+        for reading, assignment in report.surviving:
+            if report.method == "bg":
+                fresh = check_reading(reading, hierarchy)
+                assert isinstance(fresh, Satisfiable)
+                assert fresh.assignment == assignment
+            else:
+                numbers = reading.parts.index_numbering(hierarchy,
+                                                        reading.variables)
+                assert assignment == {var: node.sort
+                                      for node, var in numbers.items()}
+        for reading, violation in report.violations:
+            # compares var, conflicting and narrative
+            assert check_reading(reading, hierarchy) == violation
+
+
+@pytest.mark.parametrize("family, k, checks", [
+    *(("attachment", k, k + 1) for k in range(1, 7)),
+    ("sense", 1, 8), ("sense", 2, 24), ("sense", 3, 64),
+])
+def test_readings_with_one_constraint_set_share_one_check(
+        hierarchy, lexicon, decls, monkeypatch, family, k, checks):
+    checked = counting_checks(monkeypatch)
+    reports, agree = run_method(tokenize(ladder(family, k)), lexicon, decls,
+                                hierarchy, "both")
+    assert agree
+    assert len(checked) == checks
+    bg, index = reports
+    assert len({id(v) for _, v in bg.violations}) <= checks
+    survivors = [assignment for _, assignment in bg.surviving + index.surviving]
+    assert len({id(a) for a in survivors}) == len(survivors)  # one dict each
+    assert_shared_results_are_fresh(reports, hierarchy)
+
+
+def test_shared_verdicts_hold_on_a_non_bcpo_hierarchy(monkeypatch):
+    # man and technician meet in two sorts; the solver branches on them
+    sorts = load_hierarchy(data.HIERARCHY.read_text()
+                           + "cyborg: man, technician\n")
+    assert sorts.bcpo_violations()
+    decls = load_declarations(data.DECLS.read_text(), sorts)
+    lexicon = load_lexicon(data.LEXICON.read_text(), sorts, decls)
+    checked = counting_checks(monkeypatch)
+    sentences = [*CORPUS_SENTENCES,
+                 *(ladder("attachment", k) for k in range(1, 7)),
+                 *(ladder("sense", k) for k in (1, 2, 3))]
+    readings = 0
+    for sentence in sentences:
+        reports, _ = run_method(tokenize(sentence), lexicon, decls, sorts,
+                                "bg")
+        readings += reports[0].pre_filter
+        assert_shared_results_are_fresh(reports, sorts)
+    assert len(checked) < readings
