@@ -28,10 +28,13 @@ def _add_resources(sub):
 
 
 def _add_analysis(sub):
+    """Resource and method options; returns the group that holds --json."""
     _add_resources(sub)
     sub.add_argument("--method", choices=("bg", "index", "both"), default="both")
-    sub.add_argument("--json", dest="json_lines", action="store_true",
-                     help="emit one JSON record per sentence")
+    output = sub.add_mutually_exclusive_group()
+    output.add_argument("--json", dest="json_lines", action="store_true",
+                        help="emit one JSON record per sentence")
+    return output
 
 
 def _arg_parser():
@@ -43,9 +46,9 @@ def _arg_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse one sentence")
-    _add_analysis(p)
-    p.add_argument("--explain", action="store_true",
-                   help="render the sign of each surviving reading")
+    _add_analysis(p).add_argument(
+        "--explain", action="store_true",
+        help="render the sign of each surviving reading")
     p.add_argument("sentence")
     p.set_defaults(func=cmd_parse)
 
@@ -118,8 +121,8 @@ def _print_report(sentence, reports, agree, hierarchy, lexicon, explain):
                 print("    sorts: " + " ".join(
                     f"{var}={sort}" for var, sort in sorted(assignment.items())))
             if explain:
-                print(textwrap.indent(render_sign(reading.sign, hierarchy),
-                                      "    "))
+                print(textwrap.indent(render_sign(
+                    reading.parts, hierarchy, reading.variables), "    "))
         for reading, violation in rep.violations:
             print(f"  {violation.narrative}")
             print(f"    derivation: {reading.derivation_string}")

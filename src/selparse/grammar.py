@@ -9,7 +9,7 @@ ordinary typed unification enforces them during parsing.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .sorts import lines
 from .tfs import FeatureStructure
@@ -126,27 +126,6 @@ class Sign:
     quants: tuple = ()
     bg: tuple = ()
 
-    def unified(self, variables):
-        """This sign with each index node replaced by its `variables` image.
-
-        The relation nodes are rebuilt on the images; bg instances made
-        identical are kept once, the first of them (`distinct_bg`).
-        """
-        def moved(node):
-            return FeatureStructure(node.sort, {
-                feat: variables.get(filler, filler)
-                for feat, filler in node.feats.items()})
-
-        def refs(parts):
-            return tuple(PsoaRef(moved(r.node), r.source) for r in parts)
-
-        return replace(self, index=variables.get(self.index, self.index),
-                       nucleus=self.nucleus and moved(self.nucleus),
-                       subj=tuple(variables.get(s, s) for s in self.subj),
-                       comps=tuple(variables.get(s, s) for s in self.comps),
-                       restr=refs(self.restr), quants=refs(self.quants),
-                       bg=refs(self.distinct_bg(variables)))
-
     def distinct_bg(self, variables):
         """The bg instances, those `variables` makes identical kept once."""
         kept = {}
@@ -157,18 +136,17 @@ class Sign:
             kept.setdefault(key, ref)
         return tuple(kept.values())
 
-    def index_numbering(self, hierarchy, variables=None):
+    def index_numbering(self, hierarchy, variables):
         """Stable small-integer names for this sign's referential indices.
 
         Nucleus role fillers come first (in declaration order), then fillers
         of quantifier, restriction and background instances, numbering each
         hierarchy-sorted `variables` image once in order of first appearance.
         """
-        get = (variables or {}).get
         numbers = {}
 
         def note(node):
-            node = get(node, node)
+            node = variables.get(node, node)
             if node is not None and node not in numbers \
                     and hierarchy.declared(node.sort):
                 numbers[node] = len(numbers) + 1
@@ -419,32 +397,39 @@ def compile_entry(entry, decls, method, hierarchy):
     return Sign(phon=(word,), head=head)
 
 
-def _filler_str(node, numbers):
+def _filler_str(node, numbers, variables):
+    node = variables.get(node, node)
     if node in numbers:
         return f"#{numbers[node]}:{node.sort}"
     return node.sort
 
 
-def _psoa_str(node, numbers):
-    inner = ", ".join(f"{role}: {_filler_str(filler, numbers)}"
+def _psoa_str(node, numbers, variables):
+    inner = ", ".join(f"{role}: {_filler_str(filler, numbers, variables)}"
                       for role, filler in node.feats.items())
     return f"{node.sort}({inner})"
 
 
-def render_sign(sign, hierarchy):
-    """Compact AVM-style rendering of a sign, with #n tags on shared indices."""
-    numbers = sign.index_numbering(hierarchy)
+def render_sign(sign, hierarchy, variables):
+    """Compact AVM-style rendering of a sign read through `variables`.
+
+    Each node is shown as its `variables` image, with #n tags on shared
+    indices; bg instances made identical are listed once (`distinct_bg`).
+    A lexical sign has no identifications: pass `{}`.
+    """
+    numbers = sign.index_numbering(hierarchy, variables)
     lines = [f"phon: {' '.join(sign.phon)}",
              f"cat|head: {sign.head}"]
     for label, slots in (("subj", sign.subj), ("comps", sign.comps)):
-        rendered = ", ".join(f"np[{_filler_str(s, numbers)}]" for s in slots)
+        rendered = ", ".join(f"np[{_filler_str(s, numbers, variables)}]"
+                             for s in slots)
         lines.append(f"{label}: < {rendered} >" if rendered else f"{label}: < >")
     if sign.nucleus is not None:
-        lines.append(f"cont|nuc: {_psoa_str(sign.nucleus, numbers)}")
+        lines.append(f"cont|nuc: {_psoa_str(sign.nucleus, numbers, variables)}")
     if sign.index is not None:
-        lines.append(f"cont|index: {_filler_str(sign.index, numbers)}")
+        lines.append(f"cont|index: {_filler_str(sign.index, numbers, variables)}")
     for label, refs in (("cont|restr", sign.restr), ("cont|quants", sign.quants),
-                        ("cx|bg", sign.bg)):
-        inner = ", ".join(_psoa_str(r.node, numbers) for r in refs)
+                        ("cx|bg", sign.distinct_bg(variables))):
+        inner = ", ".join(_psoa_str(r.node, numbers, variables) for r in refs)
         lines.append(f"{label}: {{ {inner} }}" if inner else f"{label}: {{ }}")
     return "\n".join(lines)

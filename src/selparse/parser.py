@@ -93,11 +93,12 @@ class UnknownTokenError(ValueError):
 class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
-    An edge holds only what `combine` reads; the checker reads `parts`
-    through `variables`.  A complete analysis (a reading) is an "s" edge
-    spanning every token.  Its `derivation_string` is built on first read,
-    from its daughters' strings, and kept by lexical and labelled edges, so
-    the readings of one chart share the strings of their common subtrees.
+    An edge holds only what `combine` reads; the checker, the index
+    numbering and `render_sign` read `parts` through `variables`.  A
+    complete analysis (a reading) is an "s" edge spanning every token.  Its
+    `derivation_string` is built on first read, from its daughters'
+    strings, and kept by lexical and labelled edges, so the readings of one
+    chart share the strings of their common subtrees.
     """
 
     start: int
@@ -124,11 +125,6 @@ class Edge:
                 joined = [node for node, var in variables.items() if var is b]
                 variables.update(dict.fromkeys((*joined, *pair), a))
         return variables
-
-    @cached_property
-    def sign(self):
-        """The full sign: `parts` with every identification below made."""
-        return self.parts.unified(self.variables)
 
     def leaves(self):
         """The lexical edges under this one, left to right."""

@@ -56,36 +56,23 @@ class Violation:
 def extract_constraints(reading, hierarchy):
     """Constraint atoms read off a reading's parts, through its variables.
 
-    Scans the quantifier set, the restriction set, the nucleus, and the
-    background set, keeping single-role instances whose relation name is a
-    declared sort (which excludes relations like `naming`, and single-role
-    verb nuclei without a same-named sort).  Requires a reading produced
+    Scans the quantifier set, the restriction set and the background set,
+    keeping single-role instances whose relation name is a declared sort
+    (which excludes relations like `naming`).  Requires a reading produced
     under the "bg" method to be informative, since "index" compilation
     carries restrictions on the indices instead.
     """
     sign, variables = reading.parts, reading.variables
     numbers = sign.index_numbering(hierarchy, variables)
     atoms = []
-
-    def consider(node, source):
-        if len(node.feats) != 1:
-            return
-        if not hierarchy.declared(node.sort):
-            return
+    for ref in (*sign.quants, *sign.restr, *sign.distinct_bg(variables)):
+        node = ref.node
+        if len(node.feats) != 1 or not hierarchy.declared(node.sort):
+            continue
         (filler,) = node.feats.values()
         var = numbers.get(variables.get(filler, filler))
         if var is not None:
-            atoms.append(ConstraintAtom(node.sort, var, source))
-
-    for ref in sign.quants:
-        consider(ref.node, ref.source)
-    for ref in sign.restr:
-        consider(ref.node, ref.source)
-    nucleus = sign.nucleus
-    if nucleus is not None:
-        consider(nucleus, None)
-    for ref in sign.distinct_bg(variables):
-        consider(ref.node, ref.source)
+            atoms.append(ConstraintAtom(node.sort, var, ref.source))
     return atoms
 
 

@@ -313,6 +313,9 @@ def test_verb_extra_named_after_a_role_is_ambiguous(capsys, tmp_path, command):
     ["validate", "--method", "index"],
     ["batch", "--explain"],
     ["parse", "--bogus", "x"],
+    # --explain renders nothing into a JSON record
+    ["parse", "--json", "--explain", "tom ate a banana"],
+    ["parse", "--explain", "--json", "tom ate a banana"],
 ], ids=" ".join)
 def test_option_the_subcommand_does_not_take_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as stop:

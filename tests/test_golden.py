@@ -72,7 +72,8 @@ def edge_signs():
             for span in sorted(chart.cells):
                 for edge in chart.cells[span]:
                     record = (span, edge.derivation_string,
-                              render_sign(edge.sign, hierarchy))
+                              render_sign(edge.parts, hierarchy,
+                                          edge.variables))
                     digest.update(repr(record).encode() + b"\n")
                     count += 1
     return f"{count} {digest.hexdigest()}\n"

@@ -240,8 +240,8 @@ def test_compilation_deterministic(hierarchy, decls, lexicon):
             for method in ("bg", "index"):
                 one = compile_entry(entry, decls, method, hierarchy)
                 two = compile_entry(entry, decls, method, hierarchy)
-                assert render_sign(one, hierarchy) \
-                    == render_sign(two, hierarchy)
+                assert render_sign(one, hierarchy, {}) \
+                    == render_sign(two, hierarchy, {})
                 for part in ("index", "nucleus"):
                     node = getattr(one, part)
                     assert node is None or node is not getattr(two, part)

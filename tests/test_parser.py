@@ -23,6 +23,11 @@ def tokens_of(sentence):
     return tokenize(sentence)
 
 
+def image(edge, node):
+    """The node that stands for `node` once the edge's binds are made."""
+    return edge.variables.get(node, node)
+
+
 def test_tokenize():
     assert tokenize("Tom ate a keyboard.") == ["tom", "ate", "a", "keyboard"]
     assert tokenize("  The  printer called!  ") \
@@ -37,19 +42,22 @@ def test_intro_sentence_bg_reading(hierarchy, lexicon, decls):
     reading = readings[0]
     assert reading.derivation_string \
         == "(S (NP tom) (VP ate (NP a keyboard)))"
-    numbers = reading.sign.index_numbering(hierarchy)
+    parts = reading.parts
+    numbers = parts.index_numbering(hierarchy, reading.variables)
 
     def atom_set(refs):
-        return {(r.node.sort, numbers[next(iter(r.node.feats.values()))])
+        return {(r.node.sort,
+                 numbers[image(reading, next(iter(r.node.feats.values())))])
                 for r in refs if r.node.sort != "naming"}
 
-    bg = atom_set(reading.sign.bg)
+    bg_refs = parts.distinct_bg(reading.variables)
+    bg = atom_set(bg_refs)
     # the man and edible constraints plus the uniformly emitted subject one
     assert {("man", 1), ("edible", 2)} <= bg
     assert bg == {("man", 1), ("edible", 2), ("animate", 1)}
     assert any(r.node.sort == "naming" and r.node.feats["name"].sort == "Tom"
-               for r in reading.sign.bg)
-    assert atom_set(reading.sign.quants) == {("keybd", 2)}
+               for r in bg_refs)
+    assert atom_set(parts.quants) == {("keybd", 2)}
 
 
 def test_intro_sentence_blocked_by_index_method(hierarchy, lexicon, decls):
@@ -61,7 +69,8 @@ def test_banana_sentence_parses_under_index_method(hierarchy, lexicon, decls):
     readings = parse_sentence("tom ate a banana", lexicon, decls,
                               hierarchy, "index")
     assert len(readings) == 1
-    numbers = readings[0].sign.index_numbering(hierarchy)
+    numbers = readings[0].parts.index_numbering(hierarchy,
+                                                readings[0].variables)
     assert {var: node.sort for node, var in numbers.items()} \
         == {1: "man", 2: "banana"}
 
@@ -69,7 +78,7 @@ def test_banana_sentence_parses_under_index_method(hierarchy, lexicon, decls):
 def _edges_by_word(tokens, lexicon, decls, hierarchy, method):
     by_word = {}
     for edge in lexical_edges(tokens, lexicon, decls, hierarchy, method):
-        by_word.setdefault(" ".join(edge.sign.phon), []).append(edge)
+        by_word.setdefault(" ".join(edge.parts.phon), []).append(edge)
     return by_word
 
 
@@ -88,11 +97,11 @@ def test_combine_verb_with_object(hierarchy, lexicon, decls, method,
         assert vp is None
         return
     assert vp.cat == "vp"
-    assert "edible" in {r.node.sort for r in vp.sign.bg}
-    assert [r.node.sort for r in vp.sign.quants] == ["keybd"]
+    assert "edible" in {r.node.sort for r in vp.parts.distinct_bg(vp.variables)}
+    assert [r.node.sort for r in vp.parts.quants] == ["keybd"]
     # the keyboard's index picked up the verb's eaten role filler
-    eaten = vp.sign.nucleus.feats["eaten"]
-    assert vp.sign.quants[0].node.feats["inst"] is eaten
+    eaten = image(vp, vp.parts.nucleus.feats["eaten"])
+    assert image(vp, vp.parts.quants[0].node.feats["inst"]) is eaten
 
 
 def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
@@ -101,16 +110,19 @@ def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
     (np,) = by_word["tom"]
     (vp,) = by_word["called"]
     sentence = combine(np, vp, "head_subject", hierarchy)
-    assert len(sentence.sign.bg) == len(np.sign.bg) + len(vp.sign.bg)
+    assert len(sentence.parts.distinct_bg(sentence.variables)) \
+        == len(np.parts.distinct_bg({})) + len(vp.parts.distinct_bg({}))
 
 
 def test_identified_bg_instances_are_kept_once(hierarchy, lexicon, decls):
     # both verbs restrict the one employee to person: one instance survives
     (reading,) = parse_sentence("the employees that retire retire", lexicon,
                                 decls, hierarchy, "bg")
-    (person,) = reading.sign.bg
+    parts, variables = reading.parts, reading.variables
+    (person,) = parts.distinct_bg(variables)
     assert person.node.sort == "person"
-    assert person.node.feats["inst"] is reading.sign.nucleus.feats["retirer"]
+    assert variables[person.node.feats["inst"]] \
+        is variables[parts.nucleus.feats["retirer"]]
 
 
 @pytest.mark.parametrize("sentence,expected", [
@@ -145,15 +157,16 @@ def test_zero_readings_is_normal(hierarchy, lexicon, decls):
     assert parse_sentence("tom banana", lexicon, decls, hierarchy, "bg") == []
 
 
-def _bg_key(sign):
-    return Counter((r.node.sort, r.source) for r in sign.bg)
+def _bg_key(edge):
+    return Counter((r.node.sort, r.source)
+                   for r in edge.parts.distinct_bg(edge.variables))
 
 
 def _assert_contextual_consistency(edge):
     if edge.schema is None:
         return
     left, right = edge.children
-    assert _bg_key(edge.sign) == _bg_key(left.sign) + _bg_key(right.sign), \
+    assert _bg_key(edge) == _bg_key(left) + _bg_key(right), \
         edge.schema
     _assert_contextual_consistency(left)
     _assert_contextual_consistency(right)
@@ -403,8 +416,6 @@ def test_fill_unifies_nothing_and_a_read_sign_once(hierarchy, lexicon, decls,
     assert readings
     for reading in readings:
         check_reading(reading, hierarchy)
-        sign = reading.sign
-        assert reading.sign is sign
         assert reading.parts.index_numbering(hierarchy, reading.variables)
     assert computed == readings     # once each, and only for readings
     run_method(tokens, lexicon, decls, hierarchy, "both")
@@ -510,3 +521,19 @@ def test_shared_verdicts_hold_on_a_non_bcpo_hierarchy(monkeypatch):
         readings += reports[0].pre_filter
         assert_shared_results_are_fresh(reports, sorts)
     assert len(checked) < readings
+
+
+def test_a_verb_relation_named_after_a_sort_constrains_nothing(hierarchy):
+    # "man" is a sort and, here, a one-role relation: only bg instances
+    # constrain, so the verb's nucleus restricts its doer to ref alone
+    decls = load_declarations(data.DECLS.read_text() + "man(doer: ref)\n",
+                              hierarchy)
+    lexicon = load_lexicon(data.LEXICON.read_text()
+                           + "mans | verb | man | intrans\n",
+                           hierarchy, decls)
+    reports, agree = run_method(tokenize("the printer mans"), lexicon, decls,
+                                hierarchy, "both")
+    assert [(r.method, r.pre_filter, r.post_filter) for r in reports] \
+        == [("bg", 2, 2), ("index", 2, 2)]
+    assert reports[0].violations == []
+    assert agree is True

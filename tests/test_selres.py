@@ -7,7 +7,7 @@ import pytest
 from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
                       parse_sentence)
 from selparse import selres
-from selparse.grammar import PsoaRef, compile_entry
+from selparse.grammar import PsoaRef, compile_entry, render_sign
 from selparse.parser import Edge, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
@@ -333,6 +333,8 @@ def test_reading_variables_agree_with_unifying_the_sign(hierarchy, lexicon,
                 == with_sources(extract_constraints(old, hierarchy))
             assert verdict(check_reading(reading, hierarchy)) \
                 == verdict(check_reading(old, hierarchy))
+            assert render_sign(reading.parts, hierarchy, reading.variables) \
+                == render_sign(old.parts, hierarchy, {})
     for reading, assignment in bg.surviving:
         old = unified_reading(reading, hierarchy)
         assert verdict(check_reading(old, hierarchy)) == assignment
@@ -341,5 +343,5 @@ def test_reading_variables_agree_with_unifying_the_sign(hierarchy, lexicon,
         assert verdict(check_reading(old, hierarchy)) == verdict(violation)
     for reading, assignment in index.surviving:
         numbers = unified_reading(reading, hierarchy).parts.index_numbering(
-            hierarchy)
+            hierarchy, {})
         assert {var: node.sort for node, var in numbers.items()} == assignment

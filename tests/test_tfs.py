@@ -164,8 +164,8 @@ def test_unify_associative_when_all_succeed(hierarchy, seed):
 
 
 def test_unify_and_parse_leave_no_reference_cycles(hierarchy, lexicon, decls):
-    # unify_map runs for every sign that is read; garbage it leaves for the
-    # cyclic collector costs a collection pass per few hundred calls
+    # a unification, a parse and a check leave nothing for the cyclic
+    # collector: such garbage costs a collection pass per few hundred calls
     gc.collect()
     gc.disable()
     try:
