@@ -1,16 +1,18 @@
 """Command-line front end: parse sentences, run corpora, validate resources.
 
 Exit codes: 0 = ran to completion (a rejected sentence is a result, not an
-error), 1 = input or configuration error, 2 = batch expectation mismatch.
+error), 1 = input or configuration error, 2 = batch expectation mismatch,
+141 = the reader closed standard output (128 + SIGPIPE, as a shell reports).
 """
 
 import argparse
 import json
+import os
 import sys
 import textwrap
 from . import _load_file, data, load_resources, read_resource
-from .grammar import GrammarError, compile_entry, load_declarations, \
-    load_lexicon, render_sign, tokenize
+from .grammar import METHODS, GrammarError, compile_entry, \
+    load_declarations, load_lexicon, render_sign, tokenize
 from .parser import UnknownTokenError, run_method
 from .sorts import AmbiguousMeetError, HierarchyError, lines, load_hierarchy
 
@@ -30,7 +32,7 @@ def _add_resources(sub):
 def _add_analysis(sub):
     """Resource and method options; returns the group that holds --json."""
     _add_resources(sub)
-    sub.add_argument("--method", choices=("bg", "index", "both"), default="both")
+    sub.add_argument("--method", choices=(*METHODS, "both"), default="both")
     output = sub.add_mutually_exclusive_group()
     output.add_argument("--json", dest="json_lines", action="store_true",
                         help="emit one JSON record per sentence")
@@ -205,15 +207,15 @@ def cmd_batch(args):
         status = "PASS" if not problems else "FAIL"
         if problems:
             failures += 1
+        expected = "accept" if expect_accept else "reject"
         if args.json_lines:
             record = _record(sentence, args.method, reports, agree, lexicon)
-            record["expected"] = "accept" if expect_accept else "reject"
+            record["expected"] = expected
             record["status"] = status
             print(json.dumps(record))
         else:
             got = " ".join(f"{rep.method}={rep.pre_filter}/{rep.post_filter}"
                            for rep in reports)
-            expected = "accept" if expect_accept else "reject"
             if expected_readings is not None:
                 expected += f"({expected_readings})"
             line = f"{status}  {sentence}  expected={expected} got {got}"
@@ -262,6 +264,8 @@ def main(argv=None):
     args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:     # not an input error: see main_entry
+        raise
     except (HierarchyError, AmbiguousMeetError, GrammarError,
             UnknownTokenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -269,7 +273,14 @@ def main(argv=None):
 
 
 def main_entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()      # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # end as SIGPIPE would; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

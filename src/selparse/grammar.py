@@ -164,12 +164,8 @@ class Sign:
 
 def tokenize(text):
     """Lowercased whitespace tokens with edge punctuation stripped."""
-    tokens = []
-    for raw in text.lower().split():
-        token = raw.strip(_PUNCTUATION)
-        if token:
-            tokens.append(token)
-    return tokens
+    stripped = (raw.strip(_PUNCTUATION) for raw in text.lower().split())
+    return [token for token in stripped if token]
 
 
 def load_declarations(text, hierarchy):
@@ -365,34 +361,24 @@ def compile_entry(entry, decls, method, hierarchy):
         nuc = FeatureStructure(
             entry.nucleus,
             {role: idx for (role, _sort), idx in zip(effective, indices)})
-        bg = []
-        if method == "bg":
-            for (_role, sort), idx in zip(effective, indices):
-                if sort != top:
-                    bg.append(PsoaRef(
-                        FeatureStructure(sort, {"inst": idx}), word))
+        bg = tuple(PsoaRef(FeatureStructure(sort, {"inst": idx}), word)
+                   for (_role, sort), idx in zip(effective, indices)
+                   if method == "bg" and sort != top)
         return Sign(phon=(word,), head=head, nucleus=nuc,
                     subj=tuple(indices[:nsubj]), comps=tuple(indices[nsubj:]),
-                    bg=tuple(bg))
+                    bg=bg)
 
     if entry.pos in ("noun", "proper-noun"):
         idx = FeatureStructure(entry.index_sort if method == "index" else top)
-        restr = ()
-        bg = []
-        if entry.pos == "proper-noun":
-            bg.append(PsoaRef(
-                FeatureStructure("naming", {
-                    "brer": idx,
-                    "name": FeatureStructure(entry.name_atom),
-                }), word))
-            if method == "bg":
-                bg.append(PsoaRef(
-                    FeatureStructure(entry.index_sort, {"inst": idx}), word))
-        elif method == "bg":
-            restr = (PsoaRef(
-                FeatureStructure(entry.index_sort, {"inst": idx}), word),)
-        return Sign(phon=(word,), head=head, index=idx, restr=restr,
-                    bg=tuple(bg))
+        # under bg the index sort is a relation instance: a common noun's
+        # restriction, a proper noun's background
+        sortal = (PsoaRef(FeatureStructure(entry.index_sort, {"inst": idx}),
+                          word),) if method == "bg" else ()
+        if entry.pos == "noun":
+            return Sign(phon=(word,), head=head, index=idx, restr=sortal)
+        naming = PsoaRef(FeatureStructure("naming", {
+            "brer": idx, "name": FeatureStructure(entry.name_atom)}), word)
+        return Sign(phon=(word,), head=head, index=idx, bg=(naming, *sortal))
 
     return Sign(phon=(word,), head=head)
 

@@ -52,7 +52,8 @@ class Rule(NamedTuple):
     The mother takes the head's core and remaining valence and pools both
     daughters' restr, quants and bg, left before right.  When `slot` is
     set, the `selector` daughter's first pending `slot` index is then
-    identified with the other daughter's index, provided their sorts meet.
+    identified with the other daughter's (an np's) index, provided their
+    sorts meet, and the mother records that bind with its meet.
     Otherwise nothing is identified.
     """
 
@@ -94,7 +95,10 @@ class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
     An edge holds only what `combine` reads; the checker, the index
-    numbering and `render_sign` read `parts` through `variables`.  A
+    numbering and `render_sign` read `parts` through `variables`.  A bind
+    identifies a verb-role slot with an np's index and keeps their meet;
+    each class is a star, one index and its slots, and each bind meets the
+    sort the earlier binds left, so an index's last bind holds its sort.  A
     complete analysis (a reading) is an "s" edge spanning every token.  Its
     `derivation_string` is built on first read, from its daughters'
     strings, and kept by lexical and labelled edges, so the readings of one
@@ -108,22 +112,26 @@ class Edge:
     schema: str | None = None       # None marks a lexical edge
     children: tuple = ()
     entry: object = None            # LexicalEntry on lexical edges
-    hierarchy: object = None
-    index_sort: str | None = None   # the sort `binds` leave on the index
-    binds: tuple = ()               # (slot, index) identifications below
+    binds: tuple = ()               # (slot, index, met) identifications below
     _derivation: str | None = field(default=None, init=False, repr=False)
+
+    @property
+    def index_sort(self):
+        """The sort the binds leave on the index: its last bind's meet."""
+        index = self.parts.index
+        for _, bound, met in reversed(self.binds):  # a loop: next() is slower
+            if bound is index:
+                return met
+        return index and index.sort
 
     @cached_property
     def variables(self):
-        """Bound index node -> one fresh featureless node for its class."""
+        """Bound index or slot -> one fresh node with its last bind's meet."""
         variables = {}
-        for pair in self.binds:
-            a, b = (variables.get(node) or FeatureStructure(node.sort)
-                    for node in pair)
-            if a is not b:  # b's class joins a's, under the meet of both sorts
-                a.sort = meet(a.sort, b.sort, self.hierarchy)
-                joined = [node for node, var in variables.items() if var is b]
-                variables.update(dict.fromkeys((*joined, *pair), a))
+        for slot, index, met in reversed(self.binds):
+            if index not in variables:
+                variables[index] = FeatureStructure(met)
+            variables[slot] = variables[index]
         return variables
 
     def leaves(self):
@@ -196,8 +204,7 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
         for entry in lexicon[token]:
             sign = compile_entry(entry, decls, method, hierarchy)
             cat = PARTS_OF_SPEECH[entry.pos][1] or _valence_cat(sign)
-            edges.append(Edge(i, i + 1, cat, sign, entry=entry,
-                              index_sort=sign.index and sign.index.sort))
+            edges.append(Edge(i, i + 1, cat, sign, entry=entry))
     return edges
 
 
@@ -212,7 +219,6 @@ def combine(left, right, schema, hierarchy):
     core = head.parts
     valence = {"subj": core.subj, "comps": core.comps}
     binds = left.binds + right.binds
-    index_sort = head.index_sort
     if rule.slot is not None:
         selector, dependent = edges[rule.selector], edges[1 - rule.selector]
         pending = getattr(selector.parts, rule.slot)
@@ -222,9 +228,7 @@ def combine(left, right, schema, hierarchy):
             return None
         if selector is head:
             valence[rule.slot] = pending[1:]
-        else:   # np_relc: the relative clause's subject narrows the head's index
-            index_sort = met
-        binds += ((slot, dependent.parts.index),)
+        binds += ((slot, dependent.parts.index, met),)
     restr = lsign.restr + rsign.restr
     quants = lsign.quants + rsign.quants
     if rule.quantify:
@@ -234,8 +238,7 @@ def combine(left, right, schema, hierarchy):
                 valence["subj"], valence["comps"], restr, quants,
                 lsign.bg + rsign.bg)
     cat = rule.mother or _valence_cat(sign)
-    return Edge(left.start, right.end, cat, sign, schema, edges,
-                hierarchy=hierarchy, index_sort=index_sort, binds=binds)
+    return Edge(left.start, right.end, cat, sign, schema, edges, binds=binds)
 
 
 class Chart:
@@ -308,8 +311,8 @@ def _constraint_key(reading):
     """All that the checker and the index numbering read of a reading.
 
     The content nodes and relation instances compare by identity, and the
-    identifications by their set: the order in which classes join does not
-    change them, since every meet in them is unique.
+    identifications by their set: a class is one index and its slots, and
+    its sort the lowest of their meets, whatever order the binds came in.
     """
     parts = reading.parts
     return (parts.index, parts.nucleus, parts.quants, parts.restr, parts.bg,

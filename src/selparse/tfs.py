@@ -3,7 +3,7 @@
 Nodes compare by identity; sharing one node between two feature paths is what
 makes a structure reentrant.  Structures are treated as immutable once built,
 and unification always returns fresh nodes.  The parser copies no graph: it
-meets the sorts of two index nodes (`meet`) and records their identification.
+meets the sorts of two index nodes (`meet`) and records the bind with its meet.
 
 Only sorts declared in the semantic hierarchy have nontrivial meets.  Every
 other node sort (relation names such as "eat", and atoms such as proper-name

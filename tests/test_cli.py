@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selparse
 from selparse import data
 from selparse.cli import main
 from selparse.parser import Chart
@@ -116,6 +121,25 @@ def test_batch_json_records(capsys):
     assert len(records) == 8
     assert all(r["status"] == "PASS" for r in records)
     assert all(r["agree"] for r in records)
+
+
+def test_a_closed_output_pipe_ends_the_batch_quietly(tmp_path):
+    # 300 copies of the corpus print far more than a pipe holds, so the
+    # batch is still writing when its reader leaves after 10 bytes
+    corpus = tmp_path / "big.corpus"
+    corpus.write_text(data.CORPUS.read_text() * 300)
+    src = str(Path(selparse.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen(
+            [sys.executable, "-m", "selparse.cli", "batch", "--json",
+             str(corpus)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141    # 128 + SIGPIPE
+    assert err == b""
 
 
 def test_batch_empty_corpus(capsys, tmp_path):

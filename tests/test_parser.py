@@ -333,6 +333,81 @@ def test_ladder_edge_and_reading_counts_are_exact(hierarchy, lexicon, decls,
             survivors) == expected
 
 
+def union_find_classes(binds, hierarchy):
+    """Node -> (its class, the class's sort), joining each bind's pair in
+    turn and meeting the sorts of the classes joined."""
+    parent, sort = {}, {}
+
+    def find(node):
+        while node in parent:
+            node = parent[node]
+        return node
+
+    for slot, index, _ in binds:
+        a, b = find(slot), find(index)
+        if a is not b:
+            parent[b] = a
+            sort[a] = selparse.tfs.meet(sort.get(a, a.sort),
+                                        sort.get(b, b.sort), hierarchy)
+    nodes = {node for slot, index, _ in binds for node in (slot, index)}
+    return {node: (frozenset(m for m in nodes if find(m) is find(node)),
+                   sort[find(node)]) for node in nodes}
+
+
+@pytest.fixture(scope="module")
+def thing_lexicon(hierarchy, decls):
+    # a noun of the root sort: each bind on its index narrows that index
+    return load_lexicon(data.LEXICON.read_text() + "thing | noun | ref\n",
+                        hierarchy, decls)
+
+
+@pytest.mark.parametrize("sentence", [
+    *CORPUS_SENTENCES,
+    *(ladder("attachment", k) for k in range(1, 7)),
+    *(ladder("sense", k) for k in range(1, 4)),
+    "the thing that ate a banana retire",
+])
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_identification_classes_are_stars(hierarchy, thing_lexicon, decls,
+                                          sentence, method):
+    # each class is one index plus the slots bound to it, each slot once,
+    # and each bind's meet narrows the sort the binds before it left
+    chart = Chart(tokenize(sentence), thing_lexicon, decls, hierarchy, method)
+    for edge in (edge for cell in chart.cells.values() for edge in cell):
+        slots = [slot for slot, _, _ in edge.binds]
+        assert len(set(slots)) == len(slots)
+        meets = {}
+        for slot, index, met in edge.binds:
+            assert index not in slots
+            meets.setdefault(index, [index.sort]).append(met)
+            assert hierarchy.subsumes(slot.sort, met)
+        for sorts in meets.values():
+            assert all(hierarchy.subsumes(above, below)
+                       for above, below in zip(sorts, sorts[1:]))
+        index = edge.parts.index
+        lexical = index and index.sort
+        assert edge.index_sort == meets.get(index, [lexical])[-1]
+        variables = edge.variables
+        assert {node: (frozenset(m for m in variables
+                                 if variables[m] is variables[node]),
+                       variables[node].sort) for node in variables} \
+            == union_find_classes(edge.binds, hierarchy)
+
+
+def test_each_bind_on_an_index_narrows_it_in_turn(hierarchy, thing_lexicon,
+                                                  decls):
+    chart = Chart(tokenize("the thing that ate a banana retire"),
+                  thing_lexicon, decls, hierarchy, "index")
+    (reading,) = chart.readings()
+    (thing,) = (leaf.parts.index for leaf in reading.leaves()
+                if leaf.entry.phon == "thing")
+    assert thing.sort == "ref"
+    # the relative clause's eater, then the main clause's retirer
+    assert [met for _, index, met in reading.binds if index is thing] \
+        == ["animate", "person"]
+    assert reading.variables[thing].sort == "person"
+
+
 def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
     # adj_nbar nests one tree level per adjective
     n = 3000

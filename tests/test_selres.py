@@ -285,7 +285,8 @@ def unified_reading(reading, hierarchy):
     roots = [node for node in (parts.index, parts.nucleus, *parts.subj,
                                *parts.comps, *(r.node for r in instances))
              if node is not None]
-    mapping = unify_map(reading.binds, roots, hierarchy)
+    mapping = unify_map([(slot, index) for slot, index, _ in reading.binds],
+                        roots, hierarchy)
 
     def refs(instances):
         return tuple(PsoaRef(mapping[r.node], r.source) for r in instances)
