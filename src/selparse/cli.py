@@ -68,10 +68,9 @@ def _arg_parser():
 
 def _senses(reading, lexicon):
     out = []
-    for leaf in reading.leaves():
-        word = leaf.entry.phon
-        if len(lexicon[word]) > 1:
-            out.append(f"{word}={leaf.entry.sense_id}")
+    for entry in reading.parts.entries:
+        if len(lexicon[entry.phon]) > 1:
+            out.append(f"{entry.phon}={entry.sense_id}")
     return out
 
 

@@ -112,11 +112,13 @@ class Sign:
     `index` (nouns) or `nucleus` (verbs) is the content; subj/comps are the
     pending valence slots, each a nucleus role filler that a dependent's
     index is identified with; restr, quants and bg are relation-instance
-    sets over nodes of one shared graph.  A `variables` mapping (see
+    sets over nodes of one shared graph.  `entries` are the LexicalEntry
+    objects of the words the sign spans, left to right: its PHON is their
+    `phon`, its sense choices their `sense_id`.  A `variables` mapping (see
     `parser.Edge.variables`) names the node that stands for each index.
     """
 
-    phon: tuple
+    entries: tuple
     head: str
     index: FeatureStructure | None = None
     nucleus: FeatureStructure | None = None
@@ -364,7 +366,7 @@ def compile_entry(entry, decls, method, hierarchy):
         bg = tuple(PsoaRef(FeatureStructure(sort, {"inst": idx}), word)
                    for (_role, sort), idx in zip(effective, indices)
                    if method == "bg" and sort != top)
-        return Sign(phon=(word,), head=head, nucleus=nuc,
+        return Sign(entries=(entry,), head=head, nucleus=nuc,
                     subj=tuple(indices[:nsubj]), comps=tuple(indices[nsubj:]),
                     bg=bg)
 
@@ -375,12 +377,12 @@ def compile_entry(entry, decls, method, hierarchy):
         sortal = (PsoaRef(FeatureStructure(entry.index_sort, {"inst": idx}),
                           word),) if method == "bg" else ()
         if entry.pos == "noun":
-            return Sign(phon=(word,), head=head, index=idx, restr=sortal)
+            return Sign(entries=(entry,), head=head, index=idx, restr=sortal)
         naming = PsoaRef(FeatureStructure("naming", {
             "brer": idx, "name": FeatureStructure(entry.name_atom)}), word)
-        return Sign(phon=(word,), head=head, index=idx, bg=(naming, *sortal))
+        return Sign(entries=(entry,), head=head, index=idx, bg=(naming, *sortal))
 
-    return Sign(phon=(word,), head=head)
+    return Sign(entries=(entry,), head=head)
 
 
 def _filler_str(node, numbers, variables):
@@ -404,7 +406,7 @@ def render_sign(sign, hierarchy, variables):
     A lexical sign has no identifications: pass `{}`.
     """
     numbers = sign.index_numbering(hierarchy, variables)
-    lines = [f"phon: {' '.join(sign.phon)}",
+    lines = [f"phon: {' '.join(e.phon for e in sign.entries)}",
              f"cat|head: {sign.head}"]
     for label, slots in (("subj", sign.subj), ("comps", sign.comps)):
         rendered = ", ".join(f"np[{_filler_str(s, numbers, variables)}]"

@@ -95,7 +95,8 @@ class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
     An edge holds only what `combine` reads; the checker, the index
-    numbering and `render_sign` read `parts` through `variables`.  A bind
+    numbering and `render_sign` read `parts` through `variables`, and the
+    words and their senses from `parts.entries`.  A bind
     identifies a verb-role slot with an np's index and keeps their meet;
     each class is a star, one index and its slots, and each bind meets the
     sort the earlier binds left, so an index's last bind holds its sort.  A
@@ -111,7 +112,6 @@ class Edge:
     parts: Sign                     # the daughters pooled; nodes stay lexical
     schema: str | None = None       # None marks a lexical edge
     children: tuple = ()
-    entry: object = None            # LexicalEntry on lexical edges
     binds: tuple = ()               # (slot, index, met) identifications below
     _derivation: str | None = field(default=None, init=False, repr=False)
 
@@ -134,20 +134,9 @@ class Edge:
             variables[slot] = variables[index]
         return variables
 
-    def leaves(self):
-        """The lexical edges under this one, left to right."""
-        # an explicit stack: an adjective stack nests one level per word
-        out, stack = [], [self]
-        while stack:
-            edge = stack.pop()
-            if edge.schema is None:
-                out.append(edge)
-            else:
-                stack.extend(reversed(edge.children))
-        return out
-
     def __repr__(self):
-        return f"<Edge {self.cat} {self.start}:{self.end} {' '.join(self.parts.phon)}>"
+        words = " ".join(e.phon for e in self.parts.entries)
+        return f"<Edge {self.cat} {self.start}:{self.end} {words}>"
 
     @property
     def derivation_string(self):
@@ -171,7 +160,8 @@ class Edge:
             stack.pop()
             text = (" ".join(c._derivation or handed.pop(c)
                              for c in edge.children)
-                    if edge.children else " ".join(edge.parts.phon))
+                    if edge.children
+                    else " ".join(e.phon for e in edge.parts.entries))
             label = _PHRASE_LABEL.get(edge.cat)
             if label:
                 edge._derivation = f"({label} {text})"
@@ -183,9 +173,9 @@ class Edge:
 
     @property
     def identity(self):
-        """Hashable identity: derivation shape plus lexical sense choices."""
+        """Hashable identity: derivation shape plus each word's sense id."""
         return (self.derivation_string,
-                tuple(leaf.entry.sense_id for leaf in self.leaves()))
+                tuple(e.sense_id for e in self.parts.entries))
 
 
 def _valence_cat(sign):
@@ -195,7 +185,8 @@ def _valence_cat(sign):
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
-    """One edge per (token position, lexical sense), with fresh signs."""
+    """One edge per (token position, lexical sense): a fresh sign whose
+    `entries` hold that sense's LexicalEntry."""
     unknown = sorted({t for t in tokens if t not in lexicon})
     if unknown:
         raise UnknownTokenError(unknown)
@@ -204,7 +195,7 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
         for entry in lexicon[token]:
             sign = compile_entry(entry, decls, method, hierarchy)
             cat = PARTS_OF_SPEECH[entry.pos][1] or _valence_cat(sign)
-            edges.append(Edge(i, i + 1, cat, sign, entry=entry))
+            edges.append(Edge(i, i + 1, cat, sign))
     return edges
 
 
@@ -234,8 +225,8 @@ def combine(left, right, schema, hierarchy):
     if rule.quantify:
         restr, quants = (), quants + restr
     # positional, in field order: keywords make this call two thirds slower
-    sign = Sign(lsign.phon + rsign.phon, core.head, core.index, core.nucleus,
-                valence["subj"], valence["comps"], restr, quants,
+    sign = Sign(lsign.entries + rsign.entries, core.head, core.index,
+                core.nucleus, valence["subj"], valence["comps"], restr, quants,
                 lsign.bg + rsign.bg)
     cat = rule.mother or _valence_cat(sign)
     return Edge(left.start, right.end, cat, sign, schema, edges, binds=binds)

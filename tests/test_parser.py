@@ -78,7 +78,8 @@ def test_banana_sentence_parses_under_index_method(hierarchy, lexicon, decls):
 def _edges_by_word(tokens, lexicon, decls, hierarchy, method):
     by_word = {}
     for edge in lexical_edges(tokens, lexicon, decls, hierarchy, method):
-        by_word.setdefault(" ".join(edge.parts.phon), []).append(edge)
+        (entry,) = edge.parts.entries
+        by_word.setdefault(entry.phon, []).append(edge)
     return by_word
 
 
@@ -141,9 +142,9 @@ def test_double_printer_survivor_senses(hierarchy, lexicon, decls):
     readings = parse_sentence("the printer repaired the printer",
                               lexicon, decls, hierarchy, "index")
     assert len(readings) == 1
-    senses = [leaf.entry.sense_id
-              for leaf in readings[0].leaves()
-              if leaf.entry.phon == "printer"]
+    senses = [entry.sense_id
+              for entry in readings[0].parts.entries
+              if entry.phon == "printer"]
     assert senses == ["printer_person", "printer_peripheral"]
 
 
@@ -237,7 +238,8 @@ def test_viable_bg_edges_are_the_index_edges(hierarchy, lexicon, decls,
 
 def _skeleton(edge):
     if edge.schema is None:
-        return (edge.start, edge.entry.sense_id)
+        (entry,) = edge.parts.entries
+        return (edge.start, entry.sense_id)
     return (edge.schema,) + tuple(_skeleton(c) for c in edge.children)
 
 
@@ -399,8 +401,8 @@ def test_each_bind_on_an_index_narrows_it_in_turn(hierarchy, thing_lexicon,
     chart = Chart(tokenize("the thing that ate a banana retire"),
                   thing_lexicon, decls, hierarchy, "index")
     (reading,) = chart.readings()
-    (thing,) = (leaf.parts.index for leaf in reading.leaves()
-                if leaf.entry.phon == "thing")
+    (thing_edge,) = chart.cells[1, 2]
+    thing = thing_edge.parts.index
     assert thing.sort == "ref"
     # the relative clause's eater, then the main clause's retirer
     assert [met for _, index, met in reading.binds if index is thing] \
@@ -420,7 +422,8 @@ def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
     np = combine(the, nbar, "det_nbar", hierarchy)
     words = " ".join(["the", *["overseas"] * n, "departments"])
     assert np.derivation_string == f"(NP {words})"
-    assert np.leaves() == [the, *adjectives, noun]  # Edge compares by identity
+    assert np.parts.entries \
+        == tuple(leaf.parts.entries[0] for leaf in (the, *adjectives, noun))
     assert np.identity == (f"(NP {words})",
                            ("the", *["overseas"] * n, "department"))
 
@@ -438,24 +441,46 @@ def walked_derivation(edge):
             parts.append(f"({label} ")
             stack.append(")")
         if not item.children:
-            parts.append(" ".join(item.parts.phon))
+            (entry,) = item.parts.entries
+            parts.append(entry.phon)
         for i, child in enumerate(reversed(item.children)):
             stack.extend((" ", child) if i else (child,))
     return "".join(parts)
 
 
+def walked_entries(edge):
+    """Oracle: the entries of the lexical edges under `edge`, left to right."""
+    entries, stack = [], [edge]
+    while stack:
+        item = stack.pop()
+        if item.children:
+            stack.extend(reversed(item.children))
+        else:
+            (entry,) = item.parts.entries
+            entries.append(entry)
+    return tuple(entries)
+
+
 @pytest.mark.parametrize("method", ["bg", "index"])
 def test_a_derivation_is_built_once_per_edge(hierarchy, lexicon, decls,
                                              method):
-    chart = Chart(tokenize(ladder("attachment", 6)), lexicon, decls,
-                  hierarchy, method)
-    readings = chart.readings()
-    assert len(readings) == {"bg": 429, "index": 132}[method]
-    for reading in readings:    # kept, not rebuilt on the second read
-        assert reading.derivation_string is reading.derivation_string
-    for cell in chart.cells.values():
-        for edge in cell:
-            assert edge.derivation_string == walked_derivation(edge)
+    for family, k, expected in [
+            ("attachment", 6, {"bg": 429, "index": 132}),
+            ("sense", 3, {"bg": 224, "index": 112})]:   # homographs: printer
+        chart = Chart(tokenize(ladder(family, k)), lexicon, decls,
+                      hierarchy, method)
+        readings = chart.readings()
+        assert len(readings) == expected[method]
+        for reading in readings:    # kept, not rebuilt on the second read
+            assert reading.derivation_string is reading.derivation_string
+        for cell in chart.cells.values():
+            for edge in cell:
+                derivation, entries = (walked_derivation(edge),
+                                       walked_entries(edge))
+                assert edge.derivation_string == derivation
+                assert edge.parts.entries == entries
+                assert edge.identity == (
+                    derivation, tuple(e.sense_id for e in entries))
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
