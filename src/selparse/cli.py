@@ -108,7 +108,7 @@ def _record(sentence, method, reports, agree, lexicon):
     return record
 
 
-def _print_report(sentence, reports, agree, hierarchy, lexicon, explain):
+def _print_report(sentence, reports, agree, lexicon, explain):
     print(f"sentence: {sentence}")
     for rep in reports:
         print(f"method={rep.method} pre_filter={rep.pre_filter} "
@@ -123,7 +123,7 @@ def _print_report(sentence, reports, agree, hierarchy, lexicon, explain):
                     f"{var}={sort}" for var, sort in sorted(assignment.items())))
             if explain:
                 print(textwrap.indent(render_sign(
-                    reading.parts, hierarchy, reading.variables), "    "))
+                    reading.parts, reading.variables, reading.sorts), "    "))
         for reading, violation in rep.violations:
             print(f"  {violation.narrative}")
             print(f"    derivation: {reading.derivation_string}")
@@ -142,7 +142,7 @@ def cmd_parse(args):
     if args.json_lines:
         print(json.dumps(_record(sentence, args.method, reports, agree, lexicon)))
     else:
-        _print_report(sentence, reports, agree, hierarchy, lexicon, args.explain)
+        _print_report(sentence, reports, agree, lexicon, args.explain)
     return 0
 
 

@@ -114,11 +114,14 @@ class Sign:
     index is identified with; restr, quants and bg are relation-instance
     sets over nodes of one shared graph.  `entries` are the LexicalEntry
     objects of the words the sign spans, left to right: its PHON is their
-    `phon`, its sense choices their `sense_id`.  A `variables` mapping (see
-    `parser.Edge.variables`) names the node that stands for each index.
+    `phon`, its sense choices their `sense_id`.  `indices` are those words'
+    index nodes in word order: a noun's index, a verb's role indices in
+    declaration order.  A `variables` mapping (see `parser.Edge.variables`)
+    numbers them, a bound slot taking its index's number.
     """
 
     entries: tuple
+    indices: tuple
     head: str
     index: FeatureStructure | None = None
     nucleus: FeatureStructure | None = None
@@ -129,39 +132,14 @@ class Sign:
     bg: tuple = ()
 
     def distinct_bg(self, variables):
-        """The bg instances, those `variables` makes identical kept once."""
+        """The bg instances, those `variables` numbers alike kept once."""
         kept = {}
         for ref in self.bg:
             key = (ref.node.sort, tuple(sorted(
-                (feat, id(variables.get(filler, filler)))
+                (feat, variables.get(filler, filler))
                 for feat, filler in ref.node.feats.items())))
             kept.setdefault(key, ref)
         return tuple(kept.values())
-
-    def index_numbering(self, hierarchy, variables):
-        """Stable small-integer names for this sign's referential indices.
-
-        Nucleus role fillers come first (in declaration order), then fillers
-        of quantifier, restriction and background instances, numbering each
-        hierarchy-sorted `variables` image once in order of first appearance.
-        """
-        numbers = {}
-
-        def note(node):
-            node = variables.get(node, node)
-            if node is not None and node not in numbers \
-                    and hierarchy.declared(node.sort):
-                numbers[node] = len(numbers) + 1
-
-        note(self.index)
-        nuc = self.nucleus
-        if nuc is not None:
-            for filler in nuc.feats.values():
-                note(filler)
-        for ref in (*self.quants, *self.restr, *self.bg):
-            for filler in ref.node.feats.values():
-                note(filler)
-        return numbers
 
 
 def tokenize(text):
@@ -366,9 +344,9 @@ def compile_entry(entry, decls, method, hierarchy):
         bg = tuple(PsoaRef(FeatureStructure(sort, {"inst": idx}), word)
                    for (_role, sort), idx in zip(effective, indices)
                    if method == "bg" and sort != top)
-        return Sign(entries=(entry,), head=head, nucleus=nuc,
-                    subj=tuple(indices[:nsubj]), comps=tuple(indices[nsubj:]),
-                    bg=bg)
+        return Sign(entries=(entry,), indices=tuple(indices), head=head,
+                    nucleus=nuc, subj=tuple(indices[:nsubj]),
+                    comps=tuple(indices[nsubj:]), bg=bg)
 
     if entry.pos in ("noun", "proper-noun"):
         idx = FeatureStructure(entry.index_sort if method == "index" else top)
@@ -377,47 +355,48 @@ def compile_entry(entry, decls, method, hierarchy):
         sortal = (PsoaRef(FeatureStructure(entry.index_sort, {"inst": idx}),
                           word),) if method == "bg" else ()
         if entry.pos == "noun":
-            return Sign(entries=(entry,), head=head, index=idx, restr=sortal)
+            return Sign(entries=(entry,), indices=(idx,), head=head,
+                        index=idx, restr=sortal)
         naming = PsoaRef(FeatureStructure("naming", {
             "brer": idx, "name": FeatureStructure(entry.name_atom)}), word)
-        return Sign(entries=(entry,), head=head, index=idx, bg=(naming, *sortal))
+        return Sign(entries=(entry,), indices=(idx,), head=head, index=idx,
+                    bg=(naming, *sortal))
 
-    return Sign(entries=(entry,), head=head)
-
-
-def _filler_str(node, numbers, variables):
-    node = variables.get(node, node)
-    if node in numbers:
-        return f"#{numbers[node]}:{node.sort}"
-    return node.sort
+    return Sign(entries=(entry,), indices=(), head=head)
 
 
-def _psoa_str(node, numbers, variables):
-    inner = ", ".join(f"{role}: {_filler_str(filler, numbers, variables)}"
+def _filler_str(node, variables, sorts):
+    var = variables.get(node)
+    if var is None:
+        return node.sort
+    return f"#{var}:{sorts[var]}"
+
+
+def _psoa_str(node, variables, sorts):
+    inner = ", ".join(f"{role}: {_filler_str(filler, variables, sorts)}"
                       for role, filler in node.feats.items())
     return f"{node.sort}({inner})"
 
 
-def render_sign(sign, hierarchy, variables):
-    """Compact AVM-style rendering of a sign read through `variables`.
+def render_sign(sign, variables, sorts):
+    """Compact AVM-style rendering of a sign's parts through its variables.
 
-    Each node is shown as its `variables` image, with #n tags on shared
-    indices; bg instances made identical are listed once (`distinct_bg`).
-    A lexical sign has no identifications: pass `{}`.
+    Each variable (see `parser.Edge.variables`) is shown as `#n:sort`, its
+    number and its `sorts` entry; bg instances made identical are listed
+    once (`distinct_bg`).  Pass an edge's `variables` and `sorts`.
     """
-    numbers = sign.index_numbering(hierarchy, variables)
     lines = [f"phon: {' '.join(e.phon for e in sign.entries)}",
              f"cat|head: {sign.head}"]
     for label, slots in (("subj", sign.subj), ("comps", sign.comps)):
-        rendered = ", ".join(f"np[{_filler_str(s, numbers, variables)}]"
+        rendered = ", ".join(f"np[{_filler_str(s, variables, sorts)}]"
                              for s in slots)
         lines.append(f"{label}: < {rendered} >" if rendered else f"{label}: < >")
     if sign.nucleus is not None:
-        lines.append(f"cont|nuc: {_psoa_str(sign.nucleus, numbers, variables)}")
+        lines.append(f"cont|nuc: {_psoa_str(sign.nucleus, variables, sorts)}")
     if sign.index is not None:
-        lines.append(f"cont|index: {_filler_str(sign.index, numbers, variables)}")
+        lines.append(f"cont|index: {_filler_str(sign.index, variables, sorts)}")
     for label, refs in (("cont|restr", sign.restr), ("cont|quants", sign.quants),
                         ("cx|bg", sign.distinct_bg(variables))):
-        inner = ", ".join(_psoa_str(r.node, numbers, variables) for r in refs)
+        inner = ", ".join(_psoa_str(r.node, variables, sorts) for r in refs)
         lines.append(f"{label}: {{ {inner} }}" if inner else f"{label}: {{ }}")
     return "\n".join(lines)

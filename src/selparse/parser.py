@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .grammar import METHODS, PARTS_OF_SPEECH, Sign, compile_entry, tokenize
 from .selres import Satisfiable, check_reading
-from .tfs import FeatureStructure, meet
+from .tfs import meet
 
 __all__ = [
     "Chart",
@@ -95,8 +95,8 @@ class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
     An edge holds only what `combine` reads; the checker, the index
-    numbering and `render_sign` read `parts` through `variables`, and the
-    words and their senses from `parts.entries`.  A bind
+    assignment and `render_sign` read `parts` through `variables` and
+    `sorts`, and the words and their senses from `parts.entries`.  A bind
     identifies a verb-role slot with an np's index and keeps their meet;
     each class is a star, one index and its slots, and each bind meets the
     sort the earlier binds left, so an index's last bind holds its sort.  A
@@ -125,14 +125,30 @@ class Edge:
         return index and index.sort
 
     @cached_property
+    def _table(self):
+        bound, last_met = {}, {}
+        for slot, index, met in self.binds:
+            bound[slot], last_met[index] = index, met
+        variables, sorts = {}, {}
+        for node in self.parts.indices:
+            index = bound.get(node, node)
+            var = variables.get(index)
+            if var is None:
+                var = variables[index] = len(sorts) + 1
+                sorts[var] = last_met.get(index, index.sort)
+            variables[node] = var
+        return variables, sorts
+
+    @property
     def variables(self):
-        """Bound index or slot -> one fresh node with its last bind's meet."""
-        variables = {}
-        for slot, index, met in reversed(self.binds):
-            if index not in variables:
-                variables[index] = FeatureStructure(met)
-            variables[slot] = variables[index]
-        return variables
+        """Index node or bound slot -> its variable number: numbered by first
+        appearance in `parts.indices` (word order), a slot as its index."""
+        return self._table[0]
+
+    @property
+    def sorts(self):
+        """Variable number -> its last bind's meet, else its node's sort."""
+        return self._table[1]
 
     def __repr__(self):
         words = " ".join(e.phon for e in self.parts.entries)
@@ -225,9 +241,9 @@ def combine(left, right, schema, hierarchy):
     if rule.quantify:
         restr, quants = (), quants + restr
     # positional, in field order: keywords make this call two thirds slower
-    sign = Sign(lsign.entries + rsign.entries, core.head, core.index,
-                core.nucleus, valence["subj"], valence["comps"], restr, quants,
-                lsign.bg + rsign.bg)
+    sign = Sign(lsign.entries + rsign.entries, lsign.indices + rsign.indices,
+                core.head, core.index, core.nucleus, valence["subj"],
+                valence["comps"], restr, quants, lsign.bg + rsign.bg)
     cat = rule.mother or _valence_cat(sign)
     return Edge(left.start, right.end, cat, sign, schema, edges, binds=binds)
 
@@ -299,14 +315,14 @@ class MethodReport:
 
 
 def _constraint_key(reading):
-    """All that the checker and the index numbering read of a reading.
+    """All that the checker and the variable table read of a reading.
 
-    The content nodes and relation instances compare by identity, and the
-    identifications by their set: a class is one index and its slots, and
-    its sort the lowest of their meets, whatever order the binds came in.
+    The word-order indices and relation instances compare by identity, and
+    the identifications by their set: a class is one index and its slots,
+    and its sort the lowest of their meets, whatever order the binds came in.
     """
     parts = reading.parts
-    return (parts.index, parts.nucleus, parts.quants, parts.restr, parts.bg,
+    return (parts.indices, parts.quants, parts.restr, parts.bg,
             frozenset(reading.binds))
 
 
@@ -325,16 +341,18 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     """Analyse one sentence under "bg", "index" or "both".
 
     Returns (reports, agree): one MethodReport per method, bg first, and
-    under "both" whether the two methods keep the same reading identities
-    (None otherwise).  pre_filter counts readings with selectional checking
-    disabled.  Nothing prunes during a "bg" parse (all indices stay at the
-    root sort, so every meet in `combine` succeeds), so the bg chart,
-    filled once, doubles as the unfiltered baseline.  post_filter
-    counts survivors: solver-approved readings under "bg", the pruned
-    chart's own readings under "index".
+    under "both" whether they keep the same readings with the same sorts,
+    equal `{identity: assignment}` dicts (None otherwise); both number a
+    reading's variables alike, in word order (`Edge.variables`).
+    pre_filter counts readings with selectional checking disabled.
+    Nothing prunes during a "bg" parse (all indices stay at the root sort,
+    so every meet in `combine` succeeds), so the bg chart, filled once,
+    doubles as the unfiltered baseline.  post_filter counts survivors:
+    solver-approved readings under "bg", the pruned chart's own readings
+    under "index".
 
     Readings that differ only in attachment carry the same constraints over
-    the same variables: the solver and the index numbering run once per
+    the same variables: the solver and the index assignment run once per
     distinct constraint set (`_constraint_key`), so such readings share one
     verdict object, while each survivor gets its own assignment dict.
     """
@@ -355,15 +373,14 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
                                     surviving, violations))
     if method != "bg":
         pruned = Chart(tokens, lexicon, decls, hierarchy, "index").readings()
-        assignments = _once_per_key(pruned, lambda r: {
-            var: node.sort for node, var in
-            r.parts.index_numbering(hierarchy, r.variables).items()})
+        assignments = _once_per_key(pruned, lambda r: r.sorts)
         surviving = [(reading, dict(assignment))
                      for reading, assignment in zip(pruned, assignments)]
         reports.append(MethodReport("index", len(baseline), len(surviving),
                                     surviving, []))
     agree = None
     if method == "both":
-        bg, index = ({r.identity for r, _ in rep.surviving} for rep in reports)
+        bg, index = ({r.identity: a for r, a in rep.surviving}
+                     for rep in reports)
         agree = bg == index
     return reports, agree

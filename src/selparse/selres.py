@@ -58,19 +58,19 @@ def extract_constraints(reading, hierarchy):
 
     Scans the quantifier set, the restriction set and the background set,
     keeping single-role instances whose relation name is a declared sort
-    (which excludes relations like `naming`).  Requires a reading produced
-    under the "bg" method to be informative, since "index" compilation
-    carries restrictions on the indices instead.
+    (which excludes relations like `naming`), each on its filler's number in
+    `reading.variables`.  Requires a reading produced under the "bg" method
+    to be informative, since "index" compilation carries restrictions on the
+    indices instead.
     """
     sign, variables = reading.parts, reading.variables
-    numbers = sign.index_numbering(hierarchy, variables)
     atoms = []
     for ref in (*sign.quants, *sign.restr, *sign.distinct_bg(variables)):
         node = ref.node
         if len(node.feats) != 1 or not hierarchy.declared(node.sort):
             continue
         (filler,) = node.feats.values()
-        var = numbers.get(variables.get(filler, filler))
+        var = variables.get(filler)
         if var is not None:
             atoms.append(ConstraintAtom(node.sort, var, ref.source))
     return atoms

@@ -9,7 +9,7 @@ import pytest
 import selparse
 from selparse import data
 from selparse.cli import main
-from selparse.parser import Chart
+from selparse.parser import Chart, Edge
 
 NON_BCPO = """\
 top
@@ -97,6 +97,33 @@ def test_parse_json_single_method(capsys):
     assert set(record) == {"sentence", "method", "pre_filter", "post_filter",
                            "readings", "violations"}
     assert record["readings"][0]["assignment"] == {"1": "man", "2": "banana"}
+
+
+@pytest.mark.parametrize("sentence, assignment", [
+    ("the printer that repaired the keyboard called",
+     {"1": "printer_person", "2": "keybd"}),
+    ("list the employees of the departments that retire",
+     {"1": "employee", "2": "department"}),
+])
+def test_index_assignment_covers_every_variable(capsys, sentence, assignment):
+    # the keyboard is reached only by the embedded verb, the departments
+    # only by a preposition: both are still variables of the reading
+    code, out, _ = run(capsys, "parse", "--method", "index", "--json",
+                       sentence)
+    assert code == 0
+    (reading,) = json.loads(out)["readings"]
+    assert reading["assignment"] == assignment
+
+
+def test_batch_reports_methods_that_disagree_on_assignments(capsys,
+                                                            monkeypatch):
+    # same readings, but the index method assigns no sorts
+    monkeypatch.setattr(Edge, "sorts", property(lambda edge: {}))
+    code, out, _ = run(capsys, "batch")
+    assert code == 2
+    assert "PASS  tom ate a keyboard" in out    # no survivor: nothing differs
+    assert "FAIL  tom ate a banana  expected=accept(1) got bg=1/1 index=1/1  " \
+        "[methods disagree]" in out
 
 
 def test_parse_explain_renders_sign(capsys):

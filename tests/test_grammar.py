@@ -4,6 +4,7 @@ from selparse import load_resources
 from selparse.grammar import (GrammarError, apply_qfpsoa_declarations,
                               compile_entry, load_declarations, load_lexicon,
                               render_sign)
+from selparse.parser import Edge
 
 
 def entry_of(lexicon, word, sense=None):
@@ -159,6 +160,8 @@ def test_compile_ate_bg(hierarchy, decls, lexicon):
     # the valence slots are the nucleus role fillers
     assert sign.subj[0] is eater
     assert sign.comps[0] is eaten
+    # the word's variables: its role indices in declaration order
+    assert sign.indices == (eater, eaten)
     restrictions = {(r.node.sort, next(iter(r.node.feats.values())))
                     for r in sign.bg}
     assert restrictions == {("animate", eater), ("edible", eaten)}
@@ -234,14 +237,30 @@ def test_method_correspondence(hierarchy, decls, lexicon):
                 == _restriction_pairs_index(ix_sign, hierarchy), entry
 
 
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_a_word_lists_its_index_nodes(hierarchy, decls, lexicon, method):
+    for entries in lexicon.values():
+        for entry in entries:
+            sign = compile_entry(entry, decls, method, hierarchy)
+            if sign.nucleus is not None:
+                expected = tuple(sign.nucleus.feats.values())
+            else:
+                expected = (sign.index,) if sign.index is not None else ()
+            assert sign.indices == expected, entry
+
+
+def rendered(sign):
+    edge = Edge(0, 1, "x", sign)
+    return render_sign(sign, edge.variables, edge.sorts)
+
+
 def test_compilation_deterministic(hierarchy, decls, lexicon):
     for entries in lexicon.values():
         for entry in entries:
             for method in ("bg", "index"):
                 one = compile_entry(entry, decls, method, hierarchy)
                 two = compile_entry(entry, decls, method, hierarchy)
-                assert render_sign(one, hierarchy, {}) \
-                    == render_sign(two, hierarchy, {})
+                assert rendered(one) == rendered(two)
                 for part in ("index", "nucleus"):
                     node = getattr(one, part)
                     assert node is None or node is not getattr(two, part)

@@ -23,11 +23,6 @@ def tokens_of(sentence):
     return tokenize(sentence)
 
 
-def image(edge, node):
-    """The node that stands for `node` once the edge's binds are made."""
-    return edge.variables.get(node, node)
-
-
 def test_tokenize():
     assert tokenize("Tom ate a keyboard.") == ["tom", "ate", "a", "keyboard"]
     assert tokenize("  The  printer called!  ") \
@@ -42,15 +37,13 @@ def test_intro_sentence_bg_reading(hierarchy, lexicon, decls):
     reading = readings[0]
     assert reading.derivation_string \
         == "(S (NP tom) (VP ate (NP a keyboard)))"
-    parts = reading.parts
-    numbers = parts.index_numbering(hierarchy, reading.variables)
+    parts, variables = reading.parts, reading.variables
 
     def atom_set(refs):
-        return {(r.node.sort,
-                 numbers[image(reading, next(iter(r.node.feats.values())))])
+        return {(r.node.sort, variables[next(iter(r.node.feats.values()))])
                 for r in refs if r.node.sort != "naming"}
 
-    bg_refs = parts.distinct_bg(reading.variables)
+    bg_refs = parts.distinct_bg(variables)
     bg = atom_set(bg_refs)
     # the man and edible constraints plus the uniformly emitted subject one
     assert {("man", 1), ("edible", 2)} <= bg
@@ -69,10 +62,7 @@ def test_banana_sentence_parses_under_index_method(hierarchy, lexicon, decls):
     readings = parse_sentence("tom ate a banana", lexicon, decls,
                               hierarchy, "index")
     assert len(readings) == 1
-    numbers = readings[0].parts.index_numbering(hierarchy,
-                                                readings[0].variables)
-    assert {var: node.sort for node, var in numbers.items()} \
-        == {1: "man", 2: "banana"}
+    assert readings[0].sorts == {1: "man", 2: "banana"}
 
 
 def _edges_by_word(tokens, lexicon, decls, hierarchy, method):
@@ -101,8 +91,8 @@ def test_combine_verb_with_object(hierarchy, lexicon, decls, method,
     assert "edible" in {r.node.sort for r in vp.parts.distinct_bg(vp.variables)}
     assert [r.node.sort for r in vp.parts.quants] == ["keybd"]
     # the keyboard's index picked up the verb's eaten role filler
-    eaten = image(vp, vp.parts.nucleus.feats["eaten"])
-    assert image(vp, vp.parts.quants[0].node.feats["inst"]) is eaten
+    eaten = vp.variables[vp.parts.nucleus.feats["eaten"]]
+    assert vp.variables[vp.parts.quants[0].node.feats["inst"]] == eaten
 
 
 def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
@@ -123,7 +113,7 @@ def test_identified_bg_instances_are_kept_once(hierarchy, lexicon, decls):
     (person,) = parts.distinct_bg(variables)
     assert person.node.sort == "person"
     assert variables[person.node.feats["inst"]] \
-        is variables[parts.nucleus.feats["retirer"]]
+        == variables[parts.nucleus.feats["retirer"]]
 
 
 @pytest.mark.parametrize("sentence,expected", [
@@ -189,6 +179,28 @@ def test_methods_agree_on_corpus(hierarchy, lexicon, decls, sentence):
     index_surviving = {r.identity for r in parse_sentence(
         sentence, lexicon, decls, hierarchy, "index")}
     assert bg_surviving == index_surviving
+
+
+@pytest.mark.parametrize("sentence", [
+    *CORPUS_SENTENCES,
+    *(ladder("attachment", k) for k in range(1, 7)),
+    *(ladder("sense", k) for k in range(1, 4)),
+    "the printer that repaired the keyboard called",    # an embedded verb
+])
+def test_methods_agree_on_assignments(hierarchy, lexicon, decls, sentence):
+    # the same readings with the same sortal interpretation: the solver's
+    # assignment of a bg survivor is the index reading's variable sorts
+    bg = {}
+    for reading in parse_sentence(sentence, lexicon, decls, hierarchy, "bg"):
+        verdict = check_reading(reading, hierarchy)
+        if isinstance(verdict, Satisfiable):
+            bg[reading.identity] = verdict.assignment
+    index = {reading.identity: reading.sorts for reading in parse_sentence(
+        sentence, lexicon, decls, hierarchy, "index")}
+    assert bg == index
+    _, agree = run_method(tokenize(sentence), lexicon, decls, hierarchy,
+                          "both")
+    assert agree is True
 
 
 @pytest.mark.parametrize("sentence", CORPUS_SENTENCES)
@@ -389,11 +401,17 @@ def test_identification_classes_are_stars(hierarchy, thing_lexicon, decls,
         index = edge.parts.index
         lexical = index and index.sort
         assert edge.index_sort == meets.get(index, [lexical])[-1]
-        variables = edge.variables
+        variables, sorts = edge.variables, edge.sorts
+        classes = union_find_classes(edge.binds, hierarchy)
+        # numbered 1, 2, ... by first appearance of a class in word order
+        indices = edge.parts.indices
+        assert set(variables) == set(indices)
+        assert list(dict.fromkeys(variables[n] for n in indices)) \
+            == list(sorts) == list(range(1, len(sorts) + 1))
         assert {node: (frozenset(m for m in variables
-                                 if variables[m] is variables[node]),
-                       variables[node].sort) for node in variables} \
-            == union_find_classes(edge.binds, hierarchy)
+                                 if variables[m] == variables[node]),
+                       sorts[variables[node]]) for node in classes} \
+            == classes
 
 
 def test_each_bind_on_an_index_narrows_it_in_turn(hierarchy, thing_lexicon,
@@ -407,7 +425,7 @@ def test_each_bind_on_an_index_narrows_it_in_turn(hierarchy, thing_lexicon,
     # the relative clause's eater, then the main clause's retirer
     assert [met for _, index, met in reading.binds if index is thing] \
         == ["animate", "person"]
-    assert reading.variables[thing].sort == "person"
+    assert reading.sorts[reading.variables[thing]] == "person"
 
 
 def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
@@ -498,16 +516,16 @@ def test_fill_unifies_nothing_and_a_read_sign_once(hierarchy, lexicon, decls,
                    selparse.selres):    # wherever it is held
         monkeypatch.setattr(module, "unify_map", counting_unify_map,
                             raising=False)
-    real_variables = Edge.variables.func
+    real_table = Edge._table.func
     computed = []
 
-    def counting_variables(edge):
+    def counting_table(edge):
         computed.append(edge)
-        return real_variables(edge)
+        return real_table(edge)
 
-    variables = cached_property(counting_variables)
-    variables.__set_name__(Edge, "variables")
-    monkeypatch.setattr(Edge, "variables", variables)
+    table = cached_property(counting_table)
+    table.__set_name__(Edge, "_table")
+    monkeypatch.setattr(Edge, "_table", table)
 
     tokens = tokenize(ladder("attachment", 2))
     chart = Chart(tokens, lexicon, decls, hierarchy, method)
@@ -516,7 +534,7 @@ def test_fill_unifies_nothing_and_a_read_sign_once(hierarchy, lexicon, decls,
     assert readings
     for reading in readings:
         check_reading(reading, hierarchy)
-        assert reading.parts.index_numbering(hierarchy, reading.variables)
+        assert reading.sorts
     assert computed == readings     # once each, and only for readings
     run_method(tokens, lexicon, decls, hierarchy, "both")
     assert unify_calls == []
@@ -576,10 +594,7 @@ def assert_shared_results_are_fresh(reports, hierarchy):
                 assert isinstance(fresh, Satisfiable)
                 assert fresh.assignment == assignment
             else:
-                numbers = reading.parts.index_numbering(hierarchy,
-                                                        reading.variables)
-                assert assignment == {var: node.sort
-                                      for node, var in numbers.items()}
+                assert assignment == reading.sorts
         for reading, violation in report.violations:
             # compares var, conflicting and narrative
             assert check_reading(reading, hierarchy) == violation

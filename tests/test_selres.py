@@ -283,7 +283,8 @@ def unified_reading(reading, hierarchy):
     parts = reading.parts
     instances = (*parts.restr, *parts.quants, *parts.bg)
     roots = [node for node in (parts.index, parts.nucleus, *parts.subj,
-                               *parts.comps, *(r.node for r in instances))
+                               *parts.comps, *parts.indices,
+                               *(r.node for r in instances))
              if node is not None]
     mapping = unify_map([(slot, index) for slot, index, _ in reading.binds],
                         roots, hierarchy)
@@ -296,7 +297,8 @@ def unified_reading(reading, hierarchy):
         key = (ref.node.sort, tuple(sorted(
             (feat, id(filler)) for feat, filler in ref.node.feats.items())))
         bg.setdefault(key, ref)
-    sign = replace(parts, index=mapping.get(parts.index),
+    sign = replace(parts, indices=tuple(mapping[n] for n in parts.indices),
+                   index=mapping.get(parts.index),
                    nucleus=mapping.get(parts.nucleus),
                    subj=tuple(mapping[s] for s in parts.subj),
                    comps=tuple(mapping[s] for s in parts.comps),
@@ -334,8 +336,9 @@ def test_reading_variables_agree_with_unifying_the_sign(hierarchy, lexicon,
                 == with_sources(extract_constraints(old, hierarchy))
             assert verdict(check_reading(reading, hierarchy)) \
                 == verdict(check_reading(old, hierarchy))
-            assert render_sign(reading.parts, hierarchy, reading.variables) \
-                == render_sign(old.parts, hierarchy, {})
+            assert render_sign(reading.parts, reading.variables,
+                               reading.sorts) \
+                == render_sign(old.parts, old.variables, old.sorts)
     for reading, assignment in bg.surviving:
         old = unified_reading(reading, hierarchy)
         assert verdict(check_reading(old, hierarchy)) == assignment
@@ -343,6 +346,4 @@ def test_reading_variables_agree_with_unifying_the_sign(hierarchy, lexicon,
         old = unified_reading(reading, hierarchy)
         assert verdict(check_reading(old, hierarchy)) == verdict(violation)
     for reading, assignment in index.surviving:
-        numbers = unified_reading(reading, hierarchy).parts.index_numbering(
-            hierarchy, {})
-        assert {var: node.sort for node, var in numbers.items()} == assignment
+        assert unified_reading(reading, hierarchy).sorts == assignment
