@@ -251,10 +251,7 @@ def combine(left, right, schema, hierarchy):
 class Chart:
     """One parse's worth of edges, kept per span, plus size statistics.
 
-    A chart is filled when it is built and is private to one parse;
-    distinct sentences may be parsed concurrently against the same lexicon
-    (immutable) and hierarchy (whose only mutable state, its lower-bound
-    memo, gets equal values from concurrent fills).
+    A chart is filled when it is built and is private to one parse.
     """
 
     def __init__(self, tokens, lexicon, decls, hierarchy, method="bg"):

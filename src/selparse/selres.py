@@ -90,30 +90,35 @@ def merge_pair(c1, c2, hierarchy):
                      for sort in hierarchy.maximal_lower_bounds(c1.sort, c2.sort))
 
 
-def _reduce_variable(var, group, hierarchy):
-    """Fold a variable's constraints down to one, branching on merge ties.
+def _reduce_variable(group, hierarchy):
+    """Fold a variable's constraints down to one, one AND of masks per atom.
 
-    Returns (final sort, None) on success, or (None, conflict) where the
-    conflict is the first irreplaceable pair met on the leftmost branch.
+    A zero AND is a conflict; a nonzero one that is no sort's mask (a tie)
+    branches on its maximal lower bounds in name order.  Returns (final
+    sort, None), or (None, the first conflict on the leftmost branch).
     """
-    # a stack of pending fold states, each a list of (sort, sources); the
-    # candidates go on in reverse so the leftmost branch is explored first
+    mask, by_mask = hierarchy.mask, hierarchy.by_mask
     first_conflict = None
-    stack = [[(atom.sort, (atom.source,) if atom.source else ())
-              for atom in group]]
+    stack = [(mask[group[0].sort], 1)]      # (AND so far, next atom)
     while stack:
-        items = stack.pop()
-        if len(items) == 1:
-            return items[0][0], None
-        (s1, src1), (s2, src2) = items[0], items[1]
-        candidates = merge_pair(ConstraintAtom(s1, var),
-                                ConstraintAtom(s2, var), hierarchy)
-        if not candidates and first_conflict is None:
-            first_conflict = ((s1, src1), (s2, src2))
-        merged_sources = src1 + src2
-        for candidate in sorted((c.sort for c in candidates), reverse=True):
-            stack.append([(candidate, merged_sources)] + items[2:])
+        met, start = stack.pop()
+        for i in range(start, len(group)):
+            so_far, met = met, met & mask[group[i].sort]
+            if met not in by_mask:
+                break
+        else:
+            return by_mask[met], None
+        if met:
+            ties = hierarchy.maximal_lower_bounds(by_mask[so_far], group[i].sort)
+            stack.extend((mask[s], i + 1) for s in sorted(ties, reverse=True))
+        elif first_conflict is None:
+            first_conflict = ((by_mask[so_far], _sources(group[:i])),
+                              (group[i].sort, _sources(group[i:i + 1])))
     return None, first_conflict
+
+
+def _sources(atoms):
+    return tuple(atom.source for atom in atoms if atom.source)
 
 
 def solve(atoms, hierarchy):
@@ -131,17 +136,12 @@ def solve(atoms, hierarchy):
         grouped.setdefault(atom.var, []).append(atom)
     assignment = {}
     for var in sorted(grouped):
-        group = grouped[var]
-        if len(group) == 1:     # nothing to fold
-            assignment[var] = group[0].sort
-            continue
-        final, conflict = _reduce_variable(var, group, hierarchy)
+        final, conflict = _reduce_variable(grouped[var], hierarchy)
         if final is None:
             (s1, sources1), (s2, sources2) = conflict
-            words = [w for w in (*sources1, *sources2) if w]
             narrative = f"violation: var={var} sorts={s1},{s2}"
-            if words:
-                narrative += " from=" + ",".join(words)
+            if sources1 + sources2:
+                narrative += " from=" + ",".join(sources1 + sources2)
             return Violation(var, frozenset({s1, s2}), narrative)
         assignment[var] = final
     return Satisfiable(assignment)

@@ -1,14 +1,10 @@
 """Semantic sort hierarchies: types of world entities ordered by subsumption.
 
 A hierarchy is a rooted DAG of sort names.  It is loaded from a small
-line-oriented text format and validated.  Its structure never changes
-afterwards; its only mutable state is a memo of the lower bounds of the sort
-pairs met so far.  Concurrent fills of one memo entry write equal values, so
-a hierarchy can still be shared across threads and parses.
+line-oriented text format and validated, and never changes afterwards.
 """
 
 import re
-from itertools import combinations
 
 __all__ = [
     "AmbiguousMeetError",
@@ -54,58 +50,58 @@ def lines(text):
 class SortHierarchy:
     """Fixed DAG of sorts; an ancestor is more general than its descendants.
 
-    `subsumes(a, b)` holds when a == b or a is an ancestor of b.  Two sorts
-    are consistent when they share a lower bound; `maximal_lower_bounds`
-    yields the most general shared subsorts, and `glb` the unique one (which
-    exists for every consistent pair exactly when the hierarchy is a bounded
-    complete partial order, see `bcpo_violations`).  Both read a per-instance
-    memo of each pair's maximal lower bounds, filled on first use.
+    `mask[s]` has one bit per sort at or below s, its down-set (Ait-Kaci,
+    Boyer, Lincoln & Nasr 1989), and `by_mask` maps each mask to its sort.
+    The AND of two masks is the down-set of their common lower bounds:
+    `maximal_lower_bounds` yields its most general sorts, none on a
+    conflict, and `glb` the unique one, which exists for every consistent
+    pair exactly when the hierarchy is a bounded complete partial order (see
+    `bcpo_violations`).  There the AND is the glb's own mask.
     """
 
     def __init__(self, parents):
         self.parents = {s: frozenset(ps) for s, ps in parents.items()}
         self.sorts = frozenset(self.parents)
+        children = {s: [] for s in self.sorts}
         for s in sorted(self.parents):
             for p in sorted(self.parents[s]):
                 if p not in self.sorts:
                     raise HierarchyError(
                         f"sort {s!r} names undeclared parent {p!r}", s)
+                children[p].append(s)
         roots = sorted(s for s, ps in self.parents.items() if not ps)
         if not roots:
             raise HierarchyError("no root: every sort declares a parent")
         if len(roots) > 1:
             raise HierarchyError("multiple roots: " + ", ".join(roots))
         self.root = roots[0]
-        up = {}
-        for s in self._toposort():
-            anc = {s}
+        # bit i is the i-th sort from the bottom: children before parents
+        self._by_bit = self._toposort(children)[::-1]
+        self.mask = dict.fromkeys(self._by_bit, 0)
+        for bit, s in enumerate(self._by_bit):
+            m = self.mask[s] = self.mask[s] | 1 << bit
             for p in self.parents[s]:
-                anc.update(up[p])
-            up[s] = anc
-        self._down = {s: set() for s in self.sorts}
-        for s, anc in up.items():
-            for a in anc:
-                self._down[a].add(s)
-        self._meets = {}    # (a, b) -> maximal lower bounds, both orders
+                self.mask[p] |= m
+        self.by_mask = {m: s for s, m in self.mask.items()}
 
-    def _toposort(self):
-        # parents before children; a sort never placed is on or below a cycle
-        order = []
-        placed = set()
-        pending = set(self.sorts)
-        while pending:
-            ready = sorted(s for s in pending if self.parents[s] <= placed)
-            if not ready:
-                # each pending sort has a pending parent; climbing from one
-                # by smallest such parent must revisit a sort on a cycle
-                seen, s = set(), min(pending)
-                while s not in seen:
-                    seen.add(s)
-                    s = min(self.parents[s] & pending)
-                raise HierarchyError(f"cycle detected through sort {s!r}", s)
-            order.extend(ready)
-            placed.update(ready)
-            pending.difference_update(ready)
+    def _toposort(self, children):
+        # parents first (Kahn); a sort never placed is on or below a cycle
+        waiting = {s: len(ps) for s, ps in self.parents.items()}
+        order = [self.root]
+        for s in order:     # grows while it is walked
+            for c in children[s]:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    order.append(c)
+        if len(order) < len(self.sorts):
+            # each pending sort has a pending parent; climbing from one
+            # by smallest such parent must revisit a sort on a cycle
+            pending = self.sorts.difference(order)
+            seen, s = set(), min(pending)
+            while s not in seen:
+                seen.add(s)
+                s = min(self.parents[s] & pending)
+            raise HierarchyError(f"cycle detected through sort {s!r}", s)
         return order
 
     def __len__(self):
@@ -117,33 +113,33 @@ class SortHierarchy:
     def declared(self, sort):
         return sort in self.sorts
 
-    def _check(self, sort):
-        if sort not in self.sorts:
-            raise HierarchyError(f"unknown sort {sort!r}")
+    def _common(self, a, b):
+        try:
+            return self.mask[a] & self.mask[b]
+        except KeyError as exc:
+            raise HierarchyError(f"unknown sort {exc.args[0]!r}") from None
+
+    def _members(self, m):  # the sorts whose bits are set in mask m
+        while m:
+            low = m & -m
+            yield self._by_bit[low.bit_length() - 1]
+            m ^= low
+
+    def _maximal(self, common):
+        # in a down-set, a member is maximal when none of its parents is one
+        members = set(self._members(common))
+        return frozenset(s for s in members
+                         if members.isdisjoint(self.parents[s]))
 
     def subsumes(self, a, b):
         """True iff a == b or a is an ancestor of b (a is at least as general)."""
-        self._check(a)
-        self._check(b)
-        return b in self._down[a]
+        return self._common(a, b) == self.mask[b]
 
     def maximal_lower_bounds(self, a, b):
         """Most general sorts subsumed by both a and b; empty means conflict."""
-        mlbs = self._meets.get((a, b))
-        if mlbs is None:
-            # only declared sorts reach the memo
-            self._check(a)
-            self._check(b)
-            mlbs = self._meets[a, b] = self._meets[b, a] = \
-                self._lower_bounds(a, b)
-        return mlbs
-
-    def _lower_bounds(self, a, b):
-        # common is closed downwards, so s is maximal in it exactly when
-        # none of its parents is in it
-        common = self._down[a] & self._down[b]
-        return frozenset(s for s in common
-                         if common.isdisjoint(self.parents[s]))
+        common = self._common(a, b)
+        sort = self.by_mask.get(common)
+        return self._maximal(common) if sort is None else frozenset((sort,))
 
     def glb(self, a, b):
         """The unique maximal lower bound of a and b, or None when they conflict.
@@ -151,35 +147,39 @@ class SortHierarchy:
         Raises AmbiguousMeetError when several maximal lower bounds exist;
         that cannot happen once `bcpo_violations()` comes back empty.
         """
-        mlbs = self.maximal_lower_bounds(a, b)
-        if not mlbs:
-            return None
-        if len(mlbs) > 1:
+        try:    # `_common` inlined: this is the parser's meet
+            common = self.mask[a] & self.mask[b]
+        except KeyError as exc:
+            raise HierarchyError(f"unknown sort {exc.args[0]!r}") from None
+        sort = self.by_mask.get(common)
+        if sort is None and common:
             raise AmbiguousMeetError(
                 f"sorts {a!r} and {b!r} have several maximal lower bounds: "
-                + ", ".join(sorted(mlbs)))
-        return next(iter(mlbs))
+                + ", ".join(sorted(self._maximal(common))))
+        return sort
 
     def bcpo_violations(self):
         """Sort pairs with more than one maximal lower bound, in sorted order.
 
-        Such a pair is incomparable, so each of its bounds has two or more
-        parents (one parent would be a greater common lower bound), and both
-        sorts are strict ancestors of it.  Only pairs of strict ancestors of
-        a multi-parent sort are checked, and the memo is left alone.
+        Every bound of such a pair has two or more parents (one parent would
+        be a greater common lower bound), so only incomparable pairs of
+        strict ancestors of a multi-parent sort are checked.
         """
+        up = {}     # sort -> mask of the sorts at or above it
+        for bit, s in reversed(list(enumerate(self._by_bit))):
+            up[s] = 1 << bit
+            for p in self.parents[s]:
+                up[s] |= up[p]
         pairs = set()
         for s, ps in self.parents.items():
             if len(ps) > 1:
-                above = sorted(a for a in self.sorts
-                               if a != s and s in self._down[a])
-                pairs.update(combinations(above, 2))
-        out = []
-        for a, b in sorted(pairs):
-            mlbs = self._lower_bounds(a, b)
-            if len(mlbs) > 1:
-                out.append((a, b, mlbs))
-        return out
+                above = up[s] & ~self.mask[s]
+                for a in self._members(above):
+                    for b in self._members(above & ~(up[a] | self.mask[a])):
+                        pairs.add((a, b) if a < b else (b, a))
+        return [(a, b, self._maximal(self.mask[a] & self.mask[b]))
+                for a, b in sorted(pairs)
+                if self.mask[a] & self.mask[b] not in self.by_mask]
 
 
 def load_hierarchy(text):

@@ -13,6 +13,8 @@ equality.
 
 from dataclasses import dataclass, field
 
+from .sorts import HierarchyError
+
 __all__ = [
     "FeatureStructure",
     "UnificationFailure",
@@ -55,9 +57,10 @@ def meet(s1, s2, hierarchy):
     """The meet of two node sorts, or None; equal sorts meet without a lookup."""
     if s1 == s2:
         return s1
-    if hierarchy.declared(s1) and hierarchy.declared(s2):
+    try:
         return hierarchy.glb(s1, s2)
-    return None
+    except HierarchyError:  # an undeclared sort meets only itself
+        return None
 
 
 def unify_map(pairs, roots, hierarchy):

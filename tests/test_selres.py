@@ -12,7 +12,7 @@ from selparse.parser import Edge, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
                              solve)
-from selparse.sorts import load_hierarchy
+from selparse.sorts import SortHierarchy, load_hierarchy
 from selparse.tfs import unify_map
 
 # not BCPO: a and b meet in both x and y, and only y lies below c
@@ -200,8 +200,7 @@ def fold_every_variable(atoms, hierarchy):
         grouped.setdefault(a.var, []).append(a)
     out = []
     for var in sorted(grouped):
-        final, conflict = selres._reduce_variable(var, grouped[var],
-                                                  hierarchy)
+        final, conflict = selres._reduce_variable(grouped[var], hierarchy)
         out.append((var, final or conflict))
         if final is None:
             break
@@ -209,23 +208,31 @@ def fold_every_variable(atoms, hierarchy):
 
 
 @pytest.fixture
-def merge_calls(monkeypatch):
+def tie_branches(monkeypatch):
+    """The sort pairs a fold branches on: it asks the lattice for their ties."""
     calls = []
-    original = selres.merge_pair
+    original = SortHierarchy.maximal_lower_bounds
 
-    def counting(c1, c2, hierarchy):
-        calls.append((c1, c2))
-        return original(c1, c2, hierarchy)
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
 
-    monkeypatch.setattr(selres, "merge_pair", counting)
+    monkeypatch.setattr(SortHierarchy, "maximal_lower_bounds", counting)
     return calls
 
 
-def test_solve_merges_nothing_for_one_atom_variables(hierarchy, merge_calls):
+def test_solve_merges_nothing_for_one_atom_variables(hierarchy, tie_branches):
     atoms = [atom("man", 1), atom("banana", 2), atom("keybd", 3)]
     assert solve(atoms, hierarchy) \
         == Satisfiable({1: "man", 2: "banana", 3: "keybd"})
-    assert merge_calls == []
+    assert tie_branches == []
+
+
+def test_solve_branches_once_per_tie(tie_branches):
+    # a ^ b is the tie {x, y}; x ^ c conflicts and y ^ c is y
+    atoms = [atom("a", 1), atom("b", 1), atom("c", 1)]
+    assert solve(atoms, BRANCHING) == Satisfiable({1: "y"})
+    assert tie_branches == [("a", "b")]
 
 
 @pytest.mark.parametrize("sentence", [
@@ -234,7 +241,7 @@ def test_solve_merges_nothing_for_one_atom_variables(hierarchy, merge_calls):
     *(ladder("sense", k) for k in range(1, 3)),
 ])
 def test_solve_merges_once_per_extra_atom_on_a_bcpo_hierarchy(
-        hierarchy, lexicon, decls, merge_calls, sentence):
+        hierarchy, lexicon, decls, tie_branches, sentence):
     # the bundled hierarchy is BCPO, so a fold never branches; a violation
     # stops it early
     assert hierarchy.bcpo_violations() == []
@@ -243,14 +250,11 @@ def test_solve_merges_once_per_extra_atom_on_a_bcpo_hierarchy(
     for reading in readings:
         atoms = extract_constraints(reading, hierarchy)
         folded = fold_every_variable(atoms, hierarchy)
-        merge_calls.clear()
         verdict = solve(atoms, hierarchy)
-        extra = len(atoms) - len({a.var for a in atoms})
+        assert tie_branches == []
         if isinstance(verdict, Satisfiable):
-            assert len(merge_calls) == extra
             assert list(verdict.assignment.items()) == folded
         else:
-            assert len(merge_calls) <= extra
             var, ((s1, sources1), (s2, sources2)) = folded[-1]
             words = ",".join((*sources1, *sources2))
             narrative = f"violation: var={var} sorts={s1},{s2}" \

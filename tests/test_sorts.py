@@ -1,5 +1,8 @@
 import random
+from contextlib import suppress
+from copy import copy
 from itertools import combinations, permutations, product
+from time import perf_counter
 
 import pytest
 
@@ -195,11 +198,21 @@ def every_pair(h):
     return list(product(sorted(h.sorts), repeat=2))
 
 
-def test_warm_memo_still_matches_oracle_in_both_orders(hierarchy):
+def state(h):
+    """A copy of everything the hierarchy holds."""
+    return {name: copy(value) for name, value in vars(h).items()}
+
+
+def test_all_pair_meets_match_oracle_and_leave_the_hierarchy_unchanged(
+        hierarchy):
     for h in [hierarchy, load_hierarchy(NON_BCPO)] \
             + [random_dag(seed) for seed in range(5)]:
+        before = state(h)
         for a, b in every_pair(h):
             h.maximal_lower_bounds(a, b)
+            with suppress(AmbiguousMeetError):
+                h.glb(a, b)
+        assert state(h) == before
         for a, b in every_pair(h):
             expected = brute_maximal_lower_bounds(h, a, b)
             assert h.maximal_lower_bounds(a, b) == expected, (a, b)
@@ -227,14 +240,36 @@ def test_glb_ambiguous_on_every_call():
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_bcpo_violations_leaves_the_memo_alone(warm):
+def test_bcpo_violations_leaves_the_hierarchy_unchanged(warm):
     h = random_dag(3)
     if warm:
         h.maximal_lower_bounds("s5", "s7")
         h.glb("s0", "s9")
-    before = dict(h._meets)
+    before = state(h)
     assert h.bcpo_violations()
-    assert h._meets == before
+    assert state(h) == before
+
+
+def chain(size, *extra):
+    """s0 above s1 above ... s<size - 1>, then the `extra` lines."""
+    return "\n".join(["s0", *(f"s{i}: s{i - 1}" for i in range(1, size)),
+                      *extra])
+
+
+def test_a_deep_chain_loads_in_linear_time():
+    start = perf_counter()
+    h = load_hierarchy(chain(8000))
+    assert perf_counter() - start < 2
+    assert h.subsumes("s0", "s7999") and not h.subsumes("s7999", "s0")
+    assert h.glb("s4000", "s6000") == "s6000"
+
+
+def test_a_deep_chain_validates_in_bounded_time():
+    # x's parents are comparable, so every pair above x has a unique glb
+    start = perf_counter()
+    h = load_hierarchy(chain(2000, "x: s1999, s1000"))
+    assert h.bcpo_violations() == []
+    assert perf_counter() - start < 2
 
 
 def test_hierarchies_sharing_sort_names_keep_their_own_bounds():
