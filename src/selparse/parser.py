@@ -78,6 +78,9 @@ RULES = {
 }
 
 SCHEMAS = {(rule.left, rule.right): name for name, rule in RULES.items()}
+# SCHEMAS by row: left category -> {right category: schema}
+_SCHEMA_ROWS = {left: {b: name for (a, b), name in SCHEMAS.items() if a == left}
+                for left, _ in SCHEMAS}
 
 _PHRASE_LABEL = {"s": "S", "np": "NP", "vp": "VP", "pp": "PP", "relc": "RelC"}
 
@@ -194,10 +197,8 @@ class Edge:
                 tuple(e.sense_id for e in self.parts.entries))
 
 
-def _valence_cat(sign):
-    if sign.comps:
-        return "v"
-    return "vp" if sign.subj else "s"
+def _valence_cat(sign):     # inlined in combine
+    return "v" if sign.comps else "vp" if sign.subj else "s"
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
@@ -220,21 +221,22 @@ def combine(left, right, schema, hierarchy):
     rule = RULES.get(schema)
     if rule is None:
         raise ValueError(f"unknown schema {schema!r}")
-    edges = (left, right)
     lsign, rsign = left.parts, right.parts
-    head = edges[rule.head]
-    core = head.parts
-    valence = {"subj": core.subj, "comps": core.comps}
+    core = rsign if rule.head else lsign
+    subj, comps = core.subj, core.comps
     binds = left.binds + right.binds
     if rule.slot is not None:
-        selector, dependent = edges[rule.selector], edges[1 - rule.selector]
-        pending = getattr(selector.parts, rule.slot)
+        selector, dependent = (rsign, left) if rule.selector else (lsign, right)
+        pending = selector.comps if rule.slot == "comps" else selector.subj
         slot = pending[0]
         met = meet(slot.sort, dependent.index_sort, hierarchy)
         if met is None:
             return None
-        if selector is head:
-            valence[rule.slot] = pending[1:]
+        if selector is core:
+            if rule.slot == "comps":
+                comps = pending[1:]
+            else:
+                subj = pending[1:]
         binds += ((slot, dependent.parts.index, met),)
     restr = lsign.restr + rsign.restr
     quants = lsign.quants + rsign.quants
@@ -242,10 +244,10 @@ def combine(left, right, schema, hierarchy):
         restr, quants = (), quants + restr
     # positional, in field order: keywords make this call two thirds slower
     sign = Sign(lsign.entries + rsign.entries, lsign.indices + rsign.indices,
-                core.head, core.index, core.nucleus, valence["subj"],
-                valence["comps"], restr, quants, lsign.bg + rsign.bg)
-    cat = rule.mother or _valence_cat(sign)
-    return Edge(left.start, right.end, cat, sign, schema, edges, binds=binds)
+                core.head, core.index, core.nucleus, subj, comps, restr,
+                quants, lsign.bg + rsign.bg)
+    cat = rule.mother or ("v" if comps else "vp" if subj else "s")
+    return Edge(left.start, right.end, cat, sign, schema, (left, right), binds)
 
 
 class Chart:
@@ -278,21 +280,33 @@ class Chart:
         for edge in lexical_edges(self.tokens, self.lexicon, self.decls,
                                   self.hierarchy, self.method):
             self._add(edge)
+        cells, ends, hierarchy = self.cells, self.ends, self.hierarchy
         n = len(self.tokens)
         for width in range(2, n + 1):
             for start in range(0, n - width + 1):
                 end = start + width
-                for split in self.ends[start]:
+                cell = []
+                for split in ends[start]:
                     if split >= end:
                         break
-                    for l_edge in self.cells[start, split]:
-                        for r_edge in self.cells.get((split, end), ()):
-                            schema = SCHEMAS.get((l_edge.cat, r_edge.cat))
+                    rights = cells.get((split, end))
+                    if rights is None:
+                        continue
+                    for l_edge in cells[start, split]:
+                        row = _SCHEMA_ROWS.get(l_edge.cat)
+                        if row is None:
+                            continue
+                        for r_edge in rights:
+                            schema = row.get(r_edge.cat)
                             if schema is None:
                                 continue
-                            edge = combine(l_edge, r_edge, schema, self.hierarchy)
+                            edge = combine(l_edge, r_edge, schema, hierarchy)
                             if edge is not None:
-                                self._add(edge)
+                                cell.append(edge)
+                if cell:    # no split reads the cell it fills
+                    cells[start, end] = cell
+                    ends[start].append(end)
+                    self.edges_built += len(cell)
 
     def readings(self):
         """Complete-sentence readings: saturated verbal edges spanning everything."""

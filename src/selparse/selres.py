@@ -6,6 +6,10 @@ index variable filling its role.  Two constraints on one variable can be
 replaced by a constraint for each of their sorts' maximal lower bounds; a
 reading is acceptable exactly when every variable reduces to a single
 constraint this way.
+
+`check_reading` reads a reading's constraints in one pass, grouped by
+variable as (sort, source word) pairs; `solve` groups `ConstraintAtom`s, the
+form `extract_constraints` lists, into the same pairs.  Both run one fold.
 """
 
 from dataclasses import dataclass, field
@@ -91,7 +95,7 @@ def merge_pair(c1, c2, hierarchy):
 
 
 def _reduce_variable(group, hierarchy):
-    """Fold a variable's constraints down to one, one AND of masks per atom.
+    """Fold a variable's (sort, source) pairs to one sort, an AND per pair.
 
     A zero AND is a conflict; a nonzero one that is no sort's mask (a tie)
     branches on its maximal lower bounds in name order.  Returns (final
@@ -99,44 +103,37 @@ def _reduce_variable(group, hierarchy):
     """
     mask, by_mask = hierarchy.mask, hierarchy.by_mask
     first_conflict = None
-    stack = [(mask[group[0].sort], 1)]      # (AND so far, next atom)
+    stack = [(mask[group[0][0]], 1)]        # (AND so far, next pair)
     while stack:
         met, start = stack.pop()
         for i in range(start, len(group)):
-            so_far, met = met, met & mask[group[i].sort]
+            so_far, met = met, met & mask[group[i][0]]
             if met not in by_mask:
                 break
         else:
             return by_mask[met], None
         if met:
-            ties = hierarchy.maximal_lower_bounds(by_mask[so_far], group[i].sort)
+            ties = hierarchy.maximal_lower_bounds(by_mask[so_far], group[i][0])
             stack.extend((mask[s], i + 1) for s in sorted(ties, reverse=True))
         elif first_conflict is None:
             first_conflict = ((by_mask[so_far], _sources(group[:i])),
-                              (group[i].sort, _sources(group[i:i + 1])))
+                              (group[i][0], _sources(group[i:i + 1])))
     return None, first_conflict
 
 
-def _sources(atoms):
-    return tuple(atom.source for atom in atoms if atom.source)
+def _sources(pairs):
+    return tuple(source for _, source in pairs if source)
 
 
-def solve(atoms, hierarchy):
-    """Reduce a constraint multiset to at most one constraint per variable.
-
-    Variables are handled independently, lowest-numbered first.  Within a
-    variable, constraints fold left to right in the order given, branching
-    whenever a pair has several maximal lower bounds, so the outcome does
-    not depend on hierarchies having unique meets.  Returns Satisfiable with
-    the final sort per variable, or a Violation for the lowest variable
-    whose constraints admit no common lower bound.
-    """
-    grouped = {}
-    for atom in atoms:
-        grouped.setdefault(atom.var, []).append(atom)
+def _fold(grouped, hierarchy):
+    """The verdict on {var: [(sort, source), ...]}, lowest variable first."""
     assignment = {}
     for var in sorted(grouped):
-        final, conflict = _reduce_variable(grouped[var], hierarchy)
+        pairs = grouped[var]
+        if len(pairs) == 1:     # most variables: the sort is its own fold
+            assignment[var] = pairs[0][0]
+            continue
+        final, conflict = _reduce_variable(pairs, hierarchy)
         if final is None:
             (s1, sources1), (s2, sources2) = conflict
             narrative = f"violation: var={var} sorts={s1},{s2}"
@@ -147,6 +144,50 @@ def solve(atoms, hierarchy):
     return Satisfiable(assignment)
 
 
+def solve(atoms, hierarchy):
+    """Reduce a constraint multiset to at most one constraint per variable.
+
+    Variables are handled independently, lowest-numbered first.  Within a
+    variable, constraints fold left to right in the order given, branching
+    whenever a pair has several maximal lower bounds, so the outcome does
+    not depend on hierarchies having unique meets.  Returns Satisfiable with
+    the final sort per variable, or a Violation for the lowest variable
+    whose constraints admit no common lower bound.  The atoms are grouped
+    into the (sort, source) pairs `check_reading` folds.
+    """
+    grouped = {}
+    for atom in atoms:
+        grouped.setdefault(atom.var, []).append((atom.sort, atom.source))
+    return _fold(grouped, hierarchy)
+
+
 def check_reading(reading, hierarchy):
-    """Extract a reading's constraints and solve them."""
-    return solve(extract_constraints(reading, hierarchy), hierarchy)
+    """`solve(extract_constraints(reading, hierarchy), hierarchy)`, in one pass.
+
+    The constraints are grouped by variable as (sort, source) pairs while
+    the quantifier, restriction and background sets are read, in that
+    order; a background constraint whose (sort, role, variable) came
+    earlier in the background set is skipped, as `Sign.distinct_bg` skips
+    it.  No atom is built.
+    """
+    variables, mask = reading.variables, hierarchy.mask
+    sign = reading.parts
+    grouped, seen_bg = {}, set()
+    for refs, is_bg in ((sign.quants, False), (sign.restr, False),
+                        (sign.bg, True)):
+        for ref in refs:
+            node = ref.node
+            feats, sort = node.feats, node.sort
+            if len(feats) != 1 or sort not in mask:
+                continue
+            ((role, filler),) = feats.items()
+            var = variables.get(filler)
+            if var is None:
+                continue
+            if is_bg:
+                key = (sort, role, var)
+                if key in seen_bg:
+                    continue
+                seen_bg.add(key)
+            grouped.setdefault(var, []).append((sort, ref.source))
+    return _fold(grouped, hierarchy)

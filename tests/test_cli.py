@@ -277,6 +277,19 @@ def test_parse_non_bcpo_meet_is_input_error(capsys, tmp_path, method):
     assert err.count("\n") == 1
 
 
+def test_parse_bg_branches_on_a_non_bcpo_meet(capsys, tmp_path):
+    # the solver folds animate ^ banana to the tie {x, y} and takes x first
+    tie = tmp_path / "tie.sorts"
+    tie.write_text(data.HIERARCHY.read_text()
+                   + "x: person, banana\ny: person, banana\n")
+    code, out, err = run(capsys, "parse", "--method", "bg", "--json",
+                         "--hierarchy", str(tie), "a banana ate a banana")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert [r["assignment"] for r in record["readings"]] \
+        == [{"1": "x", "2": "banana"}]
+
+
 @pytest.mark.parametrize("argv, stage", [
     pytest.param(["parse", "--hierarchy", "BAD", "tom ate"], None, id="parse"),
     pytest.param(["batch", "BAD"], None, id="batch"),

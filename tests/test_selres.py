@@ -6,8 +6,9 @@ import pytest
 
 from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
                       parse_sentence)
-from selparse import selres
-from selparse.grammar import PsoaRef, compile_entry, render_sign
+from selparse import data, selres
+from selparse.grammar import (PsoaRef, compile_entry, load_declarations,
+                              load_lexicon, render_sign)
 from selparse.parser import Edge, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
@@ -197,7 +198,7 @@ def fold_every_variable(atoms, hierarchy):
     """Each variable folded: (var, sort) pairs, up to one (var, conflict)."""
     grouped = {}
     for a in atoms:
-        grouped.setdefault(a.var, []).append(a)
+        grouped.setdefault(a.var, []).append((a.sort, a.source))
     out = []
     for var in sorted(grouped):
         final, conflict = selres._reduce_variable(grouped[var], hierarchy)
@@ -261,6 +262,47 @@ def test_solve_merges_once_per_extra_atom_on_a_bcpo_hierarchy(
                 + (f" from={words}" if words else "")
             assert (verdict.var, verdict.conflicting, verdict.narrative) \
                 == (var, {s1, s2}, narrative)
+
+
+def test_check_reading_equals_solving_the_extracted_atoms(
+        hierarchy, lexicon, decls, tie_branches, monkeypatch):
+    # the bundled hierarchy plus a tie: animate ^ banana is {x, y}
+    tie = load_hierarchy(data.HIERARCHY.read_text()
+                         + "x: person, banana\ny: person, banana\n")
+    tie_decls = load_declarations(data.DECLS.read_text(), tie)
+    tie_lexicon = load_lexicon(data.LEXICON.read_text(), tie, tie_decls)
+    cases = [(reading, hierarchy)
+             for sentence in (*CORPUS_SENTENCES,
+                              *(ladder("attachment", k) for k in range(1, 7)),
+                              *(ladder("sense", k) for k in range(1, 4)))
+             for reading in parse_sentence(sentence, lexicon, decls,
+                                           hierarchy, "bg")]
+    cases += [(reading, tie) for reading in parse_sentence(
+        "a banana ate a banana", tie_lexicon, tie_decls, tie, "bg")]
+    expected = [solve(extract_constraints(reading, h), h)
+                for reading, h in cases]
+    assert tie_branches == [("banana", "animate")]
+    assert {type(v) for v in expected} == {Satisfiable, Violation}
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return ConstraintAtom(*args, **kwargs)
+
+    monkeypatch.setattr(selres, "ConstraintAtom", counting)
+    tie_branches.clear()
+    for (reading, h), want in zip(cases, expected):
+        got = check_reading(reading, h)
+        assert type(got) is type(want)
+        if isinstance(want, Satisfiable):
+            assert list(got.assignment.items()) \
+                == list(want.assignment.items())
+        else:
+            assert got == want      # var, conflicting sorts and narrative
+    assert expected[-1] == Satisfiable({1: "x", 2: "banana"})
+    assert tie_branches == [("banana", "animate")]
+    assert built == []
 
 
 def test_satisfiable_assignments_are_sound_on_corpus(hierarchy, lexicon,
