@@ -197,8 +197,10 @@ class Edge:
                 tuple(e.sense_id for e in self.parts.entries))
 
 
-def _valence_cat(sign):     # inlined in combine
-    return "v" if sign.comps else "vp" if sign.subj else "s"
+def _valence_cat(sign):
+    if sign.comps:
+        return "v"
+    return "vp" if sign.subj else "s"
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):

@@ -129,11 +129,7 @@ def _fold(grouped, hierarchy):
     """The verdict on {var: [(sort, source), ...]}, lowest variable first."""
     assignment = {}
     for var in sorted(grouped):
-        pairs = grouped[var]
-        if len(pairs) == 1:     # most variables: the sort is its own fold
-            assignment[var] = pairs[0][0]
-            continue
-        final, conflict = _reduce_variable(pairs, hierarchy)
+        final, conflict = _reduce_variable(grouped[var], hierarchy)
         if final is None:
             (s1, sources1), (s2, sources2) = conflict
             narrative = f"violation: var={var} sorts={s1},{s2}"
