@@ -197,10 +197,8 @@ class Edge:
                 tuple(e.sense_id for e in self.parts.entries))
 
 
-def _valence_cat(sign):
-    if sign.comps:
-        return "v"
-    return "vp" if sign.subj else "s"
+def _valence_cat(subj, comps):
+    return "v" if comps else "vp" if subj else "s"
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
@@ -213,7 +211,8 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     for i, token in enumerate(tokens):
         for entry in lexicon[token]:
             sign = compile_entry(entry, decls, method, hierarchy)
-            cat = PARTS_OF_SPEECH[entry.pos][1] or _valence_cat(sign)
+            cat = (PARTS_OF_SPEECH[entry.pos][1]
+                   or _valence_cat(sign.subj, sign.comps))
             edges.append(Edge(i, i + 1, cat, sign))
     return edges
 
@@ -248,7 +247,7 @@ def combine(left, right, schema, hierarchy):
     sign = Sign(lsign.entries + rsign.entries, lsign.indices + rsign.indices,
                 core.head, core.index, core.nucleus, subj, comps, restr,
                 quants, lsign.bg + rsign.bg)
-    cat = rule.mother or ("v" if comps else "vp" if subj else "s")
+    cat = rule.mother or _valence_cat(subj, comps)
     return Edge(left.start, right.end, cat, sign, schema, (left, right), binds)
 
 
@@ -289,8 +288,6 @@ class Chart:
                 end = start + width
                 cell = []
                 for split in ends[start]:
-                    if split >= end:
-                        break
                     rights = cells.get((split, end))
                     if rights is None:
                         continue
@@ -305,7 +302,7 @@ class Chart:
                             edge = combine(l_edge, r_edge, schema, hierarchy)
                             if edge is not None:
                                 cell.append(edge)
-                if cell:    # no split reads the cell it fills
+                if cell:    # after its splits: ends[start] stays below end
                     cells[start, end] = cell
                     ends[start].append(end)
                     self.edges_built += len(cell)

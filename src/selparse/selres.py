@@ -7,9 +7,9 @@ replaced by a constraint for each of their sorts' maximal lower bounds; a
 reading is acceptable exactly when every variable reduces to a single
 constraint this way.
 
-`check_reading` reads a reading's constraints in one pass, grouped by
-variable as (sort, source word) pairs; `solve` groups `ConstraintAtom`s, the
-form `extract_constraints` lists, into the same pairs.  Both run one fold.
+One pass reads a reading's constraints as (sort, source word) pairs per
+variable: `check_reading` folds them and `extract_constraints` lists them as
+`ConstraintAtom`s; `solve` groups atoms into such pairs for the same fold.
 """
 
 from dataclasses import dataclass, field
@@ -58,26 +58,14 @@ class Violation:
 
 
 def extract_constraints(reading, hierarchy):
-    """Constraint atoms read off a reading's parts, through its variables.
+    """The atoms `check_reading` folds, lowest variable first (`_grouped`).
 
-    Scans the quantifier set, the restriction set and the background set,
-    keeping single-role instances whose relation name is a declared sort
-    (which excludes relations like `naming`), each on its filler's number in
-    `reading.variables`.  Requires a reading produced under the "bg" method
-    to be informative, since "index" compilation carries restrictions on the
-    indices instead.
+    Informative only for a reading parsed under "bg": "index" compilation
+    carries the restrictions on the indices instead.
     """
-    sign, variables = reading.parts, reading.variables
-    atoms = []
-    for ref in (*sign.quants, *sign.restr, *sign.distinct_bg(variables)):
-        node = ref.node
-        if len(node.feats) != 1 or not hierarchy.declared(node.sort):
-            continue
-        (filler,) = node.feats.values()
-        var = variables.get(filler)
-        if var is not None:
-            atoms.append(ConstraintAtom(node.sort, var, ref.source))
-    return atoms
+    grouped = _grouped(reading, hierarchy)
+    return [ConstraintAtom(sort, var, source)
+            for var in sorted(grouped) for sort, source in grouped[var]]
 
 
 def merge_pair(c1, c2, hierarchy):
@@ -157,17 +145,15 @@ def solve(atoms, hierarchy):
     return _fold(grouped, hierarchy)
 
 
-def check_reading(reading, hierarchy):
-    """`solve(extract_constraints(reading, hierarchy), hierarchy)`, in one pass.
+def _grouped(reading, hierarchy):
+    """A reading's constraints as {var: [(sort, source), ...]}, in one pass.
 
-    The constraints are grouped by variable as (sort, source) pairs while
-    the quantifier, restriction and background sets are read, in that
-    order; a background constraint whose (sort, role, variable) came
-    earlier in the background set is skipped, as `Sign.distinct_bg` skips
-    it.  No atom is built.
+    Reads the quantifier, restriction and background sets in that order,
+    keeping one-role instances named by a sort (not `naming`, say), each on
+    its filler's number in `reading.variables`; a background instance whose
+    (sort, role, variable) came earlier is skipped, as `distinct_bg` does.
     """
-    variables, mask = reading.variables, hierarchy.mask
-    sign = reading.parts
+    sign, variables, mask = reading.parts, reading.variables, hierarchy.mask
     grouped, seen_bg = {}, set()
     for refs, is_bg in ((sign.quants, False), (sign.restr, False),
                         (sign.bg, True)):
@@ -186,4 +172,10 @@ def check_reading(reading, hierarchy):
                     continue
                 seen_bg.add(key)
             grouped.setdefault(var, []).append((sort, ref.source))
-    return _fold(grouped, hierarchy)
+    return grouped
+
+
+def check_reading(reading, hierarchy):
+    """`solve(extract_constraints(reading, hierarchy), hierarchy)`, without
+    building an atom: the fold runs on the pairs `_grouped` reads."""
+    return _fold(_grouped(reading, hierarchy), hierarchy)

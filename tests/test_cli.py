@@ -235,7 +235,8 @@ def test_batch_malformed_line(capsys, tmp_path):
     ("accept, readings=0", "readings must be at least 1"),
     ("accept, readings=5, readings=1", "duplicate annotation 'readings'"),
     ("accept, readings=\u00b2", "bad annotation 'readings=\u00b2'"),
-], ids=["reject", "zero", "duplicate", "superscript"])
+    ("maybe", "expected accept or reject, got 'maybe'"),
+], ids=["reject", "zero", "duplicate", "superscript", "verdict"])
 def test_batch_uncheckable_annotation_is_input_error(capsys, tmp_path, line,
                                                      message):
     corpus = tmp_path / "bad.corpus"

@@ -11,7 +11,7 @@ import selparse.selres
 import selparse.tfs
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
 from selparse import data
-from selparse.grammar import load_declarations, load_lexicon
+from selparse.grammar import compile_entry, load_declarations, load_lexicon
 from selparse.parser import (_PHRASE_LABEL, Chart, Edge, SCHEMAS,
                              UnknownTokenError, combine, lexical_edges,
                              run_method, tokenize)
@@ -136,6 +136,27 @@ def test_double_printer_survivor_senses(hierarchy, lexicon, decls):
               for entry in readings[0].parts.entries
               if entry.phon == "printer"]
     assert senses == ["printer_person", "printer_peripheral"]
+
+
+def _bogus_combine(hierarchy, lexicon, decls):
+    tom, called = lexical_edges(["tom", "called"], lexicon, decls, hierarchy,
+                                "bg")
+    return combine(tom, called, "bogus", hierarchy)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_bogus_combine, "unknown schema 'bogus'"),
+    (lambda h, lex, d: Chart(["tom"], lex, d, h, "bogus"),
+     "unknown method 'bogus'"),
+    (lambda h, lex, d: run_method(["tom"], lex, d, h, "bogus"),
+     "unknown method 'bogus'"),
+    (lambda h, lex, d: compile_entry(lex["tom"][0], d, "bogus", h),
+     "unknown method 'bogus'"),
+], ids=["combine", "chart", "run_method", "compile_entry"])
+def test_an_unknown_schema_or_method_is_named(hierarchy, lexicon, decls, call,
+                                              message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(hierarchy, lexicon, decls)
 
 
 def test_unknown_token_listed(hierarchy, lexicon, decls):

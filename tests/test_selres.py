@@ -393,3 +393,28 @@ def test_reading_variables_agree_with_unifying_the_sign(hierarchy, lexicon,
         assert verdict(check_reading(old, hierarchy)) == verdict(violation)
     for reading, assignment in index.surviving:
         assert unified_reading(reading, hierarchy).sorts == assignment
+
+
+def test_bg_constraints_made_identical_count_once(hierarchy):
+    # both relative clauses restrict the one employee to person, so the bg
+    # set holds person(inst) twice on variable 1; the solver sees it once
+    decls = load_declarations(data.DECLS.read_text()
+                              + "beep(beeper: artifact)\n", hierarchy)
+    lexicon = load_lexicon(data.LEXICON.read_text()
+                           + "beep | verb | beep | intrans\n",
+                           hierarchy, decls)
+    sentence = "the employees that retire that retire beep"
+    (bg, index), agree = run_method(tokenize(sentence), lexicon, decls,
+                                    hierarchy, "both")
+    assert (bg.pre_filter, bg.post_filter, index.post_filter, agree) \
+        == (1, 0, 0, True)
+    ((reading, violation),) = bg.violations
+    assert [r.node.sort for r in reading.parts.bg].count("person") == 2
+    assert violation.narrative == ("violation: var=1 sorts=employee,artifact"
+                                   " from=employees,retire,beep")
+    assert with_sources(extract_constraints(reading, hierarchy)) \
+        == [("employee", 1, "employees"), ("person", 1, "retire"),
+            ("artifact", 1, "beep")]
+    rendered = render_sign(reading.parts, reading.variables, reading.sorts)
+    assert "cx|bg: { person(inst: #1:ref), artifact(inst: #1:ref) }" \
+        in rendered.splitlines()
