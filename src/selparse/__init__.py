@@ -13,7 +13,7 @@ constraint solver.  The same lexical entries parse under two methods:
 from pathlib import Path
 
 from . import data
-from .grammar import (GrammarError, LexicalEntry, PsoaRef, Sign,
+from .grammar import (GrammarError, LexicalEntry, Relation, Sign,
                       apply_qfpsoa_declarations, compile_entry,
                       load_declarations, load_lexicon, render_sign, tokenize)
 from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,

@@ -17,7 +17,7 @@ from .tfs import FeatureStructure
 __all__ = [
     "GrammarError",
     "LexicalEntry",
-    "PsoaRef",
+    "Relation",
     "Sign",
     "apply_qfpsoa_declarations",
     "compile_entry",
@@ -93,38 +93,39 @@ class LexicalEntry:
 
 
 @dataclass(eq=False)
-class PsoaRef:
+class Relation:
     """One relation instance carried by a sign, with its contributing word.
 
-    The node's sort is the relation name and its features are the role
-    fillers, which live inside the same graph as the owning sign.  Like its
-    node, an instance compares by identity.
+    `sort` is the relation's name and `roles` its (role, filler) pairs in
+    declaration order; a filler is an index node, or the atom string of
+    `naming`'s `name` role.  An instance compares by identity.
     """
 
-    node: FeatureStructure
+    sort: str
+    roles: tuple
     source: str
 
 
 @dataclass
 class Sign:
-    """A compiled sign: its head sort and content nodes plus set-valued parts.
+    """A compiled sign: its head sort and content plus set-valued parts.
 
     `index` (nouns) or `nucleus` (verbs) is the content; subj/comps are the
     pending valence slots, each a nucleus role filler that a dependent's
-    index is identified with; restr, quants and bg are relation-instance
-    sets over nodes of one shared graph.  `entries` are the LexicalEntry
-    objects of the words the sign spans, left to right: its PHON is their
-    `phon`, its sense choices their `sense_id`.  `indices` are those words'
-    index nodes in word order: a noun's index, a verb's role indices in
-    declaration order.  A `variables` mapping (see `parser.Edge.variables`)
-    numbers them, a bound slot taking its index's number.
+    index is identified with; restr, quants and bg hold `Relation` records
+    over index nodes.  `entries` are the LexicalEntry objects of the words
+    the sign spans, left to right: its PHON is their `phon`, its sense
+    choices their `sense_id`.  `indices` are those words' index nodes in
+    word order: a noun's index, a verb's role indices in declaration order.
+    A `variables` mapping (see `parser.Edge.variables`) numbers them, a
+    bound slot taking its index's number.
     """
 
     entries: tuple
     indices: tuple
     head: str
     index: FeatureStructure | None = None
-    nucleus: FeatureStructure | None = None
+    nucleus: Relation | None = None
     subj: tuple = ()
     comps: tuple = ()
     restr: tuple = ()
@@ -135,9 +136,8 @@ class Sign:
         """The bg instances, those `variables` numbers alike kept once."""
         kept = {}
         for ref in self.bg:
-            key = (ref.node.sort, tuple(sorted(
-                (feat, variables.get(filler, filler))
-                for feat, filler in ref.node.feats.items())))
+            key = (ref.sort, tuple((role, variables.get(filler, filler))
+                                   for role, filler in ref.roles))
             kept.setdefault(key, ref)
         return tuple(kept.values())
 
@@ -338,10 +338,9 @@ def compile_entry(entry, decls, method, hierarchy):
         nsubj, ncomps = VALENCES[entry.valence]
         indices = [FeatureStructure(sort if method == "index" else top)
                    for _role, sort in effective]
-        nuc = FeatureStructure(
-            entry.nucleus,
-            {role: idx for (role, _sort), idx in zip(effective, indices)})
-        bg = tuple(PsoaRef(FeatureStructure(sort, {"inst": idx}), word)
+        nuc = Relation(entry.nucleus, tuple(
+            (role, idx) for (role, _), idx in zip(effective, indices)), word)
+        bg = tuple(Relation(sort, (("inst", idx),), word)
                    for (_role, sort), idx in zip(effective, indices)
                    if method == "bg" and sort != top)
         return Sign(entries=(entry,), indices=tuple(indices), head=head,
@@ -352,30 +351,28 @@ def compile_entry(entry, decls, method, hierarchy):
         idx = FeatureStructure(entry.index_sort if method == "index" else top)
         # under bg the index sort is a relation instance: a common noun's
         # restriction, a proper noun's background
-        sortal = (PsoaRef(FeatureStructure(entry.index_sort, {"inst": idx}),
-                          word),) if method == "bg" else ()
+        sortal = ((Relation(entry.index_sort, (("inst", idx),), word),)
+                  if method == "bg" else ())
         if entry.pos == "noun":
             return Sign(entries=(entry,), indices=(idx,), head=head,
                         index=idx, restr=sortal)
-        naming = PsoaRef(FeatureStructure("naming", {
-            "brer": idx, "name": FeatureStructure(entry.name_atom)}), word)
+        naming = Relation("naming", (("brer", idx), ("name", entry.name_atom)),
+                          word)
         return Sign(entries=(entry,), indices=(idx,), head=head, index=idx,
                     bg=(naming, *sortal))
 
     return Sign(entries=(entry,), indices=(), head=head)
 
 
-def _filler_str(node, variables, sorts):
-    var = variables.get(node)
-    if var is None:
-        return node.sort
-    return f"#{var}:{sorts[var]}"
+def _filler_str(filler, variables, sorts):
+    var = variables.get(filler)
+    return filler if var is None else f"#{var}:{sorts[var]}"  # an atom as is
 
 
-def _psoa_str(node, variables, sorts):
+def _psoa_str(ref, variables, sorts):
     inner = ", ".join(f"{role}: {_filler_str(filler, variables, sorts)}"
-                      for role, filler in node.feats.items())
-    return f"{node.sort}({inner})"
+                      for role, filler in ref.roles)
+    return f"{ref.sort}({inner})"
 
 
 def render_sign(sign, variables, sorts):
@@ -397,6 +394,6 @@ def render_sign(sign, variables, sorts):
         lines.append(f"cont|index: {_filler_str(sign.index, variables, sorts)}")
     for label, refs in (("cont|restr", sign.restr), ("cont|quants", sign.quants),
                         ("cx|bg", sign.distinct_bg(variables))):
-        inner = ", ".join(_psoa_str(r.node, variables, sorts) for r in refs)
+        inner = ", ".join(_psoa_str(r, variables, sorts) for r in refs)
         lines.append(f"{label}: {{ {inner} }}" if inner else f"{label}: {{ }}")
     return "\n".join(lines)

@@ -265,23 +265,18 @@ class Chart:
         self.decls = decls
         self.hierarchy = hierarchy
         self.method = method
-        self.cells = {}
-        self.ends = [[] for _ in self.tokens]  # per start, ascending
-        self.edges_built = 0
+        n = len(self.tokens)
+        self.cells = {(start, start + 1): [] for start in range(n)}
+        self.ends = [[start + 1] for start in range(n)]  # per start, ascending
         self.fill()
 
-    def _add(self, edge):
-        cell = self.cells.setdefault((edge.start, edge.end), [])
-        if not cell:
-            self.ends[edge.start].append(edge.end)
-        cell.append(edge)
-        self.edges_built += 1
-
     def fill(self):
-        for edge in lexical_edges(self.tokens, self.lexicon, self.decls,
-                                  self.hierarchy, self.method):
-            self._add(edge)
         cells, ends, hierarchy = self.cells, self.ends, self.hierarchy
+        lexical = lexical_edges(self.tokens, self.lexicon, self.decls,
+                                hierarchy, self.method)
+        for edge in lexical:
+            cells[edge.start, edge.end].append(edge)
+        self.edges_built = len(lexical)
         n = len(self.tokens)
         for width in range(2, n + 1):
             for start in range(0, n - width + 1):

@@ -158,14 +158,11 @@ def _grouped(reading, hierarchy):
     for refs, is_bg in ((sign.quants, False), (sign.restr, False),
                         (sign.bg, True)):
         for ref in refs:
-            node = ref.node
-            feats, sort = node.feats, node.sort
-            if len(feats) != 1 or sort not in mask:
+            roles, sort = ref.roles, ref.sort
+            if len(roles) != 1 or sort not in mask:
                 continue
-            ((role, filler),) = feats.items()
-            var = variables.get(filler)
-            if var is None:
-                continue
+            ((role, filler),) = roles
+            var = variables[filler]
             if is_bg:
                 key = (sort, role, var)
                 if key in seen_bg:

@@ -134,6 +134,19 @@ def test_parse_explain_renders_sign(capsys):
     assert "cx|bg:" in out
 
 
+def test_parse_explain_renders_a_proper_nouns_name_atom(capsys):
+    # no golden transcript has a proper noun: pin its naming instance, whose
+    # name filler is an atom and prints as it is
+    code, out, _ = run(capsys, "parse", "--method", "both", "--explain",
+                       "tom ate a banana")
+    assert code == 0
+    bg, index = (part.splitlines() for part in out.split("method=index"))
+    assert "    cx|bg: { naming(brer: #1:ref, name: Tom), man(inst: #1:ref), " \
+        "animate(inst: #1:ref), edible(inst: #2:ref) }" in bg
+    assert "    cont|nuc: eat(eater: #1:man, eaten: #2:banana)" in index
+    assert "    cx|bg: { naming(brer: #1:man, name: Tom) }" in index
+
+
 def test_batch_bundled_corpus(capsys):
     code, out, _ = run(capsys, "batch")
     assert code == 0

@@ -154,15 +154,15 @@ def test_compile_ate_bg(hierarchy, decls, lexicon):
     sign = compile_entry(entry_of(lexicon, "ate"), decls, "bg", hierarchy)
     nuc = sign.nucleus
     assert nuc.sort == "eat"
-    assert list(nuc.feats) == ["eater", "eaten"]
-    eater, eaten = nuc.feats["eater"], nuc.feats["eaten"]
+    assert list(dict(nuc.roles)) == ["eater", "eaten"]
+    eater, eaten = dict(nuc.roles)["eater"], dict(nuc.roles)["eaten"]
     assert eater.sort == "ref" and eaten.sort == "ref"
     # the valence slots are the nucleus role fillers
     assert sign.subj[0] is eater
     assert sign.comps[0] is eaten
     # the word's variables: its role indices in declaration order
     assert sign.indices == (eater, eaten)
-    restrictions = {(r.node.sort, next(iter(r.node.feats.values())))
+    restrictions = {(r.sort, next(iter(dict(r.roles).values())))
                     for r in sign.bg}
     assert restrictions == {("animate", eater), ("edible", eaten)}
     assert ("edible", eaten) in restrictions  # the object must be edible
@@ -170,8 +170,8 @@ def test_compile_ate_bg(hierarchy, decls, lexicon):
 
 def test_compile_ate_index(hierarchy, decls, lexicon):
     sign = compile_entry(entry_of(lexicon, "ate"), decls, "index", hierarchy)
-    assert sign.nucleus.feats["eater"].sort == "animate"
-    assert sign.nucleus.feats["eaten"].sort == "edible"
+    assert dict(sign.nucleus.roles)["eater"].sort == "animate"
+    assert dict(sign.nucleus.roles)["eaten"].sort == "edible"
     assert sign.bg == ()
 
 
@@ -179,23 +179,23 @@ def test_compile_tom_both_methods(hierarchy, decls, lexicon):
     tom = entry_of(lexicon, "tom")
     bg_sign = compile_entry(tom, decls, "bg", hierarchy)
     assert bg_sign.index.sort == "ref"
-    atoms = {(r.node.sort, tuple(r.node.feats)) for r in bg_sign.bg}
+    atoms = {(r.sort, tuple(dict(r.roles))) for r in bg_sign.bg}
     assert atoms == {("naming", ("brer", "name")), ("man", ("inst",))}
-    naming = next(r.node for r in bg_sign.bg if r.node.sort == "naming")
-    assert naming.feats["brer"] is bg_sign.index
-    assert naming.feats["name"].sort == "Tom"
+    naming = next(r for r in bg_sign.bg if r.sort == "naming")
+    assert dict(naming.roles)["brer"] is bg_sign.index
+    assert dict(naming.roles)["name"] == "Tom"
 
     ix_sign = compile_entry(tom, decls, "index", hierarchy)
     assert ix_sign.index.sort == "man"
-    assert [r.node.sort for r in ix_sign.bg] == ["naming"]
+    assert [r.sort for r in ix_sign.bg] == ["naming"]
 
 
 def test_compile_keyboard_both_methods(hierarchy, decls, lexicon):
     keyboard = entry_of(lexicon, "keyboard")
     bg_sign = compile_entry(keyboard, decls, "bg", hierarchy)
     assert bg_sign.index.sort == "ref"
-    assert [r.node.sort for r in bg_sign.restr] == ["keybd"]
-    assert bg_sign.restr[0].node.feats["inst"] is bg_sign.index
+    assert [r.sort for r in bg_sign.restr] == ["keybd"]
+    assert dict(bg_sign.restr[0].roles)["inst"] is bg_sign.index
     assert bg_sign.bg == ()
 
     ix_sign = compile_entry(keyboard, decls, "index", hierarchy)
@@ -210,10 +210,10 @@ def _restriction_pairs_bg(sign, hierarchy):
     if sign.index is not None:
         slots.setdefault(sign.index, "self")
     for ref in (*sign.bg, *sign.restr):
-        if ref.node.sort == "naming":
+        if ref.sort == "naming":
             continue
-        (filler,) = ref.node.feats.values()
-        pairs.add((slots[filler], ref.node.sort))
+        (filler,) = dict(ref.roles).values()
+        pairs.add((slots[filler], ref.sort))
     return pairs
 
 
@@ -243,7 +243,7 @@ def test_a_word_lists_its_index_nodes(hierarchy, decls, lexicon, method):
         for entry in entries:
             sign = compile_entry(entry, decls, method, hierarchy)
             if sign.nucleus is not None:
-                expected = tuple(sign.nucleus.feats.values())
+                expected = tuple(dict(sign.nucleus.roles).values())
             else:
                 expected = (sign.index,) if sign.index is not None else ()
             assert sign.indices == expected, entry

@@ -40,15 +40,15 @@ def test_intro_sentence_bg_reading(hierarchy, lexicon, decls):
     parts, variables = reading.parts, reading.variables
 
     def atom_set(refs):
-        return {(r.node.sort, variables[next(iter(r.node.feats.values()))])
-                for r in refs if r.node.sort != "naming"}
+        return {(r.sort, variables[next(iter(dict(r.roles).values()))])
+                for r in refs if r.sort != "naming"}
 
     bg_refs = parts.distinct_bg(variables)
     bg = atom_set(bg_refs)
     # the man and edible constraints plus the uniformly emitted subject one
     assert {("man", 1), ("edible", 2)} <= bg
     assert bg == {("man", 1), ("edible", 2), ("animate", 1)}
-    assert any(r.node.sort == "naming" and r.node.feats["name"].sort == "Tom"
+    assert any(r.sort == "naming" and dict(r.roles)["name"] == "Tom"
                for r in bg_refs)
     assert atom_set(parts.quants) == {("keybd", 2)}
 
@@ -88,11 +88,11 @@ def test_combine_verb_with_object(hierarchy, lexicon, decls, method,
         assert vp is None
         return
     assert vp.cat == "vp"
-    assert "edible" in {r.node.sort for r in vp.parts.distinct_bg(vp.variables)}
-    assert [r.node.sort for r in vp.parts.quants] == ["keybd"]
+    assert "edible" in {r.sort for r in vp.parts.distinct_bg(vp.variables)}
+    assert [r.sort for r in vp.parts.quants] == ["keybd"]
     # the keyboard's index picked up the verb's eaten role filler
-    eaten = vp.variables[vp.parts.nucleus.feats["eaten"]]
-    assert vp.variables[vp.parts.quants[0].node.feats["inst"]] == eaten
+    eaten = vp.variables[dict(vp.parts.nucleus.roles)["eaten"]]
+    assert vp.variables[dict(vp.parts.quants[0].roles)["inst"]] == eaten
 
 
 def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
@@ -111,9 +111,9 @@ def test_identified_bg_instances_are_kept_once(hierarchy, lexicon, decls):
                                 decls, hierarchy, "bg")
     parts, variables = reading.parts, reading.variables
     (person,) = parts.distinct_bg(variables)
-    assert person.node.sort == "person"
-    assert variables[person.node.feats["inst"]] \
-        == variables[parts.nucleus.feats["retirer"]]
+    assert person.sort == "person"
+    assert variables[dict(person.roles)["inst"]] \
+        == variables[dict(parts.nucleus.roles)["retirer"]]
 
 
 @pytest.mark.parametrize("sentence,expected", [
@@ -170,7 +170,7 @@ def test_zero_readings_is_normal(hierarchy, lexicon, decls):
 
 
 def _bg_key(edge):
-    return Counter((r.node.sort, r.source)
+    return Counter((r.sort, r.source)
                    for r in edge.parts.distinct_bg(edge.variables))
 
 

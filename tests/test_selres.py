@@ -7,7 +7,7 @@ import pytest
 from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
                       parse_sentence)
 from selparse import data, selres
-from selparse.grammar import (PsoaRef, compile_entry, load_declarations,
+from selparse.grammar import (Relation, compile_entry, load_declarations,
                               load_lexicon, render_sign)
 from selparse.parser import Edge, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
@@ -319,33 +319,37 @@ def test_satisfiable_assignments_are_sound_on_corpus(hierarchy, lexicon,
 
 
 def unified_reading(reading, hierarchy):
-    """The reading as a bind-free edge whose sign one unify_map built.
+    """The reading as a bind-free edge whose index nodes one unify_map built.
 
     This is how a read sign was built before readings were checked through
-    their variables: every node the parts reach is copied into a fresh graph
-    in which the binds are unified, and background instances made identical
-    are kept once, the first of them.
+    their variables: every index node the parts reach is copied into a fresh
+    graph in which the binds are unified, each relation instance is rebuilt
+    over the copies, and background instances made identical are kept once,
+    the first of them.
     """
     parts = reading.parts
-    instances = (*parts.restr, *parts.quants, *parts.bg)
-    roots = [node for node in (parts.index, parts.nucleus, *parts.subj,
-                               *parts.comps, *parts.indices,
-                               *(r.node for r in instances))
+    roots = [node for node in (parts.index, *parts.subj, *parts.comps,
+                               *parts.indices)
              if node is not None]
     mapping = unify_map([(slot, index) for slot, index, _ in reading.binds],
                         roots, hierarchy)
 
+    def rebuilt(ref):   # an atom filler is no node and stays as it is
+        return Relation(ref.sort, tuple((role, mapping.get(filler, filler))
+                                        for role, filler in ref.roles),
+                        ref.source)
+
     def refs(instances):
-        return tuple(PsoaRef(mapping[r.node], r.source) for r in instances)
+        return tuple(rebuilt(r) for r in instances)
 
     bg = {}
     for ref in refs(parts.bg):
-        key = (ref.node.sort, tuple(sorted(
-            (feat, id(filler)) for feat, filler in ref.node.feats.items())))
+        key = (ref.sort, tuple((role, id(filler))
+                               for role, filler in ref.roles))
         bg.setdefault(key, ref)
     sign = replace(parts, indices=tuple(mapping[n] for n in parts.indices),
                    index=mapping.get(parts.index),
-                   nucleus=mapping.get(parts.nucleus),
+                   nucleus=parts.nucleus and rebuilt(parts.nucleus),
                    subj=tuple(mapping[s] for s in parts.subj),
                    comps=tuple(mapping[s] for s in parts.comps),
                    restr=refs(parts.restr), quants=refs(parts.quants),
@@ -409,7 +413,7 @@ def test_bg_constraints_made_identical_count_once(hierarchy):
     assert (bg.pre_filter, bg.post_filter, index.post_filter, agree) \
         == (1, 0, 0, True)
     ((reading, violation),) = bg.violations
-    assert [r.node.sort for r in reading.parts.bg].count("person") == 2
+    assert [r.sort for r in reading.parts.bg].count("person") == 2
     assert violation.narrative == ("violation: var=1 sorts=employee,artifact"
                                    " from=employees,retire,beep")
     assert with_sources(extract_constraints(reading, hierarchy)) \
