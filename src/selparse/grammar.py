@@ -9,7 +9,7 @@ ordinary typed unification enforces them during parsing.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .sorts import lines
 from .tfs import FeatureStructure
@@ -82,6 +82,17 @@ class GrammarError(ValueError):
 
 @dataclass(frozen=True)
 class LexicalEntry:
+    """One sense of a word, as `load_lexicon` read and checked it.
+
+    A verb's `restrictions` are its effective (role, sort) pairs, the
+    declaration narrowed by `overrides`, resolved once at load; an entry
+    built by hand leaves them None and `compile_entry` resolves them on
+    each call.  `signs` caches the lexical (category, Sign) that
+    `parser.lexical_edges` built per (method, token position); it is
+    neither compared nor hashed, and it dies with its entry.  Both hold for
+    the hierarchy and declarations the entry was loaded with.
+    """
+
     phon: str
     pos: str
     sense_id: str
@@ -90,6 +101,9 @@ class LexicalEntry:
     valence: str | None = None      # verbs: trans / intrans / imp
     name_atom: str | None = None    # proper nouns
     overrides: tuple = ()           # ((role, sort), ...)
+    restrictions: tuple | None = None   # verbs: ((role, sort), ...)
+    signs: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
 
 @dataclass(eq=False)
@@ -248,16 +262,18 @@ def load_lexicon(text, hierarchy, decls):
                 raise GrammarError(
                     f"line {lineno}: {word!r} offers {slots} argument slot(s) "
                     f"but {core!r} has {len(roles)} role(s)")
-            entry = LexicalEntry(
-                phon=word, pos=pos, sense_id=sense or core, nucleus=core,
-                valence=valences[0],
-                overrides=tuple(sorted((role, sort.lower())
-                                       for role, sort in pairs.items())))
-            # force override validation now rather than at first compile
+            overrides = tuple(sorted((role, sort.lower())
+                                     for role, sort in pairs.items()))
+            # validate the overrides now, and keep what they resolve to
             try:
-                apply_qfpsoa_declarations(entry, decls, hierarchy)
+                restrictions = _restrictions(word, core, overrides, decls,
+                                             hierarchy)
             except GrammarError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from None
+            entry = LexicalEntry(
+                phon=word, pos=pos, sense_id=sense or core, nucleus=core,
+                valence=valences[0], overrides=overrides,
+                restrictions=restrictions)
         elif pos in ("noun", "proper-noun"):
             if flags or pairs:
                 leftover = (flags + sorted(pairs))[0]
@@ -297,26 +313,31 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
     relation share them; an entry-local override must be subsumed by the
     declared sort.
     """
-    roles = decls.get(entry.nucleus)
+    return _restrictions(entry.phon, entry.nucleus, entry.overrides, decls,
+                         hierarchy)
+
+
+def _restrictions(word, nucleus, overrides, decls, hierarchy):
+    roles = decls.get(nucleus)
     if roles is None:
-        raise GrammarError(f"{entry.phon!r}: unknown qfpsoa {entry.nucleus!r}")
-    overrides = dict(entry.overrides)
+        raise GrammarError(f"{word!r}: unknown qfpsoa {nucleus!r}")
+    overrides = dict(overrides)
     effective = []
     for role, sort in roles:
         if role in overrides:
             narrowed = overrides.pop(role)
             if not hierarchy.declared(narrowed):
                 raise GrammarError(
-                    f"{entry.phon!r}: unknown sort {narrowed!r} for role {role!r}")
+                    f"{word!r}: unknown sort {narrowed!r} for role {role!r}")
             if not hierarchy.subsumes(sort, narrowed):
                 raise GrammarError(
-                    f"{entry.phon!r}: override {role}={narrowed} is not subsumed "
+                    f"{word!r}: override {role}={narrowed} is not subsumed "
                     f"by the declared restriction {sort!r}")
             sort = narrowed
         effective.append((role, sort))
     if overrides:
         raise GrammarError(
-            f"{entry.phon!r}: unknown role(s) for {entry.nucleus!r}: "
+            f"{word!r}: unknown role(s) for {nucleus!r}: "
             + ", ".join(sorted(overrides)))
     return tuple(effective)
 
@@ -324,8 +345,12 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
 def compile_entry(entry, decls, method, hierarchy):
     """Compile one lexical entry into a fresh Sign under the given method.
 
-    Call once per token occurrence: argument positions must not share index
-    nodes across occurrences of the same word.
+    Each call builds new index nodes and `Relation` records, which compare
+    by identity, so two tokens of one word stay distinct.
+    `parser.lexical_edges` calls this once per (entry, method, token
+    position) and reuses the sign in every later chart: no code changes a
+    sign once built, and two tokens at one position never share a chart
+    unless they are different senses, which are different entries.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -334,7 +359,8 @@ def compile_entry(entry, decls, method, hierarchy):
     head = PARTS_OF_SPEECH[entry.pos][0]
 
     if entry.pos == "verb":
-        effective = apply_qfpsoa_declarations(entry, decls, hierarchy)
+        effective = (entry.restrictions
+                     or apply_qfpsoa_declarations(entry, decls, hierarchy))
         nsubj, ncomps = VALENCES[entry.valence]
         indices = [FeatureStructure(sort if method == "index" else top)
                    for _role, sort in effective]

@@ -202,18 +202,22 @@ def _valence_cat(subj, comps):
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
-    """One edge per (token position, lexical sense): a fresh sign whose
-    `entries` hold that sense's LexicalEntry."""
+    """One fresh edge per (token position, lexical sense) over that sense's
+    sign, compiled on first use and kept in the entry's `signs` under
+    (method, position) for later charts (see `compile_entry`)."""
     unknown = sorted({t for t in tokens if t not in lexicon})
     if unknown:
         raise UnknownTokenError(unknown)
     edges = []
     for i, token in enumerate(tokens):
         for entry in lexicon[token]:
-            sign = compile_entry(entry, decls, method, hierarchy)
-            cat = (PARTS_OF_SPEECH[entry.pos][1]
-                   or _valence_cat(sign.subj, sign.comps))
-            edges.append(Edge(i, i + 1, cat, sign))
+            built = entry.signs.get((method, i))
+            if built is None:
+                sign = compile_entry(entry, decls, method, hierarchy)
+                built = entry.signs[method, i] = (
+                    PARTS_OF_SPEECH[entry.pos][1]
+                    or _valence_cat(sign.subj, sign.comps), sign)
+            edges.append(Edge(i, i + 1, *built))
     return edges
 
 

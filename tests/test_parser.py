@@ -1,5 +1,7 @@
+import gc
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from functools import cached_property
 
@@ -673,3 +675,61 @@ def test_a_verb_relation_named_after_a_sort_constrains_nothing(hierarchy):
         == [("bg", 2, 2), ("index", 2, 2)]
     assert reports[0].violations == []
     assert agree is True
+
+
+REUSE_SENTENCES = [*CORPUS_SENTENCES,
+                   *(ladder("attachment", k) for k in range(1, 7)),
+                   *(ladder("sense", k) for k in range(1, 4))]
+
+
+def test_each_lexical_sign_is_compiled_once_per_position(hierarchy, decls,
+                                                         monkeypatch):
+    # a lexicon of its own: the shared fixture's entries already keep signs
+    lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
+    compiled = []
+
+    def counting(entry, decls, method, hierarchy):
+        compiled.append((entry, method))
+        return compile_entry(entry, decls, method, hierarchy)
+
+    monkeypatch.setattr(selparse.parser, "compile_entry", counting)
+    keys = {(entry.phon, entry.sense_id, method, i)
+            for sentence in REUSE_SENTENCES
+            for i, token in enumerate(tokenize(sentence))
+            for entry in lexicon[token] for method in ("bg", "index")}
+    for sentence in REUSE_SENTENCES:
+        run_method(tokenize(sentence), lexicon, decls, hierarchy, "both")
+    assert len(compiled) == len(keys)
+    compiled.clear()
+    for sentence in REUSE_SENTENCES:
+        run_method(tokenize(sentence), lexicon, decls, hierarchy, "both")
+    assert compiled == []
+
+
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_tokens_of_one_word_keep_their_own_nodes(hierarchy, lexicon, decls,
+                                                 method):
+    tokens = tokenize("list the printer of the printer that retire")
+    one, two = (Chart(tokens, lexicon, decls, hierarchy, method)
+                for _ in range(2))
+    for sense in range(2):      # printer_person, printer_peripheral
+        first = one.cells[2, 3][sense].parts
+        second = one.cells[5, 6][sense].parts
+        assert first.entries == second.entries
+        assert first.index is not second.index
+        assert len(first.restr) == len(second.restr) == (method == "bg")
+        assert all(a is not b for a in first.restr for b in second.restr)
+        # a later chart reuses the sign at each position, on a fresh edge
+        assert two.cells[2, 3][sense].parts is first
+        assert two.cells[2, 3][sense] is not one.cells[2, 3][sense]
+
+
+def test_compiled_signs_die_with_their_lexicon(hierarchy, decls):
+    lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
+    reports, _ = run_method(tokenize("tom ate a banana"), lexicon, decls,
+                            hierarchy, "both")
+    tom = weakref.ref(lexicon["tom"][0])
+    assert tom().signs      # the parse kept its signs on the entry
+    del lexicon, reports
+    gc.collect()
+    assert tom() is None
