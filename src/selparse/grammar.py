@@ -84,13 +84,10 @@ class GrammarError(ValueError):
 class LexicalEntry:
     """One sense of a word, as `load_lexicon` read and checked it.
 
-    A verb's `restrictions` are its effective (role, sort) pairs, the
-    declaration narrowed by `overrides`, resolved once at load; an entry
-    built by hand leaves them None and `compile_entry` resolves them on
-    each call.  `signs` caches the lexical (category, Sign) that
-    `parser.lexical_edges` built per (method, token position); it is
-    neither compared nor hashed, and it dies with its entry.  Both hold for
-    the hierarchy and declarations the entry was loaded with.
+    `signs` caches the lexical signs `parser.lexical_edges` compiled for
+    this entry, under (method, token position), each with the hierarchy
+    and declarations it was compiled under; it is neither compared nor
+    hashed, and it dies with its entry.
     """
 
     phon: str
@@ -101,7 +98,6 @@ class LexicalEntry:
     valence: str | None = None      # verbs: trans / intrans / imp
     name_atom: str | None = None    # proper nouns
     overrides: tuple = ()           # ((role, sort), ...)
-    restrictions: tuple | None = None   # verbs: ((role, sort), ...)
     signs: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -262,18 +258,16 @@ def load_lexicon(text, hierarchy, decls):
                 raise GrammarError(
                     f"line {lineno}: {word!r} offers {slots} argument slot(s) "
                     f"but {core!r} has {len(roles)} role(s)")
-            overrides = tuple(sorted((role, sort.lower())
-                                     for role, sort in pairs.items()))
-            # validate the overrides now, and keep what they resolve to
-            try:
-                restrictions = _restrictions(word, core, overrides, decls,
-                                             hierarchy)
-            except GrammarError as exc:
-                raise GrammarError(f"line {lineno}: {exc}") from None
             entry = LexicalEntry(
                 phon=word, pos=pos, sense_id=sense or core, nucleus=core,
-                valence=valences[0], overrides=overrides,
-                restrictions=restrictions)
+                valence=valences[0],
+                overrides=tuple(sorted((role, sort.lower())
+                                       for role, sort in pairs.items())))
+            # force override validation now rather than at first compile
+            try:
+                apply_qfpsoa_declarations(entry, decls, hierarchy)
+            except GrammarError as exc:
+                raise GrammarError(f"line {lineno}: {exc}") from None
         elif pos in ("noun", "proper-noun"):
             if flags or pairs:
                 leftover = (flags + sorted(pairs))[0]
@@ -313,31 +307,26 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
     relation share them; an entry-local override must be subsumed by the
     declared sort.
     """
-    return _restrictions(entry.phon, entry.nucleus, entry.overrides, decls,
-                         hierarchy)
-
-
-def _restrictions(word, nucleus, overrides, decls, hierarchy):
-    roles = decls.get(nucleus)
+    roles = decls.get(entry.nucleus)
     if roles is None:
-        raise GrammarError(f"{word!r}: unknown qfpsoa {nucleus!r}")
-    overrides = dict(overrides)
+        raise GrammarError(f"{entry.phon!r}: unknown qfpsoa {entry.nucleus!r}")
+    overrides = dict(entry.overrides)
     effective = []
     for role, sort in roles:
         if role in overrides:
             narrowed = overrides.pop(role)
             if not hierarchy.declared(narrowed):
                 raise GrammarError(
-                    f"{word!r}: unknown sort {narrowed!r} for role {role!r}")
+                    f"{entry.phon!r}: unknown sort {narrowed!r} for role {role!r}")
             if not hierarchy.subsumes(sort, narrowed):
                 raise GrammarError(
-                    f"{word!r}: override {role}={narrowed} is not subsumed "
+                    f"{entry.phon!r}: override {role}={narrowed} is not subsumed "
                     f"by the declared restriction {sort!r}")
             sort = narrowed
         effective.append((role, sort))
     if overrides:
         raise GrammarError(
-            f"{word!r}: unknown role(s) for {nucleus!r}: "
+            f"{entry.phon!r}: unknown role(s) for {entry.nucleus!r}: "
             + ", ".join(sorted(overrides)))
     return tuple(effective)
 
@@ -348,9 +337,10 @@ def compile_entry(entry, decls, method, hierarchy):
     Each call builds new index nodes and `Relation` records, which compare
     by identity, so two tokens of one word stay distinct.
     `parser.lexical_edges` calls this once per (entry, method, token
-    position) and reuses the sign in every later chart: no code changes a
-    sign once built, and two tokens at one position never share a chart
-    unless they are different senses, which are different entries.
+    position) and reuses the sign in every later chart under the same
+    hierarchy and declarations: no code changes a sign once built, and two
+    tokens at one position never share a chart unless they are different
+    senses, which are different entries.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -359,8 +349,7 @@ def compile_entry(entry, decls, method, hierarchy):
     head = PARTS_OF_SPEECH[entry.pos][0]
 
     if entry.pos == "verb":
-        effective = (entry.restrictions
-                     or apply_qfpsoa_declarations(entry, decls, hierarchy))
+        effective = apply_qfpsoa_declarations(entry, decls, hierarchy)
         nsubj, ncomps = VALENCES[entry.valence]
         indices = [FeatureStructure(sort if method == "index" else top)
                    for _role, sort in effective]

@@ -204,7 +204,9 @@ def _valence_cat(subj, comps):
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     """One fresh edge per (token position, lexical sense) over that sense's
     sign, compiled on first use and kept in the entry's `signs` under
-    (method, position) for later charts (see `compile_entry`)."""
+    (method, position) for later charts over the same hierarchy and
+    declarations; under others the sign is compiled anew and replaces the
+    kept one (see `compile_entry`)."""
     unknown = sorted({t for t in tokens if t not in lexicon})
     if unknown:
         raise UnknownTokenError(unknown)
@@ -212,12 +214,13 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     for i, token in enumerate(tokens):
         for entry in lexicon[token]:
             built = entry.signs.get((method, i))
-            if built is None:
+            if (built is None or built[0] is not hierarchy
+                    or built[1] is not decls):
                 sign = compile_entry(entry, decls, method, hierarchy)
-                built = entry.signs[method, i] = (
-                    PARTS_OF_SPEECH[entry.pos][1]
-                    or _valence_cat(sign.subj, sign.comps), sign)
-            edges.append(Edge(i, i + 1, *built))
+                cat = (PARTS_OF_SPEECH[entry.pos][1]
+                       or _valence_cat(sign.subj, sign.comps))
+                built = entry.signs[method, i] = hierarchy, decls, cat, sign
+            edges.append(Edge(i, i + 1, built[2], built[3]))
     return edges
 
 

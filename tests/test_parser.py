@@ -733,3 +733,34 @@ def test_compiled_signs_die_with_their_lexicon(hierarchy, decls):
     del lexicon, reports
     gc.collect()
     assert tom() is None
+
+
+def test_a_kept_sign_follows_the_declarations_and_hierarchy_given(
+        hierarchy, decls, monkeypatch):
+    lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
+    artifacts = load_declarations(
+        data.DECLS.read_text().replace("eaten: edible", "eaten: artifact"),
+        hierarchy)
+    tokens = tokenize("tom ate a keyboard")
+    compiled = []
+
+    def counting(entry, decls, method, hierarchy):
+        compiled.append(entry.phon)
+        return compile_entry(entry, decls, method, hierarchy)
+
+    monkeypatch.setattr(selparse.parser, "compile_entry", counting)
+
+    def ate(decls, hierarchy=hierarchy):
+        chart = Chart(tokens, lexicon, decls, hierarchy, "index")
+        sign = chart.cells[1, 2][0].parts
+        return [index.sort for index in sign.indices], chart.readings()
+
+    assert ate(decls) == (["animate", "edible"], [])
+    assert len(ate(artifacts)[1]) == 1
+    assert ate(artifacts)[0] == ["animate", "artifact"]
+    assert ate(decls)[0] == ["animate", "edible"]
+    assert compiled.count("ate") == 3       # a miss on each change of decls
+    # an equal hierarchy that is another object compiles anew too
+    compiled.clear()
+    ate(decls, load_hierarchy(data.HIERARCHY.read_text()))
+    assert compiled == ["tom", "ate", "a", "keyboard"]
