@@ -116,7 +116,7 @@ class Relation:
     source: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Sign:
     """A compiled sign: its head sort and content plus set-valued parts.
 
@@ -128,7 +128,8 @@ class Sign:
     choices their `sense_id`.  `indices` are those words' index nodes in
     word order: a noun's index, a verb's role indices in declaration order.
     A `variables` mapping (see `parser.Edge.variables`) numbers them, a
-    bound slot taking its index's number.
+    bound slot taking its index's number.  A sign is a slotted record:
+    `__init__` sets every field, and no sign has an instance dict.
     """
 
     entries: tuple

@@ -24,7 +24,6 @@ quantifier set grows by the noun's restriction when a determiner attaches.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .grammar import METHODS, PARTS_OF_SPEECH, Sign, compile_entry, tokenize
@@ -93,7 +92,7 @@ class UnknownTokenError(ValueError):
         super().__init__("unknown token(s): " + ", ".join(self.tokens))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
@@ -106,7 +105,10 @@ class Edge:
     complete analysis (a reading) is an "s" edge spanning every token.  Its
     `derivation_string` is built on first read, from its daughters'
     strings, and kept by lexical and labelled edges, so the readings of one
-    chart share the strings of their common subtrees.
+    chart share the strings of their common subtrees.  The variable table
+    is built on the first read of `variables` or `sorts` and kept the same
+    way.  Every field, those two included, is a slot set by `__init__`, so
+    no edge has an instance dict.
     """
 
     start: int
@@ -117,6 +119,7 @@ class Edge:
     children: tuple = ()
     binds: tuple = ()               # (slot, index, met) identifications below
     _derivation: str | None = field(default=None, init=False, repr=False)
+    _table: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def index_sort(self):
@@ -127,8 +130,8 @@ class Edge:
                 return met
         return index and index.sort
 
-    @cached_property
-    def _table(self):
+    def _tabulate(self):
+        """Build and keep the (variables, sorts) table."""
         bound, last_met = {}, {}
         for slot, index, met in self.binds:
             bound[slot], last_met[index] = index, met
@@ -140,18 +143,19 @@ class Edge:
                 var = variables[index] = len(sorts) + 1
                 sorts[var] = last_met.get(index, index.sort)
             variables[node] = var
-        return variables, sorts
+        self._table = variables, sorts
+        return self._table
 
     @property
     def variables(self):
         """Index node or bound slot -> its variable number: numbered by first
         appearance in `parts.indices` (word order), a slot as its index."""
-        return self._table[0]
+        return (self._table or self._tabulate())[0]
 
     @property
     def sorts(self):
         """Variable number -> its last bind's meet, else its node's sort."""
-        return self._table[1]
+        return (self._table or self._tabulate())[1]
 
     def __repr__(self):
         words = " ".join(e.phon for e in self.parts.entries)

@@ -114,10 +114,18 @@ def _sources(pairs):
 
 
 def _fold(grouped, hierarchy):
-    """The verdict on {var: [(sort, source), ...]}, lowest variable first."""
+    """The verdict on {var: (sort, source) pairs}, lowest variable first.
+
+    A variable with one pair takes its sort as it is; only two or more
+    pairs are folded (`_reduce_variable`).
+    """
     assignment = {}
     for var in sorted(grouped):
-        final, conflict = _reduce_variable(grouped[var], hierarchy)
+        group = grouped[var]
+        if len(group) == 1:
+            assignment[var] = group[0][0]
+            continue
+        final, conflict = _reduce_variable(group, hierarchy)
         if final is None:
             (s1, sources1), (s2, sources2) = conflict
             narrative = f"violation: var={var} sorts={s1},{s2}"
@@ -137,16 +145,19 @@ def solve(atoms, hierarchy):
     not depend on hierarchies having unique meets.  Returns Satisfiable with
     the final sort per variable, or a Violation for the lowest variable
     whose constraints admit no common lower bound.  The atoms are grouped
-    into the (sort, source) pairs `check_reading` folds.
+    into the (sort, source) pairs `check_reading` folds; a sort that
+    `hierarchy` does not declare is a usage fault.
     """
     grouped = {}
     for atom in atoms:
+        if atom.sort not in hierarchy.mask:
+            raise ValueError(f"undeclared sort {atom.sort!r}")
         grouped.setdefault(atom.var, []).append((atom.sort, atom.source))
     return _fold(grouped, hierarchy)
 
 
 def _grouped(reading, hierarchy):
-    """A reading's constraints as {var: [(sort, source), ...]}, in one pass.
+    """A reading's constraints as {var: ((sort, source), ...)}, in one pass.
 
     Reads the quantifier, restriction and background sets in that order,
     keeping one-role instances named by a sort (not `naming`, say), each on
@@ -155,20 +166,21 @@ def _grouped(reading, hierarchy):
     """
     sign, variables, mask = reading.parts, reading.variables, hierarchy.mask
     grouped, seen_bg = {}, set()
-    for refs, is_bg in ((sign.quants, False), (sign.restr, False),
-                        (sign.bg, True)):
+    for refs in (sign.quants, sign.restr):
         for ref in refs:
-            roles, sort = ref.roles, ref.sort
-            if len(roles) != 1 or sort not in mask:
-                continue
+            roles = ref.roles
+            if len(roles) == 1 and ref.sort in mask:
+                var = variables[roles[0][1]]
+                grouped[var] = grouped.get(var, ()) + ((ref.sort, ref.source),)
+    for ref in sign.bg:
+        roles = ref.roles
+        if len(roles) == 1 and ref.sort in mask:
             ((role, filler),) = roles
             var = variables[filler]
-            if is_bg:
-                key = (sort, role, var)
-                if key in seen_bg:
-                    continue
+            key = (ref.sort, role, var)
+            if key not in seen_bg:
                 seen_bg.add(key)
-            grouped.setdefault(var, []).append((sort, ref.source))
+                grouped[var] = grouped.get(var, ()) + ((ref.sort, ref.source),)
     return grouped
 
 

@@ -1,9 +1,12 @@
 import gc
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
 from collections import Counter
-from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -539,16 +542,14 @@ def test_fill_unifies_nothing_and_a_read_sign_once(hierarchy, lexicon, decls,
                    selparse.selres):    # wherever it is held
         monkeypatch.setattr(module, "unify_map", counting_unify_map,
                             raising=False)
-    real_table = Edge._table.func
+    real_tabulate = Edge._tabulate
     computed = []
 
-    def counting_table(edge):
+    def counting_tabulate(edge):
         computed.append(edge)
-        return real_table(edge)
+        return real_tabulate(edge)
 
-    table = cached_property(counting_table)
-    table.__set_name__(Edge, "_table")
-    monkeypatch.setattr(Edge, "_table", table)
+    monkeypatch.setattr(Edge, "_tabulate", counting_tabulate)
 
     tokens = tokenize(ladder("attachment", 2))
     chart = Chart(tokens, lexicon, decls, hierarchy, method)
@@ -594,6 +595,55 @@ def test_an_adjective_stack_keeps_no_string_per_level(hierarchy, lexicon,
     assert derivation == f"(NP the {' '.join(['overseas'] * n)} departments)"
     assert kept < 1_000_000     # the NP's own string is 27 kB
     assert nbar.derivation_string == derivation[len("(NP the "):-1]
+
+
+# In a fresh interpreter: an index-only analysis as its first, then the
+# bytes that 200 fresh lexical edges keep after their first derivation.
+FIRST_DERIVATIONS_AFTER_AN_INDEX_ANALYSIS = """
+import tracemalloc
+from selparse import data
+from selparse.grammar import load_declarations, load_lexicon
+from selparse.parser import lexical_edges, run_method, tokenize
+from selparse.sorts import load_hierarchy
+
+hierarchy = load_hierarchy(data.HIERARCHY.read_text())
+decls = load_declarations(data.DECLS.read_text(), hierarchy)
+lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
+run_method(tokenize("list the employees of the departments that retire"),
+           lexicon, decls, hierarchy, "index")
+tokens = tokenize("the employees of the departments")   # none labelled
+edges = [edge for _ in range(40)
+         for edge in lexical_edges(tokens, lexicon, decls, hierarchy, "bg")]
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+for edge in edges:
+    edge.derivation_string
+print(len(edges), tracemalloc.get_traced_memory()[0] - before)
+"""
+
+
+def test_no_chart_record_has_an_instance_dict(hierarchy, lexicon, decls):
+    chart = Chart(tokenize(ladder("attachment", 2)), lexicon, decls,
+                  hierarchy, "bg")
+    for reading in chart.readings():
+        reading.derivation_string, reading.sorts
+    for cell in chart.cells.values():
+        for edge in cell:
+            assert not hasattr(edge, "__dict__")
+            assert not hasattr(edge.parts, "__dict__")
+    # on CPython 3.11, whether an edge's first stored derivation builds an
+    # instance dict depended on the process's first stores, so the
+    # measurement needs a process of its own
+    src = str(Path(selparse.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_DERIVATIONS_AFTER_AN_INDEX_ANALYSIS],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    edges, kept = map(int, done.stdout.split())
+    assert edges == 200
+    assert kept < 50 * edges
 
 
 def counting_checks(monkeypatch):

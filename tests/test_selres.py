@@ -222,6 +222,15 @@ def tie_branches(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("atoms", [
+    [atom("gizmo", 1)],                     # alone: taken without a fold
+    [atom("man", 1), atom("gizmo", 1)],
+], ids=["one-atom", "two-atom"])
+def test_solve_rejects_an_undeclared_sort(hierarchy, atoms):
+    with pytest.raises(ValueError, match="^undeclared sort 'gizmo'$"):
+        solve(atoms, hierarchy)
+
+
 def test_solve_merges_nothing_for_one_atom_variables(hierarchy, tie_branches):
     atoms = [atom("man", 1), atom("banana", 2), atom("keybd", 3)]
     assert solve(atoms, hierarchy) \
@@ -238,30 +247,47 @@ def test_solve_branches_once_per_tie(tie_branches):
 
 @pytest.mark.parametrize("sentence", [
     *CORPUS_SENTENCES,
-    *(ladder("attachment", k) for k in range(1, 4)),
-    *(ladder("sense", k) for k in range(1, 3)),
+    *(ladder("attachment", k) for k in range(1, 7)),
+    *(ladder("sense", k) for k in range(1, 4)),
 ])
 def test_solve_merges_once_per_extra_atom_on_a_bcpo_hierarchy(
-        hierarchy, lexicon, decls, tie_branches, sentence):
+        hierarchy, lexicon, decls, tie_branches, monkeypatch, sentence):
     # the bundled hierarchy is BCPO, so a fold never branches; a violation
-    # stops it early
+    # stops it early, and a one-atom variable takes its sort unfolded
     assert hierarchy.bcpo_violations() == []
     readings = parse_sentence(sentence, lexicon, decls, hierarchy, "bg")
     assert readings
+    cases = []
     for reading in readings:
         atoms = extract_constraints(reading, hierarchy)
-        folded = fold_every_variable(atoms, hierarchy)
-        verdict = solve(atoms, hierarchy)
-        assert tie_branches == []
-        if isinstance(verdict, Satisfiable):
-            assert list(verdict.assignment.items()) == folded
-        else:
-            var, ((s1, sources1), (s2, sources2)) = folded[-1]
-            words = ",".join((*sources1, *sources2))
-            narrative = f"violation: var={var} sorts={s1},{s2}" \
-                + (f" from={words}" if words else "")
-            assert (verdict.var, verdict.conflicting, verdict.narrative) \
-                == (var, {s1, s2}, narrative)
+        cases.append((reading, atoms, fold_every_variable(atoms, hierarchy)))
+    reduce_variable, reduced = selres._reduce_variable, []
+
+    def counting(group, hierarchy):
+        reduced.append(group)
+        return reduce_variable(group, hierarchy)
+
+    monkeypatch.setattr(selres, "_reduce_variable", counting)
+    for reading, atoms, folded in cases:
+        groups = {}
+        for a in atoms:
+            groups.setdefault(a.var, []).append((a.sort, a.source))
+        multi = [groups[var] for var, _ in folded if len(groups[var]) > 1]
+        for verdict in (solve(atoms, hierarchy),
+                        check_reading(reading, hierarchy)):
+            if isinstance(verdict, Satisfiable):
+                assert list(verdict.assignment.items()) == folded
+            else:
+                var, ((s1, sources1), (s2, sources2)) = folded[-1]
+                words = ",".join((*sources1, *sources2))
+                narrative = f"violation: var={var} sorts={s1},{s2}" \
+                    + (f" from={words}" if words else "")
+                assert (verdict.var, verdict.conflicting, verdict.narrative) \
+                    == (var, {s1, s2}, narrative)
+        # each check folds each variable with two or more atoms, once
+        assert [list(group) for group in reduced] == 2 * multi
+        reduced.clear()
+    assert tie_branches == []
 
 
 def test_check_reading_equals_solving_the_extracted_atoms(
