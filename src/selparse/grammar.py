@@ -84,10 +84,11 @@ class GrammarError(ValueError):
 class LexicalEntry:
     """One sense of a word, as `load_lexicon` read and checked it.
 
-    `signs` caches the lexical signs `parser.lexical_edges` compiled for
-    this entry, under (method, token position), each with the hierarchy
-    and declarations it was compiled under; it is neither compared nor
-    hashed, and it dies with its entry.
+    `signs` keeps the lexical edges `parser.lexical_edges` built for this
+    entry, under (method, token position), each as (hierarchy,
+    declarations, edge): the objects its sign was compiled under, and the
+    edge over that sign.  It is neither compared nor hashed, and it dies
+    with its entry.
     """
 
     phon: str
@@ -338,10 +339,11 @@ def compile_entry(entry, decls, method, hierarchy):
     Each call builds new index nodes and `Relation` records, which compare
     by identity, so two tokens of one word stay distinct.
     `parser.lexical_edges` calls this once per (entry, method, token
-    position) and reuses the sign in every later chart under the same
-    hierarchy and declarations: no code changes a sign once built, and two
-    tokens at one position never share a chart unless they are different
-    senses, which are different entries.
+    position) and reuses the lexical edge over the sign in every later
+    chart under the same hierarchy and declarations: no code changes a sign
+    once built, an edge keeps only strings and tables derived from it, and
+    two tokens at one position never share a chart unless they are
+    different senses, which are different entries.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

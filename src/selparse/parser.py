@@ -103,12 +103,15 @@ class Edge:
     each class is a star, one index and its slots, and each bind meets the
     sort the earlier binds left, so an index's last bind holds its sort.  A
     complete analysis (a reading) is an "s" edge spanning every token.  Its
-    `derivation_string` is built on first read, from its daughters'
-    strings, and kept by lexical and labelled edges, so the readings of one
-    chart share the strings of their common subtrees.  The variable table
-    is built on the first read of `variables` or `sorts` and kept the same
-    way.  Every field, those two included, is a slot set by `__init__`, so
-    no edge has an instance dict.
+    `derivation_string` is built on first read, in one left-to-right walk
+    that stops at every string already kept, and kept by lexical and
+    labelled edges, so the readings of one chart share the strings of
+    their common subtrees.  The variable table is built on the first read
+    of `variables` or `sorts` and kept the same way.  Every field, those
+    two included, is a slot set by `__init__`, so no edge has an instance
+    dict.  A lexical edge is kept on its entry (see `lexical_edges`) and
+    reused, with both, by every later chart that puts the entry at its
+    position.
     """
 
     start: int
@@ -164,35 +167,35 @@ class Edge:
     @property
     def derivation_string(self):
         """Bracketed derivation like `(S (NP tom) (VP ate (NP a keyboard)))`."""
-        # post-order over the edges not yet built, with an explicit stack:
-        # an adjective stack nests one level per word.  An unlabelled
-        # phrasal edge hands its string to its parent and keeps none, or
-        # each level of an adjective stack would keep the words below it.
-        handed = {}
-        stack = [self]
+        # one left-to-right walk with an explicit stack, as an adjective
+        # stack nests one level per word: each kept string is appended when
+        # reached, and a labelled edge's close marker joins the pieces
+        # appended since it opened into its string.  An unlabelled phrasal
+        # edge keeps none, or each level of an adjective stack would keep
+        # the words below it.
+        if self._derivation is not None:
+            return self._derivation
+        pieces, stack = [], [self]
         while stack:
-            edge = stack[-1]
-            if edge._derivation is not None:
-                stack.pop()
-                continue
-            pending = [c for c in edge.children
-                       if c._derivation is None and c not in handed]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            text = (" ".join(c._derivation or handed.pop(c)
-                             for c in edge.children)
-                    if edge.children
-                    else " ".join(e.phon for e in edge.parts.entries))
-            label = _PHRASE_LABEL.get(edge.cat)
-            if label:
-                edge._derivation = f"({label} {text})"
-            elif edge.children:
-                handed[edge] = text
-            else:
+            edge = stack.pop()
+            if edge.__class__ is tuple:     # (edge, first piece, label)
+                edge, first, label = edge
+                text = f"({label} {' '.join(pieces[first:])})"
+                pieces[first:] = (text,)
                 edge._derivation = text
-        return self._derivation or handed.pop(self)
+            elif edge._derivation is not None:
+                pieces.append(edge._derivation)
+            elif edge.children:
+                label = _PHRASE_LABEL.get(edge.cat)
+                if label:
+                    stack.append((edge, len(pieces), label))
+                stack += reversed(edge.children)
+            else:
+                text = " ".join(e.phon for e in edge.parts.entries)
+                label = _PHRASE_LABEL.get(edge.cat)
+                edge._derivation = f"({label} {text})" if label else text
+                pieces.append(edge._derivation)
+        return self._derivation or " ".join(pieces)
 
     @property
     def identity(self):
@@ -206,11 +209,14 @@ def _valence_cat(subj, comps):
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
-    """One fresh edge per (token position, lexical sense) over that sense's
-    sign, compiled on first use and kept in the entry's `signs` under
-    (method, position) for later charts over the same hierarchy and
-    declarations; under others the sign is compiled anew and replaces the
-    kept one (see `compile_entry`)."""
+    """One edge per (token position, lexical sense) over that sense's sign.
+
+    The edge is built on first use and kept in the entry's `signs` under
+    (method, position) for every later chart over the same hierarchy and
+    declarations objects, with its derivation string and variable table
+    once read; under others its sign is compiled anew and a new edge
+    replaces the kept one (see `compile_entry`).
+    """
     unknown = sorted({t for t in tokens if t not in lexicon})
     if unknown:
         raise UnknownTokenError(unknown)
@@ -223,8 +229,9 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
                 sign = compile_entry(entry, decls, method, hierarchy)
                 cat = (PARTS_OF_SPEECH[entry.pos][1]
                        or _valence_cat(sign.subj, sign.comps))
-                built = entry.signs[method, i] = hierarchy, decls, cat, sign
-            edges.append(Edge(i, i + 1, built[2], built[3]))
+                built = entry.signs[method, i] = (hierarchy, decls,
+                                                  Edge(i, i + 1, cat, sign))
+            edges.append(built[2])
     return edges
 
 

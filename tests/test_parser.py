@@ -508,13 +508,17 @@ def walked_entries(edge):
 @pytest.mark.parametrize("method", ["bg", "index"])
 def test_a_derivation_is_built_once_per_edge(hierarchy, lexicon, decls,
                                              method):
-    for family, k, expected in [
-            ("attachment", 6, {"bg": 429, "index": 132}),
-            ("sense", 3, {"bg": 224, "index": 112})]:   # homographs: printer
-        chart = Chart(tokenize(ladder(family, k)), lexicon, decls,
-                      hierarchy, method)
+    unlabelled = 0
+    for sentence, expected in [
+            (ladder("attachment", 6), {"bg": 429, "index": 132}),
+            (ladder("sense", 3), {"bg": 224, "index": 112}),  # printer
+            # unlabelled phrasal edges: nbar over adjectives
+            ("list the overseas employees of the overseas overseas"
+             " departments that retire", {"bg": 2, "index": 1}),
+            *((sentence, None) for sentence in CORPUS_SENTENCES)]:
+        chart = Chart(tokenize(sentence), lexicon, decls, hierarchy, method)
         readings = chart.readings()
-        assert len(readings) == expected[method]
+        assert expected is None or len(readings) == expected[method]
         for reading in readings:    # kept, not rebuilt on the second read
             assert reading.derivation_string is reading.derivation_string
         for cell in chart.cells.values():
@@ -525,6 +529,13 @@ def test_a_derivation_is_built_once_per_edge(hierarchy, lexicon, decls,
                 assert edge.parts.entries == entries
                 assert edge.identity == (
                     derivation, tuple(e.sense_id for e in entries))
+                # only lexical and labelled edges keep their string
+                if edge.children and edge.cat not in _PHRASE_LABEL:
+                    assert edge._derivation is None
+                    unlabelled += 1
+                else:
+                    assert edge._derivation == derivation
+    assert unlabelled == 3     # the adjective sentence's nbar edges
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
@@ -598,7 +609,8 @@ def test_an_adjective_stack_keeps_no_string_per_level(hierarchy, lexicon,
 
 
 # In a fresh interpreter: an index-only analysis as its first, then the
-# bytes that 200 fresh lexical edges keep after their first derivation.
+# count of 200 fresh lexical edges and the bytes they keep after their
+# first derivation.
 FIRST_DERIVATIONS_AFTER_AN_INDEX_ANALYSIS = """
 import tracemalloc
 from selparse import data
@@ -612,13 +624,17 @@ lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
 run_method(tokenize("list the employees of the departments that retire"),
            lexicon, decls, hierarchy, "index")
 tokens = tokenize("the employees of the departments")   # none labelled
-edges = [edge for _ in range(40)
-         for edge in lexical_edges(tokens, lexicon, decls, hierarchy, "bg")]
+# a loaded lexicon keeps its lexical edges, so each 5 come from a fresh one
+lexicons = [load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
+            for _ in range(40)]
+edges = [edge for fresh in lexicons
+         for edge in lexical_edges(tokens, fresh, decls, hierarchy, "bg")]
 tracemalloc.start()
 before = tracemalloc.get_traced_memory()[0]
 for edge in edges:
     edge.derivation_string
-print(len(edges), tracemalloc.get_traced_memory()[0] - before)
+print(len({id(edge) for edge in edges}),
+      tracemalloc.get_traced_memory()[0] - before)
 """
 
 
@@ -642,7 +658,7 @@ def test_no_chart_record_has_an_instance_dict(hierarchy, lexicon, decls):
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     edges, kept = map(int, done.stdout.split())
-    assert edges == 200
+    assert edges == 200     # distinct edges
     assert kept < 50 * edges
 
 
@@ -757,11 +773,17 @@ def test_each_lexical_sign_is_compiled_once_per_position(hierarchy, decls,
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
-def test_tokens_of_one_word_keep_their_own_nodes(hierarchy, lexicon, decls,
-                                                 method):
+def test_tokens_of_one_word_keep_their_own_nodes(hierarchy, decls, method):
+    # a lexicon of its own: the charts below replace its kept edges
+    lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
     tokens = tokenize("list the printer of the printer that retire")
     one, two = (Chart(tokens, lexicon, decls, hierarchy, method)
                 for _ in range(2))
+    # equal resources that are other objects
+    other_hierarchy = load_hierarchy(data.HIERARCHY.read_text())
+    other_decls = load_declarations(data.DECLS.read_text(), hierarchy)
+    three = Chart(tokens, lexicon, decls, other_hierarchy, method)
+    four = Chart(tokens, lexicon, other_decls, hierarchy, method)
     for sense in range(2):      # printer_person, printer_peripheral
         first = one.cells[2, 3][sense].parts
         second = one.cells[5, 6][sense].parts
@@ -769,9 +791,15 @@ def test_tokens_of_one_word_keep_their_own_nodes(hierarchy, lexicon, decls,
         assert first.index is not second.index
         assert len(first.restr) == len(second.restr) == (method == "bg")
         assert all(a is not b for a in first.restr for b in second.restr)
-        # a later chart reuses the sign at each position, on a fresh edge
-        assert two.cells[2, 3][sense].parts is first
-        assert two.cells[2, 3][sense] is not one.cells[2, 3][sense]
+        # the two tokens of one chart get distinct edges
+        assert one.cells[2, 3][sense] is not one.cells[5, 6][sense]
+        # a later chart reuses the edge at each position, sign and all
+        assert two.cells[2, 3][sense] is one.cells[2, 3][sense]
+        assert two.cells[5, 6][sense] is one.cells[5, 6][sense]
+        # but not under another hierarchy or declarations object
+        for other in (three, four):
+            assert other.cells[2, 3][sense] is not one.cells[2, 3][sense]
+            assert other.cells[2, 3][sense].parts is not first
 
 
 def test_compiled_signs_die_with_their_lexicon(hierarchy, decls):
