@@ -12,9 +12,9 @@ import re
 from dataclasses import dataclass, field
 
 from .sorts import lines
-from .tfs import FeatureStructure
 
 __all__ = [
+    "FeatureStructure",
     "GrammarError",
     "LexicalEntry",
     "Relation",
@@ -80,11 +80,23 @@ class GrammarError(ValueError):
     """A lexicon or declaration document is malformed or inconsistent."""
 
 
+@dataclass(eq=False)
+class FeatureStructure:
+    """One node of an attribute-value graph: a sort plus named children."""
+
+    sort: str
+    feats: dict = field(default_factory=dict)
+
+    def __repr__(self):
+        inner = " " + ",".join(self.feats) if self.feats else ""
+        return f"<fs {self.sort}{inner}>"
+
+
 @dataclass(frozen=True)
 class LexicalEntry:
     """One sense of a word, as `load_lexicon` read and checked it.
 
-    `signs` keeps the lexical edges `parser.lexical_edges` built for this
+    `edges` keeps the lexical edges `parser.lexical_edges` built for this
     entry, under (method, token position), each as (hierarchy,
     declarations, edge): the objects its sign was compiled under, and the
     edge over that sign.  It is neither compared nor hashed, and it dies
@@ -99,7 +111,7 @@ class LexicalEntry:
     valence: str | None = None      # verbs: trans / intrans / imp
     name_atom: str | None = None    # proper nouns
     overrides: tuple = ()           # ((role, sort), ...)
-    signs: dict = field(default_factory=dict, init=False, compare=False,
+    edges: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
 
@@ -339,11 +351,11 @@ def compile_entry(entry, decls, method, hierarchy):
     Each call builds new index nodes and `Relation` records, which compare
     by identity, so two tokens of one word stay distinct.
     `parser.lexical_edges` calls this once per (entry, method, token
-    position) and reuses the lexical edge over the sign in every later
-    chart under the same hierarchy and declarations: no code changes a sign
-    once built, an edge keeps only strings and tables derived from it, and
-    two tokens at one position never share a chart unless they are
-    different senses, which are different entries.
+    position), keeps the lexical edge over the sign in the entry's `edges`
+    and reuses it in every later chart under the same hierarchy and
+    declarations: no code changes a sign once built, an edge keeps only
+    values derived from it, and two tokens at one position never share a
+    chart unless they are different senses, which are different entries.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .grammar import METHODS, PARTS_OF_SPEECH, Sign, compile_entry, tokenize
 from .selres import Satisfiable, check_reading
-from .tfs import meet
+from .sorts import meet
 
 __all__ = [
     "Chart",
@@ -96,22 +96,21 @@ class UnknownTokenError(ValueError):
 class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
-    An edge holds only what `combine` reads; the checker, the index
-    assignment and `render_sign` read `parts` through `variables` and
-    `sorts`, and the words and their senses from `parts.entries`.  A bind
-    identifies a verb-role slot with an np's index and keeps their meet;
-    each class is a star, one index and its slots, and each bind meets the
-    sort the earlier binds left, so an index's last bind holds its sort.  A
-    complete analysis (a reading) is an "s" edge spanning every token.  Its
-    `derivation_string` is built on first read, in one left-to-right walk
-    that stops at every string already kept, and kept by lexical and
-    labelled edges, so the readings of one chart share the strings of
-    their common subtrees.  The variable table is built on the first read
-    of `variables` or `sorts` and kept the same way.  Every field, those
-    two included, is a slot set by `__init__`, so no edge has an instance
-    dict.  A lexical edge is kept on its entry (see `lexical_edges`) and
-    reused, with both, by every later chart that puts the entry at its
-    position.
+    An edge holds only what `combine` reads; the checker, the index assignment
+    and `render_sign` read `parts` through `variables` and `sorts`, and the
+    words and their senses from `parts.entries`.  A bind identifies a verb-role
+    slot with an np's index and keeps their meet; each class is a star, one
+    index and its slots, and each bind meets the sort the earlier binds left,
+    so an index's last bind holds its sort.  `index_sort` is that sort, else
+    the node's own, for `parts.index` (see `combine`).  A reading is an "s"
+    edge spanning every token.  Its `derivation_string` is built on first read,
+    in one left-to-right walk that stops at every string already kept, and kept
+    by lexical and labelled edges, so the readings of one chart share the
+    strings of their common subtrees.  The variable table is built on the first
+    read of `variables` or `sorts` and kept the same way.  Every field, those
+    two included, is a slot set by `__init__`, so no edge has an instance dict.
+    A lexical edge is kept on its entry (see `lexical_edges`) and reused, with
+    both, by every later chart that puts the entry at its position.
     """
 
     start: int
@@ -121,17 +120,9 @@ class Edge:
     schema: str | None = None       # None marks a lexical edge
     children: tuple = ()
     binds: tuple = ()               # (slot, index, met) identifications below
+    index_sort: str | None = None   # the binds' sort for parts.index
     _derivation: str | None = field(default=None, init=False, repr=False)
     _table: tuple | None = field(default=None, init=False, repr=False)
-
-    @property
-    def index_sort(self):
-        """The sort the binds leave on the index: its last bind's meet."""
-        index = self.parts.index
-        for _, bound, met in reversed(self.binds):  # a loop: next() is slower
-            if bound is index:
-                return met
-        return index and index.sort
 
     def _tabulate(self):
         """Build and keep the (variables, sorts) table."""
@@ -211,7 +202,7 @@ def _valence_cat(subj, comps):
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     """One edge per (token position, lexical sense) over that sense's sign.
 
-    The edge is built on first use and kept in the entry's `signs` under
+    The edge is built on first use and kept in the entry's `edges` under
     (method, position) for every later chart over the same hierarchy and
     declarations objects, with its derivation string and variable table
     once read; under others its sign is compiled anew and a new edge
@@ -223,26 +214,29 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     edges = []
     for i, token in enumerate(tokens):
         for entry in lexicon[token]:
-            built = entry.signs.get((method, i))
+            built = entry.edges.get((method, i))
             if (built is None or built[0] is not hierarchy
                     or built[1] is not decls):
                 sign = compile_entry(entry, decls, method, hierarchy)
                 cat = (PARTS_OF_SPEECH[entry.pos][1]
                        or _valence_cat(sign.subj, sign.comps))
-                built = entry.signs[method, i] = (hierarchy, decls,
-                                                  Edge(i, i + 1, cat, sign))
+                edge = Edge(i, i + 1, cat, sign,
+                            index_sort=sign.index and sign.index.sort)
+                built = entry.edges[method, i] = (hierarchy, decls, edge)
             edges.append(built[2])
     return edges
 
 
 def combine(left, right, schema, hierarchy):
-    """Apply one schema to two adjacent edges; None when the index sorts clash."""
+    """Apply one schema to two adjacent edges, None when the index sorts
+    clash; the mother keeps the head's `index_sort`, or np_relc's new meet."""
     rule = RULES.get(schema)
     if rule is None:
         raise ValueError(f"unknown schema {schema!r}")
-    lsign, rsign = left.parts, right.parts
-    core = rsign if rule.head else lsign
+    head = right if rule.head else left
+    lsign, rsign, core = left.parts, right.parts, head.parts
     subj, comps = core.subj, core.comps
+    index_sort = head.index_sort    # the other daughter's binds miss it
     binds = left.binds + right.binds
     if rule.slot is not None:
         selector, dependent = (rsign, left) if rule.selector else (lsign, right)
@@ -251,11 +245,12 @@ def combine(left, right, schema, hierarchy):
         met = meet(slot.sort, dependent.index_sort, hierarchy)
         if met is None:
             return None
-        if selector is core:
-            if rule.slot == "comps":
-                comps = pending[1:]
-            else:
-                subj = pending[1:]
+        if selector is not core:    # np_relc: the np bound is the head
+            index_sort = met
+        elif rule.slot == "comps":
+            comps = pending[1:]
+        else:
+            subj = pending[1:]
         binds += ((slot, dependent.parts.index, met),)
     restr = lsign.restr + rsign.restr
     quants = lsign.quants + rsign.quants
@@ -266,7 +261,8 @@ def combine(left, right, schema, hierarchy):
                 core.head, core.index, core.nucleus, subj, comps, restr,
                 quants, lsign.bg + rsign.bg)
     cat = rule.mother or _valence_cat(subj, comps)
-    return Edge(left.start, right.end, cat, sign, schema, (left, right), binds)
+    return Edge(left.start, right.end, cat, sign, schema, (left, right), binds,
+                index_sort)
 
 
 class Chart:

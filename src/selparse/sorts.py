@@ -1,7 +1,7 @@
 """Semantic sort hierarchies: types of world entities ordered by subsumption.
 
-A hierarchy is a rooted DAG of sort names.  It is loaded from a small
-line-oriented text format and validated, and never changes afterwards.
+A hierarchy is a rooted DAG of sort names, loaded from a line-oriented text
+format, validated and never changed; `meet` meets two node sorts in one.
 """
 
 import re
@@ -12,6 +12,7 @@ __all__ = [
     "SortHierarchy",
     "lines",
     "load_hierarchy",
+    "meet",
 ]
 
 HIERARCHY_FORMAT = """\
@@ -180,6 +181,16 @@ class SortHierarchy:
         return [(a, b, self._maximal(self.mask[a] & self.mask[b]))
                 for a, b in sorted(pairs)
                 if self.mask[a] & self.mask[b] not in self.by_mask]
+
+
+def meet(s1, s2, hierarchy):
+    """The meet of two node sorts, or None; equal sorts meet without a lookup."""
+    if s1 == s2:
+        return s1
+    try:
+        return hierarchy.glb(s1, s2)
+    except HierarchyError:  # an undeclared sort meets only itself
+        return None
 
 
 def load_hierarchy(text):

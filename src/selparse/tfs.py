@@ -1,9 +1,9 @@
 """Typed feature structures: sorted, reentrant attribute-value graphs.
 
-Nodes compare by identity; sharing one node between two feature paths is what
-makes a structure reentrant.  Structures are treated as immutable once built,
-and unification always returns fresh nodes.  The parser copies no graph: it
-meets the sorts of two index nodes (`meet`) and records the bind with its meet.
+Nodes (`grammar.FeatureStructure`) compare by identity; sharing one node
+between two feature paths is what makes a structure reentrant.  Structures
+are treated as immutable once built, and unification always returns fresh
+nodes.  The parser calls nothing here: it meets sorts with `sorts.meet`.
 
 Only sorts declared in the semantic hierarchy have nontrivial meets.  Every
 other node sort (relation names such as "eat", and atoms such as proper-name
@@ -11,9 +11,10 @@ strings) belongs to a flat open inventory in which unification demands
 equality.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .sorts import HierarchyError
+from .grammar import FeatureStructure
+from .sorts import meet
 
 __all__ = [
     "FeatureStructure",
@@ -24,18 +25,6 @@ __all__ = [
     "unify",
     "unify_map",
 ]
-
-
-@dataclass(eq=False)
-class FeatureStructure:
-    """One node of an attribute-value graph: a sort plus named children."""
-
-    sort: str
-    feats: dict = field(default_factory=dict)
-
-    def __repr__(self):
-        inner = " " + ",".join(self.feats) if self.feats else ""
-        return f"<fs {self.sort}{inner}>"
 
 
 @dataclass(frozen=True)
@@ -51,16 +40,6 @@ class UnificationFailure:
     def __str__(self):
         where = "|".join(self.path) or "(root)"
         return f"sort conflict at {where}: {self.sorts[0]} ^ {self.sorts[1]}"
-
-
-def meet(s1, s2, hierarchy):
-    """The meet of two node sorts, or None; equal sorts meet without a lookup."""
-    if s1 == s2:
-        return s1
-    try:
-        return hierarchy.glb(s1, s2)
-    except HierarchyError:  # an undeclared sort meets only itself
-        return None
 
 
 def unify_map(pairs, roots, hierarchy):

@@ -1,3 +1,4 @@
+import ast
 import gc
 import os
 import subprocess
@@ -406,6 +407,9 @@ def thing_lexicon(hierarchy, decls):
     *(ladder("attachment", k) for k in range(1, 7)),
     *(ladder("sense", k) for k in range(1, 4)),
     "the thing that ate a banana retire",
+    # two relative clauses on one np: each narrows its index in turn
+    "the thing that retire that ate a banana retire",
+    "the thing that ate a banana that retire retire",
 ])
 @pytest.mark.parametrize("method", ["bg", "index"])
 def test_identification_classes_are_stars(hierarchy, thing_lexicon, decls,
@@ -536,6 +540,19 @@ def test_a_derivation_is_built_once_per_edge(hierarchy, lexicon, decls,
                 else:
                     assert edge._derivation == derivation
     assert unlabelled == 3     # the adjective sentence's nbar edges
+
+
+def test_the_parse_path_imports_nothing_from_tfs():
+    # the parser meets sorts with sorts.meet and builds its index nodes in
+    # grammar, so the reference unifier can leave without them
+    for module in (selparse.grammar, selparse.parser, selparse.selres):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = [name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for name in (getattr(node, "module", None) or "",
+                                 *(alias.name for alias in node.names))]
+        assert not any("tfs" in name.split(".") for name in imported), \
+            (module.__name__, imported)
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
@@ -807,7 +824,7 @@ def test_compiled_signs_die_with_their_lexicon(hierarchy, decls):
     reports, _ = run_method(tokenize("tom ate a banana"), lexicon, decls,
                             hierarchy, "both")
     tom = weakref.ref(lexicon["tom"][0])
-    assert tom().signs      # the parse kept its signs on the entry
+    assert tom().edges      # the parse kept its edges on the entry
     del lexicon, reports
     gc.collect()
     assert tom() is None
