@@ -107,10 +107,12 @@ class Edge:
     in one left-to-right walk that stops at every string already kept, and kept
     by lexical and labelled edges, so the readings of one chart share the
     strings of their common subtrees.  The variable table is built on the first
-    read of `variables` or `sorts` and kept the same way.  Every field, those
-    two included, is a slot set by `__init__`, so no edge has an instance dict.
-    A lexical edge is kept on its entry (see `lexical_edges`) and reused, with
-    both, by every later chart that puts the entry at its position.
+    read of `variables`, `sorts` or `verdicts` and kept the same way, except
+    that the readings of one chart share it per constraint set (see
+    `Chart.readings`).  Every field, those two included, is a slot set by
+    `__init__`, so no edge has an instance dict.  A lexical edge is kept on
+    its entry (see `lexical_edges`) and reused, with both, by every later
+    chart that puts the entry at its position.
     """
 
     start: int
@@ -122,10 +124,23 @@ class Edge:
     binds: tuple = ()               # (slot, index, met) identifications below
     index_sort: str | None = None   # the binds' sort for parts.index
     _derivation: str | None = field(default=None, init=False, repr=False)
-    _table: tuple | None = field(default=None, init=False, repr=False)
+    # None, a chart's {constraint key: table} lookup, or the table itself
+    _table: tuple | dict | None = field(default=None, init=False, repr=False)
 
     def _tabulate(self):
-        """Build and keep the (variables, sorts) table."""
+        """Keep and return the (variables, sorts, verdicts) table.
+
+        Handed a chart's lookup, the edge takes the table kept there under
+        its constraint key, or builds one with an empty `verdicts` dict and
+        keeps it there; else it builds one of its own, `verdicts` None.
+        """
+        lookup = self._table
+        if lookup is not None:
+            key = _constraint_key(self)
+            table = lookup.get(key)
+            if table is not None:
+                self._table = table
+                return table
         bound, last_met = {}, {}
         for slot, index, met in self.binds:
             bound[slot], last_met[index] = index, met
@@ -137,19 +152,37 @@ class Edge:
                 var = variables[index] = len(sorts) + 1
                 sorts[var] = last_met.get(index, index.sort)
             variables[node] = var
-        self._table = variables, sorts
+        if lookup is None:
+            self._table = variables, sorts, None
+        else:
+            self._table = lookup[key] = variables, sorts, {}
         return self._table
 
     @property
     def variables(self):
         """Index node or bound slot -> its variable number: numbered by first
-        appearance in `parts.indices` (word order), a slot as its index."""
-        return (self._table or self._tabulate())[0]
+        appearance in `parts.indices` (word order), a slot as its index.
+
+        Kept, and shared by the readings of one chart with one constraint
+        set (see `Chart.readings`): read-only."""
+        table = self._table
+        return (table if table.__class__ is tuple else self._tabulate())[0]
 
     @property
     def sorts(self):
-        """Variable number -> its last bind's meet, else its node's sort."""
-        return (self._table or self._tabulate())[1]
+        """Variable number -> its last bind's meet, else its node's sort.
+
+        Kept and shared as `variables` is: read-only."""
+        table = self._table
+        return (table if table.__class__ is tuple else self._tabulate())[1]
+
+    @property
+    def verdicts(self):
+        """{hierarchy: `check_reading` verdict} shared by the readings of one
+        chart with this reading's constraint set, or None for an edge that
+        shares nothing (see `Chart.readings`)."""
+        table = self._table
+        return (table if table.__class__ is tuple else self._tabulate())[2]
 
     def __repr__(self):
         words = " ".join(e.phon for e in self.parts.entries)
@@ -317,9 +350,61 @@ class Chart:
                     self.edges_built += len(cell)
 
     def readings(self):
-        """Complete-sentence readings: saturated verbal edges spanning everything."""
+        """Complete-sentence readings: saturated verbal edges spanning everything.
+
+        Two or more readings are handed one lookup of this chart's, so those
+        with one constraint set (`_constraint_key`) share one variable table
+        and one verdict per hierarchy (`Edge.verdicts`); callers must treat
+        both as read-only.  The lookup refers to no edge, and it and its
+        tables go with the readings.  A lone reading gets none.
+        """
         full = self.cells.get((0, len(self.tokens)), ())
-        return [edge for edge in full if edge.cat == "s"]
+        readings = [edge for edge in full if edge.cat == "s"]
+        if len(readings) > 1:
+            lookup = {}
+            for reading in readings:
+                if reading._table is None:
+                    reading._table = lookup
+        return readings
+
+    def count_unfiltered(self):
+        """How many readings the bg chart of these tokens has, counted on
+        this chart's lexical edges without building another edge.
+
+        Under bg every meet in `combine` succeeds, so whether two edges
+        combine, and into what, follows from each one's shape: its category
+        and the lengths of its pending subj and comps.  One pass over the
+        spans adds up, per shape, the trees the rows of RULES build.
+        """
+        n = len(self.tokens)
+        counts = {}
+        for start in range(n):
+            cell = counts[start, start + 1] = {}
+            for edge in self.cells[start, start + 1]:
+                shape = (edge.cat, len(edge.parts.subj), len(edge.parts.comps))
+                cell[shape] = cell.get(shape, 0) + 1
+        for width in range(2, n + 1):
+            for start in range(n - width + 1):
+                end = start + width
+                cell = counts[start, end] = {}
+                for split in range(start + 1, end):
+                    for (lcat, *lvalence), left in counts[start, split].items():
+                        row = _SCHEMA_ROWS.get(lcat, {})
+                        for (rcat, *rvalence), right in counts[split,
+                                                               end].items():
+                            schema = row.get(rcat)
+                            if schema is None:
+                                continue
+                            rule = RULES[schema]
+                            subj, comps = rvalence if rule.head else lvalence
+                            if rule.selector == rule.head:  # pops its slot
+                                subj -= rule.slot == "subj"
+                                comps -= rule.slot == "comps"
+                            shape = (rule.mother or _valence_cat(subj, comps),
+                                     subj, comps)
+                            cell[shape] = cell.get(shape, 0) + left * right
+        return sum(count for (cat, *_), count in counts.get((0, n), {}).items()
+                   if cat == "s")
 
 
 @dataclass
@@ -345,17 +430,6 @@ def _constraint_key(reading):
             frozenset(reading.binds))
 
 
-def _once_per_key(readings, compute):
-    """`compute` of each reading, called once per `_constraint_key`."""
-    results, out = {}, []
-    for reading in readings:
-        key = _constraint_key(reading)
-        if key not in results:
-            results[key] = compute(reading)
-        out.append(results[key])
-    return out
-
-
 def run_method(tokens, lexicon, decls, hierarchy, method):
     """Analyse one sentence under "bg", "index" or "both".
 
@@ -365,37 +439,41 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     reading's variables alike, in word order (`Edge.variables`).
     pre_filter counts readings with selectional checking disabled.
     Nothing prunes during a "bg" parse (all indices stay at the root sort,
-    so every meet in `combine` succeeds), so the bg chart, filled once,
-    doubles as the unfiltered baseline.  post_filter counts survivors:
-    solver-approved readings under "bg", the pruned chart's own readings
-    under "index".
+    so every meet in `combine` succeeds), so the bg chart doubles as the
+    unfiltered baseline; under "index" alone only the index chart is
+    filled, and pre_filter is counted on it (`Chart.count_unfiltered`).
+    post_filter counts survivors: solver-approved readings under "bg", the
+    pruned chart's own readings under "index".
 
     Readings that differ only in attachment carry the same constraints over
-    the same variables: the solver and the index assignment run once per
-    distinct constraint set (`_constraint_key`), so such readings share one
-    verdict object, while each survivor gets its own assignment dict.
+    the same variables.  Each `check_reading` and `sorts` read below is per
+    reading, but the readings of one chart share one verdict object and one
+    variable table per distinct constraint set (`Chart.readings`), so the
+    solver and the index assignment run once per set; each survivor still
+    gets its own copy of its assignment.
     """
     if method not in (*METHODS, "both"):
         raise ValueError(f"unknown method {method!r}")
-    baseline = Chart(tokens, lexicon, decls, hierarchy, "bg").readings()
     reports = []
     if method != "index":
+        baseline = Chart(tokens, lexicon, decls, hierarchy, "bg").readings()
+        pre_filter = len(baseline)
         surviving, violations = [], []
-        verdicts = _once_per_key(baseline,
-                                 lambda r: check_reading(r, hierarchy))
-        for reading, result in zip(baseline, verdicts):
+        for reading in baseline:
+            result = check_reading(reading, hierarchy)
             if isinstance(result, Satisfiable):
                 surviving.append((reading, dict(result.assignment)))
             else:
                 violations.append((reading, result))
-        reports.append(MethodReport("bg", len(baseline), len(surviving),
+        reports.append(MethodReport("bg", pre_filter, len(surviving),
                                     surviving, violations))
     if method != "bg":
-        pruned = Chart(tokens, lexicon, decls, hierarchy, "index").readings()
-        assignments = _once_per_key(pruned, lambda r: r.sorts)
-        surviving = [(reading, dict(assignment))
-                     for reading, assignment in zip(pruned, assignments)]
-        reports.append(MethodReport("index", len(baseline), len(surviving),
+        chart = Chart(tokens, lexicon, decls, hierarchy, "index")
+        if method == "index":
+            pre_filter = chart.count_unfiltered()
+        surviving = [(reading, dict(reading.sorts))
+                     for reading in chart.readings()]
+        reports.append(MethodReport("index", pre_filter, len(surviving),
                                     surviving, []))
     agree = None
     if method == "both":

@@ -1,6 +1,8 @@
 import ast
 import gc
+import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import selparse.cli
 import selparse.grammar
 import selparse.parser
 import selparse.selres
@@ -679,44 +682,55 @@ def test_no_chart_record_has_an_instance_dict(hierarchy, lexicon, decls):
     assert kept < 50 * edges
 
 
-def counting_checks(monkeypatch):
-    """The readings `run_method` hands to `check_reading`, in order."""
-    checked = []
+def counting_folds(monkeypatch):
+    """The constraint sets folded into a verdict, one per `selres._fold`."""
+    folded = []
+    fold = selparse.selres._fold
 
-    def counting(reading, hierarchy):
-        checked.append(reading)
-        return check_reading(reading, hierarchy)
+    def counting(grouped, hierarchy):
+        folded.append(grouped)
+        return fold(grouped, hierarchy)
 
-    monkeypatch.setattr(selparse.parser, "check_reading", counting)
-    return checked
+    monkeypatch.setattr(selparse.selres, "_fold", counting)
+    return folded
+
+
+def unshared(reading):
+    """A copy of `reading` handed no chart's lookup: it shares nothing."""
+    return Edge(reading.start, reading.end, reading.cat, reading.parts,
+                reading.schema, reading.children, reading.binds,
+                reading.index_sort)
 
 
 def assert_shared_results_are_fresh(reports, hierarchy):
     """Each reading's verdict or assignment is the one made for it alone."""
     for report in reports:
         for reading, assignment in report.surviving:
+            alone = unshared(reading)
+            assert alone.verdicts is None
             if report.method == "bg":
-                fresh = check_reading(reading, hierarchy)
+                fresh = check_reading(alone, hierarchy)
                 assert isinstance(fresh, Satisfiable)
                 assert fresh.assignment == assignment
             else:
-                assert assignment == reading.sorts
+                assert assignment == alone.sorts
         for reading, violation in report.violations:
             # compares var, conflicting and narrative
-            assert check_reading(reading, hierarchy) == violation
+            assert check_reading(unshared(reading), hierarchy) == violation
 
 
-@pytest.mark.parametrize("family, k, checks", [
-    *(("attachment", k, k + 1) for k in range(1, 7)),
-    ("sense", 1, 8), ("sense", 2, 24), ("sense", 3, 64),
-])
+LADDER_SETS = [*(("attachment", k, k + 1) for k in range(1, 7)),
+               ("sense", 1, 8), ("sense", 2, 24), ("sense", 3, 64)]
+
+
+@pytest.mark.parametrize("family, k, checks", LADDER_SETS)
 def test_readings_with_one_constraint_set_share_one_check(
         hierarchy, lexicon, decls, monkeypatch, family, k, checks):
-    checked = counting_checks(monkeypatch)
+    folded = counting_folds(monkeypatch)
     reports, agree = run_method(tokenize(ladder(family, k)), lexicon, decls,
                                 hierarchy, "both")
     assert agree
-    assert len(checked) == checks
+    assert len(folded) == checks
     bg, index = reports
     assert len({id(v) for _, v in bg.violations}) <= checks
     survivors = [assignment for _, assignment in bg.surviving + index.surviving]
@@ -731,17 +745,151 @@ def test_shared_verdicts_hold_on_a_non_bcpo_hierarchy(monkeypatch):
     assert sorts.bcpo_violations()
     decls = load_declarations(data.DECLS.read_text(), sorts)
     lexicon = load_lexicon(data.LEXICON.read_text(), sorts, decls)
-    checked = counting_checks(monkeypatch)
+    folded = counting_folds(monkeypatch)
     sentences = [*CORPUS_SENTENCES,
                  *(ladder("attachment", k) for k in range(1, 7)),
                  *(ladder("sense", k) for k in (1, 2, 3))]
-    readings = 0
+    readings = folds = 0
     for sentence in sentences:
+        folded.clear()
         reports, _ = run_method(tokenize(sentence), lexicon, decls, sorts,
                                 "bg")
+        folds += len(folded)
         readings += reports[0].pre_filter
         assert_shared_results_are_fresh(reports, sorts)
-    assert len(checked) < readings
+    assert folds < readings
+
+
+@pytest.mark.parametrize("family, k, sets", LADDER_SETS)
+def test_checking_a_chart_folds_once_per_constraint_set(
+        hierarchy, lexicon, decls, monkeypatch, family, k, sets):
+    folded = counting_folds(monkeypatch)
+    readings = Chart(tokenize(ladder(family, k)), lexicon, decls, hierarchy,
+                     "bg").readings()
+    verdicts = [check_reading(reading, hierarchy) for reading in readings]
+    assert len(folded) == sets
+    assert len({id(verdict) for verdict in verdicts}) == sets
+    tables = {id(reading.verdicts) for reading in readings}
+    assert len(tables) == sets
+    # a second pass folds nothing and returns the same objects
+    again = [check_reading(reading, hierarchy) for reading in readings]
+    assert all(a is v for a, v in zip(again, verdicts))
+    assert len(folded) == sets
+
+
+def test_a_lone_reading_shares_nothing(hierarchy, lexicon, decls,
+                                       monkeypatch):
+    folded = counting_folds(monkeypatch)
+    (reading,) = Chart(tokenize("tom ate a keyboard"), lexicon, decls,
+                       hierarchy, "bg").readings()
+    first, second = (check_reading(reading, hierarchy) for _ in range(2))
+    assert first == second and first is not second
+    assert len(folded) == 2
+    assert reading.verdicts is None
+
+
+def test_a_shared_verdict_is_kept_per_hierarchy(hierarchy, lexicon, decls,
+                                                monkeypatch):
+    # the bundled hierarchy plus a tie: animate ^ banana is {x, y}
+    tie = load_hierarchy(data.HIERARCHY.read_text()
+                         + "x: person, banana\ny: person, banana\n")
+    readings = Chart(tokenize("a banana ate a banana of the departments of "
+                              "the departments"), lexicon, decls, hierarchy,
+                     "bg").readings()
+    assert len(readings) == 2       # one constraint set, two attachments
+    folded = counting_folds(monkeypatch)
+    first, second = readings
+    rejected = check_reading(first, hierarchy)
+    kept = check_reading(first, tie)
+    assert rejected.narrative \
+        == "violation: var=1 sorts=banana,animate from=banana,ate"
+    assert kept == Satisfiable({1: "x", 2: "banana", 3: "department",
+                                4: "department"})
+    assert len(folded) == 2
+    assert check_reading(second, hierarchy) is rejected
+    assert check_reading(second, tie) is kept
+    assert check_reading(first, hierarchy) is rejected
+    assert len(folded) == 2
+    assert second.verdicts is first.verdicts
+    assert first.verdicts == {hierarchy: rejected, tie: kept}
+
+
+def test_a_parse_leaves_no_reference_cycle(hierarchy, lexicon, decls):
+    # a chart freed by reference counting alone never waits for the
+    # cyclic collector; the lexicon keeps its lexical edges either way
+    sentences = [*CORPUS_SENTENCES, ladder("attachment", 3),
+                 ladder("sense", 2)]
+
+    def parse(tokens):
+        for method in ("bg", "index"):
+            chart = Chart(tokens, lexicon, decls, hierarchy, method)
+            for reading in chart.readings():
+                check_reading(reading, hierarchy)
+                reading.variables, reading.sorts, reading.derivation_string
+        # readings handed a lookup but never read
+        Chart(tokens, lexicon, decls, hierarchy, "bg").readings()
+        run_method(tokens, lexicon, decls, hierarchy, "both")
+
+    for sentence in sentences:      # each lexical edge is built and kept
+        parse(tokenize(sentence))
+    gc.collect()
+    gc.disable()
+    try:
+        for sentence in sentences:
+            parse(tokenize(sentence))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_unfiltered_count_is_the_bg_chart_readings(hierarchy, lexicon,
+                                                       decls):
+    sentences = [*CORPUS_SENTENCES,
+                 *(ladder("attachment", k) for k in range(1, 8)),
+                 *(ladder("sense", k) for k in range(1, 5))]
+    words = sorted(lexicon)
+    rng = random.Random(26)
+    sentences += [" ".join(rng.choices(words, k=rng.randint(1, 9)))
+                  for _ in range(400)]
+    counted = set()
+    for sentence in sentences:
+        tokens = tokenize(sentence)
+        bg = Chart(tokens, lexicon, decls, hierarchy, "bg")
+        index = Chart(tokens, lexicon, decls, hierarchy, "index")
+        readings = len(bg.readings())
+        assert bg.count_unfiltered() == index.count_unfiltered() == readings
+        counted.add(readings)
+    assert {0, 1, 2, 1430} <= counted   # the random strings parse, some
+
+
+def test_the_index_method_builds_no_bg_edge(hierarchy, lexicon, decls,
+                                            monkeypatch, capsys):
+    built = []
+
+    def counting(tokens, lexicon, decls, hierarchy, method):
+        built.append(method)
+        return lexical_edges(tokens, lexicon, decls, hierarchy, method)
+
+    monkeypatch.setattr(selparse.parser, "lexical_edges", counting)
+    sentence = ladder("attachment", 4)
+    combines = Counter()
+    real_combine = selparse.parser.combine
+
+    def counting_combine(left, right, schema, hierarchy):
+        combines[schema] += 1
+        return real_combine(left, right, schema, hierarchy)
+
+    monkeypatch.setattr(selparse.parser, "combine", counting_combine)
+    index = Chart(tokenize(sentence), lexicon, decls, hierarchy, "index")
+    alone = +combines
+    combines.clear()
+    assert selparse.cli.main(["parse", "--method", "index", "--json",
+                              sentence]) == 0
+    assert built == ["index", "index"]
+    assert combines == alone
+    record = json.loads(capsys.readouterr().out)
+    assert (record["pre_filter"], record["post_filter"]) \
+        == (42, len(index.readings()))
 
 
 def test_a_verb_relation_named_after_a_sort_constrains_nothing(hierarchy):
