@@ -74,21 +74,9 @@ def _senses(reading, lexicon):
     return out
 
 
-def _reading_json(reading, assignment, lexicon):
-    return {
-        "derivation": reading.derivation_string,
-        "senses": _senses(reading, lexicon),
-        "assignment": {str(var): sort
-                       for var, sort in sorted(assignment.items())},
-    }
-
-
-def _violation_json(reading, violation, lexicon):
-    return {
-        "derivation": reading.derivation_string,
-        "senses": _senses(reading, lexicon),
-        "message": violation.narrative,
-    }
+def _reading_json(reading, lexicon, **fields):
+    return {"derivation": reading.derivation_string,
+            "senses": _senses(reading, lexicon), **fields}
 
 
 def _record(sentence, method, reports, agree, lexicon):
@@ -99,8 +87,10 @@ def _record(sentence, method, reports, agree, lexicon):
         "method": method,
         "pre_filter": first.pre_filter,
         "post_filter": last.post_filter,
-        "readings": [_reading_json(r, a, lexicon) for r, a in last.surviving],
-        "violations": [_violation_json(r, v, lexicon)
+        "readings": [_reading_json(r, lexicon, assignment={
+                         str(var): sort for var, sort in sorted(a.items())})
+                     for r, a in last.surviving],
+        "violations": [_reading_json(r, lexicon, message=v.narrative)
                        for r, v in first.violations],
     }
     if agree is not None:

@@ -44,33 +44,6 @@ PARTS_OF_SPEECH = {
 # (subject slots, complement slots); "imp" is a subjectless imperative verb
 VALENCES = {"trans": (1, 1), "intrans": (1, 0), "imp": (0, 1)}
 
-LEXICON_FORMAT = """\
-One entry per line, fields separated by '|':
-
-    word | pos | nucleus-or-index-sort | extras
-
-pos is one of: verb, noun, proper-noun, determiner, preposition,
-relative-pronoun, adjective.  The third field names the verb's relation
-(qfpsoa) or the noun's index sort and is empty for the remaining parts of
-speech.  Extras are comma-separated:
-
-    trans | intrans | imp     verb valence (required for verbs)
-    <role>=<sort>             verb-local narrowing of a declared restriction
-    name=<Atom>               proper-noun naming atom (default: the word)
-    sense=<id>                explicit sense id for homograph entries
-
-A word is a single token (see tokenize) and may have several entries (one
-per sense).  '#' starts a comment.
-"""
-
-DECLARATIONS_FORMAT = """\
-One relation declaration per line:
-
-    name(role: sort, role: sort, ...)
-
-Role restrictions must be declared sorts.  '#' starts a comment.
-"""
-
 _DECL_RE = re.compile(r"([a-z_][a-z0-9_]*)\s*\(([^()]*)\)$")
 
 _PUNCTUATION = ".,!?;:"
@@ -173,7 +146,7 @@ def tokenize(text):
 
 
 def load_declarations(text, hierarchy):
-    """Parse relation declarations (see DECLARATIONS_FORMAT): name -> roles."""
+    """Parse relation declarations (README, "File formats"): name -> roles."""
     decls = {}
     for lineno, line in lines(text.lower()):
         m = _DECL_RE.match(line)
@@ -222,7 +195,7 @@ def _parse_extras(text, lineno):
 
 
 def load_lexicon(text, hierarchy, decls):
-    """Parse the lexicon format (see LEXICON_FORMAT) into word -> entry tuple.
+    """Parse the lexicon format (README, "File formats") into word -> entries.
 
     Validates referenced sorts and relations, verb valence against relation
     arity (the subject fills the first role when there is one), and local

@@ -96,23 +96,26 @@ class UnknownTokenError(ValueError):
 class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
-    An edge holds only what `combine` reads; the checker, the index assignment
-    and `render_sign` read `parts` through `variables` and `sorts`, and the
-    words and their senses from `parts.entries`.  A bind identifies a verb-role
-    slot with an np's index and keeps their meet; each class is a star, one
-    index and its slots, and each bind meets the sort the earlier binds left,
-    so an index's last bind holds its sort.  `index_sort` is that sort, else
-    the node's own, for `parts.index` (see `combine`).  A reading is an "s"
-    edge spanning every token.  Its `derivation_string` is built on first read,
-    in one left-to-right walk that stops at every string already kept, and kept
-    by lexical and labelled edges, so the readings of one chart share the
-    strings of their common subtrees.  The variable table is built on the first
-    read of `variables`, `sorts` or `verdicts` and kept the same way, except
-    that the readings of one chart share it per constraint set (see
-    `Chart.readings`).  Every field, those two included, is a slot set by
-    `__init__`, so no edge has an instance dict.  A lexical edge is kept on
-    its entry (see `lexical_edges`) and reused, with both, by every later
-    chart that puts the entry at its position.
+    The fill reads an edge's category, and `combine` its `binds`,
+    `index_sort` and the head's fields of `parts`; the sets `parts` pools
+    from the daughters it only concatenates.  Only readings read those: the
+    checker, the index assignment and `render_sign` through `variables` and
+    `sorts`, the words and their senses from `parts.entries`.
+    A bind identifies a verb-role slot with an np's index and keeps their
+    meet; each class is a star, one index and its slots, and each bind meets
+    the sort the earlier binds left, so an index's last bind holds its sort.
+    `index_sort` is that sort, else the node's own, for `parts.index` (see
+    `combine`).  A reading is an "s" edge spanning every token.  Its
+    `derivation_string` is built on first read, in one left-to-right walk
+    that stops at every string already kept, and kept by lexical and
+    labelled edges, so the readings of one chart share the strings of their
+    common subtrees.  The variable table is built on the first read of
+    `variables`, `sorts` or `verdicts` and kept the same way, except that
+    the readings of one chart share it (see `Chart.readings`).  Every field,
+    those two included, is a slot set by `__init__`, so no edge has an
+    instance dict.  A lexical edge is kept on its entry (see
+    `lexical_edges`) and reused, with both, by every later chart that puts
+    the entry at its position.
     """
 
     start: int
@@ -124,19 +127,20 @@ class Edge:
     binds: tuple = ()               # (slot, index, met) identifications below
     index_sort: str | None = None   # the binds' sort for parts.index
     _derivation: str | None = field(default=None, init=False, repr=False)
-    # None, a chart's {constraint key: table} lookup, or the table itself
+    # None, a chart's {(indices, binds set): table} lookup, or the table
     _table: tuple | dict | None = field(default=None, init=False, repr=False)
 
     def _tabulate(self):
         """Keep and return the (variables, sorts, verdicts) table.
 
         Handed a chart's lookup, the edge takes the table kept there under
-        its constraint key, or builds one with an empty `verdicts` dict and
-        keeps it there; else it builds one of its own, `verdicts` None.
+        `(parts.indices, frozenset(binds))`, what a table is built from, or
+        builds one and keeps it there; else it builds its own.  A new table's
+        `verdicts` is empty.
         """
         lookup = self._table
         if lookup is not None:
-            key = _constraint_key(self)
+            key = self.parts.indices, frozenset(self.binds)
             table = lookup.get(key)
             if table is not None:
                 self._table = table
@@ -152,19 +156,18 @@ class Edge:
                 var = variables[index] = len(sorts) + 1
                 sorts[var] = last_met.get(index, index.sort)
             variables[node] = var
-        if lookup is None:
-            self._table = variables, sorts, None
-        else:
-            self._table = lookup[key] = variables, sorts, {}
-        return self._table
+        self._table = table = variables, sorts, {}
+        if lookup is not None:
+            lookup[key] = table
+        return table
 
     @property
     def variables(self):
         """Index node or bound slot -> its variable number: numbered by first
         appearance in `parts.indices` (word order), a slot as its index.
 
-        Kept, and shared by the readings of one chart with one constraint
-        set (see `Chart.readings`): read-only."""
+        Kept, and shared by the readings of one chart with the same indices
+        and binds (see `Chart.readings`): read-only."""
         table = self._table
         return (table if table.__class__ is tuple else self._tabulate())[0]
 
@@ -178,9 +181,8 @@ class Edge:
 
     @property
     def verdicts(self):
-        """{hierarchy: `check_reading` verdict} shared by the readings of one
-        chart with this reading's constraint set, or None for an edge that
-        shares nothing (see `Chart.readings`)."""
+        """{hierarchy: `check_reading` verdict}, kept and shared as
+        `variables` is."""
         table = self._table
         return (table if table.__class__ is tuple else self._tabulate())[2]
 
@@ -353,10 +355,13 @@ class Chart:
         """Complete-sentence readings: saturated verbal edges spanning everything.
 
         Two or more readings are handed one lookup of this chart's, so those
-        with one constraint set (`_constraint_key`) share one variable table
-        and one verdict per hierarchy (`Edge.verdicts`); callers must treat
-        both as read-only.  The lookup refers to no edge, and it and its
-        tables go with the readings.  A lone reading gets none.
+        with the same `parts.indices` and set of `binds` share one variable
+        table and one verdict per hierarchy (`Edge.verdicts`); callers must
+        treat both as read-only.  The indices fix the constraint set: each
+        quants and bg instance is compiled with its word's index nodes,
+        `det_nbar` has moved every restr into quants, and both pool left to
+        right.  The lookup refers to no edge, and it and its tables go with
+        the readings.  A lone reading gets none and keeps its own table.
         """
         full = self.cells.get((0, len(self.tokens)), ())
         readings = [edge for edge in full if edge.cat == "s"]
@@ -418,18 +423,6 @@ class MethodReport:
     violations: list  # (reading Edge, Violation)
 
 
-def _constraint_key(reading):
-    """All that the checker and the variable table read of a reading.
-
-    The word-order indices and relation instances compare by identity, and
-    the identifications by their set: a class is one index and its slots,
-    and its sort the lowest of their meets, whatever order the binds came in.
-    """
-    parts = reading.parts
-    return (parts.indices, parts.quants, parts.restr, parts.bg,
-            frozenset(reading.binds))
-
-
 def run_method(tokens, lexicon, decls, hierarchy, method):
     """Analyse one sentence under "bg", "index" or "both".
 
@@ -448,9 +441,9 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     Readings that differ only in attachment carry the same constraints over
     the same variables.  Each `check_reading` and `sorts` read below is per
     reading, but the readings of one chart share one verdict object and one
-    variable table per distinct constraint set (`Chart.readings`), so the
-    solver and the index assignment run once per set; each survivor still
-    gets its own copy of its assignment.
+    variable table per distinct indices and binds (`Chart.readings`), so the
+    solver and the index assignment run once per constraint set; each
+    survivor still gets its own copy of its assignment.
     """
     if method not in (*METHODS, "both"):
         raise ValueError(f"unknown method {method!r}")

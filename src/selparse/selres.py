@@ -188,14 +188,12 @@ def check_reading(reading, hierarchy):
     """`solve(extract_constraints(reading, hierarchy), hierarchy)`, without
     building an atom: the fold runs on the pairs `_grouped` reads.
 
-    The readings of one chart with one constraint set share one verdict
-    object per hierarchy (`Edge.verdicts`): the first check folds and keeps
-    it, and later checks of any of them return it, so callers must treat it
-    as read-only.  A reading that shares nothing is folded on every check.
+    Every reading keeps one verdict object per hierarchy (`Edge.verdicts`),
+    shared by the readings of one chart with its constraint set: the first
+    check folds and keeps it, and later checks of any of them return it, so
+    callers must treat it as read-only.
     """
     verdicts = reading.verdicts
-    if verdicts is None:
-        return _fold(_grouped(reading, hierarchy), hierarchy)
     verdict = verdicts.get(hierarchy)
     if verdict is None:
         verdict = verdicts[hierarchy] = _fold(_grouped(reading, hierarchy),

@@ -15,16 +15,6 @@ __all__ = [
     "meet",
 ]
 
-HIERARCHY_FORMAT = """\
-One declaration per line:
-
-    <sort>: <parent>[, <parent> ...]
-
-The root is the unique sort declared with no parents (a bare name, or a name
-followed by an empty parent list).  Sort names are case-insensitive
-identifiers and are stored lowercase.  '#' starts a comment.
-"""
-
 _NAME = re.compile(r"[a-z_][a-z0-9_]*$")
 
 
@@ -194,7 +184,7 @@ def meet(s1, s2, hierarchy):
 
 
 def load_hierarchy(text):
-    """Parse the line-oriented hierarchy format (see HIERARCHY_FORMAT).
+    """Parse the line-oriented hierarchy format (README, "File formats").
 
     Raises HierarchyError for duplicate or ill-formed declarations, undeclared
     parents, a missing or non-unique root, or a parent cycle; each names the

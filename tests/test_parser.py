@@ -707,7 +707,7 @@ def assert_shared_results_are_fresh(reports, hierarchy):
     for report in reports:
         for reading, assignment in report.surviving:
             alone = unshared(reading)
-            assert alone.verdicts is None
+            assert alone.verdicts == {}     # its own table, nothing kept yet
             if report.method == "bg":
                 fresh = check_reading(alone, hierarchy)
                 assert isinstance(fresh, Satisfiable)
@@ -779,13 +779,79 @@ def test_checking_a_chart_folds_once_per_constraint_set(
 
 def test_a_lone_reading_shares_nothing(hierarchy, lexicon, decls,
                                        monkeypatch):
+    # handed no lookup, a lone reading folds once into a table of its own
     folded = counting_folds(monkeypatch)
     (reading,) = Chart(tokenize("tom ate a keyboard"), lexicon, decls,
                        hierarchy, "bg").readings()
+    assert reading._table is None
     first, second = (check_reading(reading, hierarchy) for _ in range(2))
-    assert first == second and first is not second
-    assert len(folded) == 2
-    assert reading.verdicts is None
+    assert first is second
+    assert len(folded) == 1
+    assert reading.verdicts == {hierarchy: first}
+
+
+def phrase_strings(lexicon, seed, n):
+    """n seeded token strings grown from a phrase template over the
+    lexicon's words: a noun phrase takes at most one PP or relative clause,
+    two levels deep, under a verb phrase or an imperative.  Words drawn
+    uniformly at random seldom make a sentence."""
+    rng = random.Random(seed)
+    kinds = {}
+    for word, entries in sorted(lexicon.items()):
+        for entry in entries:
+            kind = kinds.setdefault(entry.valence or entry.pos, [])
+            if word not in kind:
+                kind.append(word)
+
+    def pick(kind):
+        return rng.choice(kinds[kind])
+
+    def np(depth):
+        if rng.random() < 0.2:
+            return [pick("proper-noun")]
+        words = [pick("determiner"), *(pick("adjective")
+                                      for _ in range(rng.randint(0, 1))),
+                 pick("noun")]
+        if depth and rng.random() < 0.6:
+            if rng.random() < 0.6:
+                words += [pick("preposition"), *np(depth - 1)]
+            else:
+                words += [pick("relative-pronoun"), *vp(depth - 1)]
+        return words
+
+    def vp(depth):
+        if rng.random() < 0.4:
+            return [pick("intrans")]
+        return [pick("trans"), *np(depth)]
+
+    return [" ".join([pick("imp"), *np(2)] if rng.random() < 0.3
+                     else [*np(2), *vp(2)]) for _ in range(n)]
+
+
+def test_indices_and_binds_fix_a_readings_constraint_set(hierarchy, lexicon,
+                                                         decls):
+    # what the readings of one chart share a table by: on equal indices and
+    # sets of binds, the checker reads the same instances in the same order
+    sentences = [*CORPUS_SENTENCES,
+                 *(ladder("attachment", k) for k in range(1, 8)),
+                 *(ladder("sense", k) for k in range(1, 5)),
+                 *phrase_strings(lexicon, 27, 400)]
+    readings = repeats = 0
+    for sentence in sentences:
+        for method in ("bg", "index"):
+            first = {}
+            for reading in Chart(tokenize(sentence), lexicon, decls,
+                                 hierarchy, method).readings():
+                parts = reading.parts
+                assert parts.restr == ()    # det_nbar quantified them all
+                key = parts.indices, frozenset(reading.binds)
+                kept = first.setdefault(key, parts)
+                # instances compare by identity, so these are the same
+                # objects in the same order
+                assert kept.quants == parts.quants and kept.bg == parts.bg
+                readings += 1
+                repeats += kept is not parts
+    assert (readings, repeats) == (6075, 4813)
 
 
 def test_a_shared_verdict_is_kept_per_hierarchy(hierarchy, lexicon, decls,
