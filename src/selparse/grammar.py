@@ -130,7 +130,9 @@ class Sign:
     bg: tuple = ()
 
     def distinct_bg(self, variables):
-        """The bg instances, those `variables` numbers alike kept once."""
+        """The bg instances, those `variables` numbers alike kept once: the
+        one rule for `render_sign`, which lists them, and for
+        `selres.check_reading`, which checks them."""
         kept = {}
         for ref in self.bg:
             key = (ref.sort, tuple((role, variables.get(filler, filler))

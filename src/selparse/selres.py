@@ -8,8 +8,10 @@ reading is acceptable exactly when every variable reduces to a single
 constraint this way.
 
 One pass reads a reading's constraints as (sort, source word) pairs per
-variable: `check_reading` folds them and `extract_constraints` lists them as
-`ConstraintAtom`s; `solve` groups atoms into such pairs for the same fold.
+variable, taking the background instances `grammar.Sign.distinct_bg` keeps,
+as `render_sign` lists them: `check_reading` folds the pairs and
+`extract_constraints` lists them as `ConstraintAtom`s; `solve` groups atoms
+into such pairs for the same fold.
 """
 
 from dataclasses import dataclass, field
@@ -159,28 +161,18 @@ def solve(atoms, hierarchy):
 def _grouped(reading, hierarchy):
     """A reading's constraints as {var: ((sort, source), ...)}, in one pass.
 
-    Reads the quantifier, restriction and background sets in that order,
-    keeping one-role instances named by a sort (not `naming`, say), each on
-    its filler's number in `reading.variables`; a background instance whose
-    (sort, role, variable) came earlier is skipped, as `distinct_bg` does.
+    Reads the quantifier and restriction sets and the background instances
+    `Sign.distinct_bg` keeps, in that order, keeping one-role instances named
+    by a sort (not `naming`, say), each on its filler's number in
+    `reading.variables`.
     """
     sign, variables, mask = reading.parts, reading.variables, hierarchy.mask
-    grouped, seen_bg = {}, set()
-    for refs in (sign.quants, sign.restr):
-        for ref in refs:
-            roles = ref.roles
-            if len(roles) == 1 and ref.sort in mask:
-                var = variables[roles[0][1]]
-                grouped[var] = grouped.get(var, ()) + ((ref.sort, ref.source),)
-    for ref in sign.bg:
+    grouped = {}
+    for ref in sign.quants + sign.restr + sign.distinct_bg(variables):
         roles = ref.roles
         if len(roles) == 1 and ref.sort in mask:
-            ((role, filler),) = roles
-            var = variables[filler]
-            key = (ref.sort, role, var)
-            if key not in seen_bg:
-                seen_bg.add(key)
-                grouped[var] = grouped.get(var, ()) + ((ref.sort, ref.source),)
+            var = variables[roles[0][1]]
+            grouped[var] = grouped.get(var, ()) + ((ref.sort, ref.source),)
     return grouped
 
 

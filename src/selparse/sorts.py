@@ -138,10 +138,7 @@ class SortHierarchy:
         Raises AmbiguousMeetError when several maximal lower bounds exist;
         that cannot happen once `bcpo_violations()` comes back empty.
         """
-        try:    # `_common` inlined: this is the parser's meet
-            common = self.mask[a] & self.mask[b]
-        except KeyError as exc:
-            raise HierarchyError(f"unknown sort {exc.args[0]!r}") from None
+        common = self._common(a, b)
         sort = self.by_mask.get(common)
         if sort is None and common:
             raise AmbiguousMeetError(

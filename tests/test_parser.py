@@ -917,13 +917,16 @@ def test_the_unfiltered_count_is_the_bg_chart_readings(hierarchy, lexicon,
     rng = random.Random(26)
     sentences += [" ".join(rng.choices(words, k=rng.randint(1, 9)))
                   for _ in range(400)]
+    # uniform strings seldom parse; the template's strings all do
+    phrases = phrase_strings(lexicon, 26, 400)
     counted = set()
-    for sentence in sentences:
+    for sentence in sentences + phrases:
         tokens = tokenize(sentence)
         bg = Chart(tokens, lexicon, decls, hierarchy, "bg")
         index = Chart(tokens, lexicon, decls, hierarchy, "index")
         readings = len(bg.readings())
         assert bg.count_unfiltered() == index.count_unfiltered() == readings
+        assert readings or sentence not in phrases, sentence
         counted.add(readings)
     assert {0, 1, 2, 1430} <= counted   # the random strings parse, some
 
