@@ -294,7 +294,8 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
 
     Restrictions come from the relation declaration so that verbs sharing a
     relation share them; an entry-local override must be subsumed by the
-    declared sort.
+    declared sort.  Both must be sorts of `hierarchy`, which need not be the
+    one the declarations were loaded against.
     """
     roles = decls.get(entry.nucleus)
     if roles is None:
@@ -302,17 +303,16 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
     overrides = dict(entry.overrides)
     effective = []
     for role, sort in roles:
-        if role in overrides:
-            narrowed = overrides.pop(role)
-            if not hierarchy.declared(narrowed):
+        narrowed = overrides.pop(role, sort)
+        for s in (narrowed, sort):
+            if not hierarchy.declared(s):
                 raise GrammarError(
-                    f"{entry.phon!r}: unknown sort {narrowed!r} for role {role!r}")
-            if not hierarchy.subsumes(sort, narrowed):
-                raise GrammarError(
-                    f"{entry.phon!r}: override {role}={narrowed} is not subsumed "
-                    f"by the declared restriction {sort!r}")
-            sort = narrowed
-        effective.append((role, sort))
+                    f"{entry.phon!r}: unknown sort {s!r} for role {role!r}")
+        if narrowed != sort and not hierarchy.subsumes(sort, narrowed):
+            raise GrammarError(
+                f"{entry.phon!r}: override {role}={narrowed} is not subsumed "
+                f"by the declared restriction {sort!r}")
+        effective.append((role, narrowed))
     if overrides:
         raise GrammarError(
             f"{entry.phon!r}: unknown role(s) for {entry.nucleus!r}: "
@@ -353,6 +353,8 @@ def compile_entry(entry, decls, method, hierarchy):
                     comps=tuple(indices[nsubj:]), bg=bg)
 
     if entry.pos in ("noun", "proper-noun"):
+        if not hierarchy.declared(entry.index_sort):
+            raise GrammarError(f"{word!r}: unknown sort {entry.index_sort!r}")
         idx = FeatureStructure(entry.index_sort if method == "index" else top)
         # under bg the index sort is a relation instance: a common noun's
         # restriction, a proper noun's background

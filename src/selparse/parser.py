@@ -16,8 +16,9 @@ complements is v, with complements saturated but a pending subject vp, and
 with nothing pending s.  Head-subject, head-complement and the relative
 clause's subject satisfaction each identify a pending valence slot, the
 index of one of the verb's roles, with the dependent noun phrase's index:
-one meet of two sorts, so sortal conflicts between indices surface here
-and, under the "index" compilation method, prune analyses while parsing.
+one meet of two sorts (`SortHierarchy.glb`), so sortal conflicts between
+indices surface here and, under the "index" compilation method, prune
+analyses while parsing.
 No graph is copied: a reading's variables are read off its binds.  The
 background set of every mother is the union of its daughters' sets; the
 quantifier set grows by the noun's restriction when a determiner attaches.
@@ -28,7 +29,6 @@ from typing import NamedTuple
 
 from .grammar import METHODS, PARTS_OF_SPEECH, Sign, compile_entry, tokenize
 from .selres import Satisfiable, check_reading
-from .sorts import meet
 
 __all__ = [
     "Chart",
@@ -277,7 +277,9 @@ def combine(left, right, schema, hierarchy):
         selector, dependent = (rsign, left) if rule.selector else (lsign, right)
         pending = selector.comps if rule.slot == "comps" else selector.subj
         slot = pending[0]
-        met = meet(slot.sort, dependent.index_sort, hierarchy)
+        met = slot.sort
+        if met != dependent.index_sort:     # every bg meet is of equal sorts
+            met = hierarchy.glb(met, dependent.index_sort)
         if met is None:
             return None
         if selector is not core:    # np_relc: the np bound is the head

@@ -16,6 +16,8 @@ into such pairs for the same fold.
 
 from dataclasses import dataclass, field
 
+from .sorts import AmbiguousMeetError
+
 __all__ = [
     "ConstraintAtom",
     "Satisfiable",
@@ -85,29 +87,31 @@ def merge_pair(c1, c2, hierarchy):
 
 
 def _reduce_variable(group, hierarchy):
-    """Fold a variable's (sort, source) pairs to one sort, an AND per pair.
+    """Fold a variable's (sort, source) pairs to one sort, a `glb` per pair.
 
-    A zero AND is a conflict; a nonzero one that is no sort's mask (a tie)
-    branches on its maximal lower bounds in name order.  Returns (final
-    sort, None), or (None, the first conflict on the leftmost branch).
+    A conflict ends a branch; a tie (`AmbiguousMeetError`) branches on the
+    pair's maximal lower bounds in name order.  Returns (final sort, None),
+    or (None, the first conflict on the leftmost branch).
     """
-    mask, by_mask = hierarchy.mask, hierarchy.by_mask
     first_conflict = None
-    stack = [(mask[group[0][0]], 1)]        # (AND so far, next pair)
+    stack = [(group[0][0], 1)]      # (meet so far, next pair)
     while stack:
         met, start = stack.pop()
         for i in range(start, len(group)):
-            so_far, met = met, met & mask[group[i][0]]
-            if met not in by_mask:
+            so_far, sort = met, group[i][0]
+            try:
+                met = hierarchy.glb(so_far, sort)
+            except AmbiguousMeetError:
+                ties = hierarchy.maximal_lower_bounds(so_far, sort)
+                stack.extend((s, i + 1) for s in sorted(ties, reverse=True))
+                break
+            if met is None:
+                if first_conflict is None:
+                    first_conflict = ((so_far, _sources(group[:i])),
+                                      (sort, _sources(group[i:i + 1])))
                 break
         else:
-            return by_mask[met], None
-        if met:
-            ties = hierarchy.maximal_lower_bounds(by_mask[so_far], group[i][0])
-            stack.extend((mask[s], i + 1) for s in sorted(ties, reverse=True))
-        elif first_conflict is None:
-            first_conflict = ((by_mask[so_far], _sources(group[:i])),
-                              (group[i][0], _sources(group[i:i + 1])))
+            return met, None
     return None, first_conflict
 
 
@@ -152,7 +156,7 @@ def solve(atoms, hierarchy):
     """
     grouped = {}
     for atom in atoms:
-        if atom.sort not in hierarchy.mask:
+        if not hierarchy.declared(atom.sort):
             raise ValueError(f"undeclared sort {atom.sort!r}")
         grouped.setdefault(atom.var, []).append((atom.sort, atom.source))
     return _fold(grouped, hierarchy)
@@ -166,11 +170,11 @@ def _grouped(reading, hierarchy):
     by a sort (not `naming`, say), each on its filler's number in
     `reading.variables`.
     """
-    sign, variables, mask = reading.parts, reading.variables, hierarchy.mask
+    sign, variables, sorts = reading.parts, reading.variables, hierarchy.sorts
     grouped = {}
     for ref in sign.quants + sign.restr + sign.distinct_bg(variables):
         roles = ref.roles
-        if len(roles) == 1 and ref.sort in mask:
+        if len(roles) == 1 and ref.sort in sorts:
             var = variables[roles[0][1]]
             grouped[var] = grouped.get(var, ()) + ((ref.sort, ref.source),)
     return grouped

@@ -1,7 +1,8 @@
 """Semantic sort hierarchies: types of world entities ordered by subsumption.
 
 A hierarchy is a rooted DAG of sort names, loaded from a line-oriented text
-format, validated and never changed; `meet` meets two node sorts in one.
+format, validated and never changed; `SortHierarchy.glb` is the one meet,
+and only this module reads the masks behind it.
 """
 
 import re
@@ -12,7 +13,6 @@ __all__ = [
     "SortHierarchy",
     "lines",
     "load_hierarchy",
-    "meet",
 ]
 
 _NAME = re.compile(r"[a-z_][a-z0-9_]*$")
@@ -41,8 +41,8 @@ def lines(text):
 class SortHierarchy:
     """Fixed DAG of sorts; an ancestor is more general than its descendants.
 
-    `mask[s]` has one bit per sort at or below s, its down-set (Ait-Kaci,
-    Boyer, Lincoln & Nasr 1989), and `by_mask` maps each mask to its sort.
+    `_mask[s]` has one bit per sort at or below s, its down-set (Ait-Kaci,
+    Boyer, Lincoln & Nasr 1989), and `_by_mask` maps each mask to its sort.
     The AND of two masks is the down-set of their common lower bounds:
     `maximal_lower_bounds` yields its most general sorts, none on a
     conflict, and `glb` the unique one, which exists for every consistent
@@ -68,12 +68,12 @@ class SortHierarchy:
         self.root = roots[0]
         # bit i is the i-th sort from the bottom: children before parents
         self._by_bit = self._toposort(children)[::-1]
-        self.mask = dict.fromkeys(self._by_bit, 0)
+        self._mask = dict.fromkeys(self._by_bit, 0)
         for bit, s in enumerate(self._by_bit):
-            m = self.mask[s] = self.mask[s] | 1 << bit
+            m = self._mask[s] = self._mask[s] | 1 << bit
             for p in self.parents[s]:
-                self.mask[p] |= m
-        self.by_mask = {m: s for s, m in self.mask.items()}
+                self._mask[p] |= m
+        self._by_mask = {m: s for s, m in self._mask.items()}
 
     def _toposort(self, children):
         # parents first (Kahn); a sort never placed is on or below a cycle
@@ -106,7 +106,7 @@ class SortHierarchy:
 
     def _common(self, a, b):
         try:
-            return self.mask[a] & self.mask[b]
+            return self._mask[a] & self._mask[b]
         except KeyError as exc:
             raise HierarchyError(f"unknown sort {exc.args[0]!r}") from None
 
@@ -124,12 +124,12 @@ class SortHierarchy:
 
     def subsumes(self, a, b):
         """True iff a == b or a is an ancestor of b (a is at least as general)."""
-        return self._common(a, b) == self.mask[b]
+        return self._common(a, b) == self._mask[b]
 
     def maximal_lower_bounds(self, a, b):
         """Most general sorts subsumed by both a and b; empty means conflict."""
         common = self._common(a, b)
-        sort = self.by_mask.get(common)
+        sort = self._by_mask.get(common)
         return self._maximal(common) if sort is None else frozenset((sort,))
 
     def glb(self, a, b):
@@ -139,7 +139,7 @@ class SortHierarchy:
         that cannot happen once `bcpo_violations()` comes back empty.
         """
         common = self._common(a, b)
-        sort = self.by_mask.get(common)
+        sort = self._by_mask.get(common)
         if sort is None and common:
             raise AmbiguousMeetError(
                 f"sorts {a!r} and {b!r} have several maximal lower bounds: "
@@ -161,23 +161,13 @@ class SortHierarchy:
         pairs = set()
         for s, ps in self.parents.items():
             if len(ps) > 1:
-                above = up[s] & ~self.mask[s]
+                above = up[s] & ~self._mask[s]
                 for a in self._members(above):
-                    for b in self._members(above & ~(up[a] | self.mask[a])):
+                    for b in self._members(above & ~(up[a] | self._mask[a])):
                         pairs.add((a, b) if a < b else (b, a))
-        return [(a, b, self._maximal(self.mask[a] & self.mask[b]))
+        return [(a, b, self._maximal(self._mask[a] & self._mask[b]))
                 for a, b in sorted(pairs)
-                if self.mask[a] & self.mask[b] not in self.by_mask]
-
-
-def meet(s1, s2, hierarchy):
-    """The meet of two node sorts, or None; equal sorts meet without a lookup."""
-    if s1 == s2:
-        return s1
-    try:
-        return hierarchy.glb(s1, s2)
-    except HierarchyError:  # an undeclared sort meets only itself
-        return None
+                if self._mask[a] & self._mask[b] not in self._by_mask]
 
 
 def load_hierarchy(text):

@@ -3,7 +3,8 @@
 Nodes (`grammar.FeatureStructure`) compare by identity; sharing one node
 between two feature paths is what makes a structure reentrant.  Structures
 are treated as immutable once built, and unification always returns fresh
-nodes.  The parser calls nothing here: it meets sorts with `sorts.meet`.
+nodes.  The parser calls nothing here: it meets sorts with
+`SortHierarchy.glb`.
 
 Only sorts declared in the semantic hierarchy have nontrivial meets.  Every
 other node sort (relation names such as "eat", and atoms such as proper-name
@@ -14,13 +15,11 @@ equality.
 from dataclasses import dataclass
 
 from .grammar import FeatureStructure
-from .sorts import meet
 
 __all__ = [
     "FeatureStructure",
     "UnificationFailure",
     "isomorphic",
-    "meet",
     "subsumes_fs",
     "unify",
     "unify_map",
@@ -76,9 +75,12 @@ def unify_map(pairs, roots, hierarchy):
             continue
         activate(ra)
         activate(rb)
-        met = meet(sort_of[ra], sort_of[rb], hierarchy)
+        s1, s2 = sort_of[ra], sort_of[rb]
+        met = s1 if s1 == s2 else None  # an undeclared sort meets only itself
+        if met is None and hierarchy.declared(s1) and hierarchy.declared(s2):
+            met = hierarchy.glb(s1, s2)
         if met is None:
-            return UnificationFailure(path, (sort_of[ra], sort_of[rb]))
+            return UnificationFailure(path, (s1, s2))
         parent[rb] = ra
         sort_of[ra] = met
         merged = feats_of.pop(rb)

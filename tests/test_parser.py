@@ -20,12 +20,13 @@ import selparse.selres
 import selparse.tfs
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
 from selparse import data
-from selparse.grammar import compile_entry, load_declarations, load_lexicon
+from selparse.grammar import (GrammarError, compile_entry, load_declarations,
+                              load_lexicon)
 from selparse.parser import (_PHRASE_LABEL, Chart, Edge, SCHEMAS,
                              UnknownTokenError, combine, lexical_edges,
                              run_method, tokenize)
 from selparse.selres import Satisfiable, check_reading
-from selparse.sorts import load_hierarchy
+from selparse.sorts import SortHierarchy, load_hierarchy
 
 
 def tokens_of(sentence):
@@ -391,8 +392,7 @@ def union_find_classes(binds, hierarchy):
         a, b = find(slot), find(index)
         if a is not b:
             parent[b] = a
-            sort[a] = selparse.tfs.meet(sort.get(a, a.sort),
-                                        sort.get(b, b.sort), hierarchy)
+            sort[a] = hierarchy.glb(sort.get(a, a.sort), sort.get(b, b.sort))
     nodes = {node for slot, index, _ in binds for node in (slot, index)}
     return {node: (frozenset(m for m in nodes if find(m) is find(node)),
                    sort[find(node)]) for node in nodes}
@@ -546,8 +546,8 @@ def test_a_derivation_is_built_once_per_edge(hierarchy, lexicon, decls,
 
 
 def test_the_parse_path_imports_nothing_from_tfs():
-    # the parser meets sorts with sorts.meet and builds its index nodes in
-    # grammar, so the reference unifier can leave without them
+    # the parser meets sorts with SortHierarchy.glb and builds its index
+    # nodes in grammar, so the reference unifier can leave without them
     for module in (selparse.grammar, selparse.parser, selparse.selres):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imported = [name for node in ast.walk(tree)
@@ -556,6 +556,20 @@ def test_the_parse_path_imports_nothing_from_tfs():
                                  *(alias.name for alias in node.names))]
         assert not any("tfs" in name.split(".") for name in imported), \
             (module.__name__, imported)
+
+
+def test_only_sorts_reads_the_lattice_encoding():
+    # every other module meets and tests sorts through SortHierarchy's
+    # methods and its `sorts`, never through the bit masks behind them
+    encoding = {"mask", "by_mask", "_mask", "_by_mask", "_by_bit"}
+    package = Path(selparse.parser.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "sorts.py" and path.parent == package:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in encoding]
+        assert not read, (path.name, read)
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
@@ -736,6 +750,24 @@ def test_readings_with_one_constraint_set_share_one_check(
     survivors = [assignment for _, assignment in bg.surviving + index.surviving]
     assert len({id(a) for a in survivors}) == len(survivors)  # one dict each
     assert_shared_results_are_fresh(reports, hierarchy)
+
+
+def test_the_bg_check_meets_through_glb(hierarchy, lexicon, decls,
+                                        monkeypatch):
+    # one glb per pair of constraints on a variable, the meet combine makes
+    (reading,) = Chart(tokenize("tom ate a banana"), lexicon, decls,
+                       hierarchy, "bg").readings()
+    glb = SortHierarchy.glb
+    met = []
+
+    def recording(self, a, b):
+        met.append((a, b))
+        return glb(self, a, b)
+
+    monkeypatch.setattr(SortHierarchy, "glb", recording)
+    assert check_reading(reading, hierarchy) == Satisfiable(
+        {1: "man", 2: "banana"})
+    assert met == [("man", "animate"), ("banana", "edible")]
 
 
 def test_shared_verdicts_hold_on_a_non_bcpo_hierarchy(monkeypatch):
@@ -1076,3 +1108,30 @@ def test_a_kept_sign_follows_the_declarations_and_hierarchy_given(
     compiled.clear()
     ate(decls, load_hierarchy(data.HIERARCHY.read_text()))
     assert compiled == ["tom", "ate", "a", "keyboard"]
+
+
+
+@pytest.mark.parametrize("method", ["bg", "index", "both"])
+def test_a_chart_rejects_a_sort_its_hierarchy_lacks(hierarchy, decls, method):
+    # a lexicon or declarations loaded against a larger hierarchy name a
+    # sort the chart's hierarchy lacks: an error, not a changed verdict
+    text = data.HIERARCHY.read_text()
+    lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
+    no_keybd = load_hierarchy("".join(line for line in text.splitlines(True)
+                                      if not line.startswith("keybd")))
+    with pytest.raises(GrammarError,
+                       match="^'keyboard': unknown sort 'keybd'$"):
+        run_method(tokenize("tom ate a keyboard"), lexicon, decls, no_keybd,
+                   method)
+
+    gadgets = load_hierarchy(text + "gadget: artifact\n")
+    fiddle = load_declarations(
+        data.DECLS.read_text() + "fiddle(fiddler: person, fiddled: gadget)\n",
+        gadgets)
+    fiddled = load_lexicon(
+        data.LEXICON.read_text() + "fiddled | verb | fiddle | trans\n",
+        gadgets, fiddle)
+    with pytest.raises(GrammarError, match="^'fiddled': unknown sort 'gadget' "
+                                           "for role 'fiddled'$"):
+        run_method(tokenize("tom fiddled the keyboard"), fiddled, fiddle,
+                   hierarchy, method)
