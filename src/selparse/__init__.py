@@ -20,8 +20,7 @@ from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,
                      lexical_edges, run_method)
 from .selres import (ConstraintAtom, Satisfiable, Violation, check_reading,
                      extract_constraints, merge_pair, solve)
-from .sorts import (AmbiguousMeetError, HierarchyError, SortHierarchy,
-                    load_hierarchy)
+from .sorts import HierarchyError, SortHierarchy, load_hierarchy
 from .tfs import (FeatureStructure, UnificationFailure, isomorphic,
                   subsumes_fs, unify)
 

@@ -14,7 +14,7 @@ from . import _load_file, data, load_resources, read_resource
 from .grammar import METHODS, GrammarError, compile_entry, \
     load_declarations, load_lexicon, render_sign, tokenize
 from .parser import UnknownTokenError, run_method
-from .sorts import AmbiguousMeetError, HierarchyError, lines, load_hierarchy
+from .sorts import HierarchyError, lines, load_hierarchy
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -255,8 +255,7 @@ def main(argv=None):
         return args.func(args)
     except BrokenPipeError:     # not an input error: see main_entry
         raise
-    except (HierarchyError, AmbiguousMeetError, GrammarError,
-            UnknownTokenError, OSError) as exc:
+    except (HierarchyError, GrammarError, UnknownTokenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,9 @@ is itself a sort of the hierarchy, treating each as a constraint on the
 index variable filling its role.  Two constraints on one variable can be
 replaced by a constraint for each of their sorts' maximal lower bounds; a
 reading is acceptable exactly when every variable reduces to a single
-constraint this way.
+constraint this way.  The fold replaces them by one constraint on their
+`SortHierarchy.glb`, which joins several such bounds in their completion
+(`{x|y}`), so it never branches and accepts the same readings.
 
 One pass reads a reading's constraints as (sort, source word) pairs per
 variable, taking the background instances `grammar.Sign.distinct_bg` keeps,
@@ -15,8 +17,6 @@ into such pairs for the same fold.
 """
 
 from dataclasses import dataclass, field
-
-from .sorts import AmbiguousMeetError
 
 __all__ = [
     "ConstraintAtom",
@@ -89,30 +89,17 @@ def merge_pair(c1, c2, hierarchy):
 def _reduce_variable(group, hierarchy):
     """Fold a variable's (sort, source) pairs to one sort, a `glb` per pair.
 
-    A conflict ends a branch; a tie (`AmbiguousMeetError`) branches on the
-    pair's maximal lower bounds in name order.  Returns (final sort, None),
-    or (None, the first conflict on the leftmost branch).
+    A tie meets in its completion (`{x|y}`), so the fold never branches.
+    Returns (final sort, None), or (None, the conflict that ended it).
     """
-    first_conflict = None
-    stack = [(group[0][0], 1)]      # (meet so far, next pair)
-    while stack:
-        met, start = stack.pop()
-        for i in range(start, len(group)):
-            so_far, sort = met, group[i][0]
-            try:
-                met = hierarchy.glb(so_far, sort)
-            except AmbiguousMeetError:
-                ties = hierarchy.maximal_lower_bounds(so_far, sort)
-                stack.extend((s, i + 1) for s in sorted(ties, reverse=True))
-                break
-            if met is None:
-                if first_conflict is None:
-                    first_conflict = ((so_far, _sources(group[:i])),
-                                      (sort, _sources(group[i:i + 1])))
-                break
-        else:
-            return met, None
-    return None, first_conflict
+    met = group[0][0]
+    for i in range(1, len(group)):
+        so_far, sort = met, group[i][0]
+        met = hierarchy.glb(so_far, sort)
+        if met is None:
+            return None, ((so_far, _sources(group[:i])),
+                          (sort, _sources(group[i:i + 1])))
+    return met, None
 
 
 def _sources(pairs):
@@ -146,11 +133,12 @@ def solve(atoms, hierarchy):
     """Reduce a constraint multiset to at most one constraint per variable.
 
     Variables are handled independently, lowest-numbered first.  Within a
-    variable, constraints fold left to right in the order given, branching
-    whenever a pair has several maximal lower bounds, so the outcome does
-    not depend on hierarchies having unique meets.  Returns Satisfiable with
-    the final sort per variable, or a Violation for the lowest variable
-    whose constraints admit no common lower bound.  The atoms are grouped
+    variable, constraints fold left to right in the order given, one `glb`
+    per pair; a tie meets in its completion, so whether a variable folds,
+    and to which sort, depends neither on that order nor on hierarchies
+    having unique meets.  Returns Satisfiable with the final sort per
+    variable, or a Violation for the lowest variable whose constraints
+    admit no common lower bound.  The atoms are grouped
     into the (sort, source) pairs `check_reading` folds; a sort that
     `hierarchy` does not declare is a usage fault.
     """

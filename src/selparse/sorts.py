@@ -2,13 +2,12 @@
 
 A hierarchy is a rooted DAG of sort names, loaded from a line-oriented text
 format, validated and never changed; `SortHierarchy.glb` is the one meet,
-and only this module reads the masks behind it.
+total on every hierarchy, and only this module reads the masks behind it.
 """
 
 import re
 
 __all__ = [
-    "AmbiguousMeetError",
     "HierarchyError",
     "SortHierarchy",
     "lines",
@@ -26,10 +25,6 @@ class HierarchyError(ValueError):
         self.sort = sort    # the sort a structural error is about, if any
 
 
-class AmbiguousMeetError(LookupError):
-    """A sort pair has several maximal lower bounds where one is required."""
-
-
 def lines(text):
     """(line number, stripped line) per line not blank once '#...' is cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,9 +40,9 @@ class SortHierarchy:
     Boyer, Lincoln & Nasr 1989), and `_by_mask` maps each mask to its sort.
     The AND of two masks is the down-set of their common lower bounds:
     `maximal_lower_bounds` yields its most general sorts, none on a
-    conflict, and `glb` the unique one, which exists for every consistent
-    pair exactly when the hierarchy is a bounded complete partial order (see
-    `bcpo_violations`).  There the AND is the glb's own mask.
+    conflict, and `glb` names it.  On a bounded complete partial order (see
+    `bcpo_violations`) every nonzero AND is a sort's own mask; elsewhere a
+    tie's AND is named as its completion, `{x|y}`, never stored.
     """
 
     def __init__(self, parents):
@@ -107,8 +102,20 @@ class SortHierarchy:
     def _common(self, a, b):
         try:
             return self._mask[a] & self._mask[b]
-        except KeyError as exc:
-            raise HierarchyError(f"unknown sort {exc.args[0]!r}") from None
+        except KeyError:
+            return self._down(a) & self._down(b)
+
+    def _down(self, sort):
+        # a sort's mask; a completion `{x|y}`'s is the OR of its members'
+        names = (sort[1:-1].split("|") if sort[:1] + sort[-1:] == "{}"
+                 else (sort,))
+        mask = 0
+        for name in names:
+            try:
+                mask |= self._mask[name]
+            except KeyError:
+                raise HierarchyError(f"unknown sort {name!r}") from None
+        return mask
 
     def _members(self, m):  # the sorts whose bits are set in mask m
         while m:
@@ -124,7 +131,7 @@ class SortHierarchy:
 
     def subsumes(self, a, b):
         """True iff a == b or a is an ancestor of b (a is at least as general)."""
-        return self._common(a, b) == self._mask[b]
+        return self._common(a, b) == self._down(b)
 
     def maximal_lower_bounds(self, a, b):
         """Most general sorts subsumed by both a and b; empty means conflict."""
@@ -133,17 +140,18 @@ class SortHierarchy:
         return self._maximal(common) if sort is None else frozenset((sort,))
 
     def glb(self, a, b):
-        """The unique maximal lower bound of a and b, or None when they conflict.
+        """The greatest lower bound of a and b, or None when they conflict.
 
-        Raises AmbiguousMeetError when several maximal lower bounds exist;
-        that cannot happen once `bcpo_violations()` comes back empty.
+        On a tie, which `bcpo_violations` lists, that is the pair's
+        completion: a name such as `{x|y}` listing its maximal lower bounds
+        in name order, whose down-set is the OR of theirs.  `subsumes`,
+        `maximal_lower_bounds` and `glb` take a completion as a sort; one
+        naming a sort the hierarchy lacks raises HierarchyError.
         """
         common = self._common(a, b)
         sort = self._by_mask.get(common)
         if sort is None and common:
-            raise AmbiguousMeetError(
-                f"sorts {a!r} and {b!r} have several maximal lower bounds: "
-                + ", ".join(sorted(self._maximal(common))))
+            return "{" + "|".join(sorted(self._maximal(common))) + "}"
         return sort
 
     def bcpo_violations(self):

@@ -6,15 +6,16 @@ are treated as immutable once built, and unification always returns fresh
 nodes.  The parser calls nothing here: it meets sorts with
 `SortHierarchy.glb`.
 
-Only sorts declared in the semantic hierarchy have nontrivial meets.  Every
-other node sort (relation names such as "eat", and atoms such as proper-name
-strings) belongs to a flat open inventory in which unification demands
-equality.
+Sorts of the semantic hierarchy, and the completions `SortHierarchy.glb`
+names for its ties, meet through `glb`.  Every other node sort (relation
+names such as "eat", and atoms such as proper-name strings) belongs to a
+flat open inventory in which unification demands equality.
 """
 
 from dataclasses import dataclass
 
 from .grammar import FeatureStructure
+from .sorts import HierarchyError
 
 __all__ = [
     "FeatureStructure",
@@ -76,9 +77,12 @@ def unify_map(pairs, roots, hierarchy):
         activate(ra)
         activate(rb)
         s1, s2 = sort_of[ra], sort_of[rb]
-        met = s1 if s1 == s2 else None  # an undeclared sort meets only itself
-        if met is None and hierarchy.declared(s1) and hierarchy.declared(s2):
-            met = hierarchy.glb(s1, s2)
+        met = s1
+        if s1 != s2:
+            try:
+                met = hierarchy.glb(s1, s2)
+            except HierarchyError:  # a sort it lacks meets only itself
+                met = None
         if met is None:
             return UnificationFailure(path, (s1, s2))
         parent[rb] = ra
@@ -136,10 +140,10 @@ def unify(a, b, hierarchy):
 
 
 def _sort_subsumes(s1, s2, hierarchy):
-    if s1 == s2:
-        return True
-    return (hierarchy.declared(s1) and hierarchy.declared(s2)
-            and hierarchy.subsumes(s1, s2))
+    try:
+        return s1 == s2 or hierarchy.subsumes(s1, s2)
+    except HierarchyError:  # a sort it lacks subsumes only itself
+        return False
 
 
 def subsumes_fs(a, b, hierarchy):

@@ -49,13 +49,21 @@ def parse_sentence(sentence, lexicon, decls, hierarchy, method):
                  method).readings()
 
 
-def brute_maximal_lower_bounds(hierarchy, a, b):
+def brute_maximal_lower_bounds(hierarchy, *sorts):
     """Oracle: enumerate every sort, keep common lower bounds, drop dominated ones."""
     common = [s for s in hierarchy.sorts
-              if hierarchy.subsumes(a, s) and hierarchy.subsumes(b, s)]
+              if all(hierarchy.subsumes(c, s) for c in sorts)]
     return frozenset(s for s in common
                      if not any(t != s and hierarchy.subsumes(t, s)
                                 for t in common))
+
+
+def meet_name(bounds):
+    """The meet with maximal lower bounds `bounds`: None for none, the one
+    sort, or the completion naming several in name order, as in `{x|y}`."""
+    if len(bounds) > 1:
+        return "{" + "|".join(sorted(bounds)) + "}"
+    return next(iter(bounds), None)
 
 
 def random_structure(rng, hierarchy, max_depth=3, reentrancy=0.25):

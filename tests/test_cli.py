@@ -277,22 +277,25 @@ def test_validate_non_bcpo_names_pair(capsys, tmp_path):
     assert "bcpo: violation (a, b)" in out
 
 
-@pytest.mark.parametrize("method", ["index", "both"])
-def test_parse_non_bcpo_meet_is_input_error(capsys, tmp_path, method):
+@pytest.mark.parametrize("method, agree", [("index", None), ("both", True)],
+                         ids=["index", "both"])
+def test_parse_non_bcpo_meet_is_its_completion(capsys, tmp_path, method,
+                                               agree):
     # x and y are both maximal lower bounds of animate and banana
-    bad = tmp_path / "bad.sorts"
-    bad.write_text(data.HIERARCHY.read_text()
+    tie = tmp_path / "tie.sorts"
+    tie.write_text(data.HIERARCHY.read_text()
                    + "x: person, banana\ny: person, banana\n")
-    code, out, err = run(capsys, "parse", "--method", method, "--hierarchy",
-                         str(bad), "a banana ate a banana")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: sorts 'animate' and 'banana' have several")
-    assert err.count("\n") == 1
+    code, out, err = run(capsys, "parse", "--method", method, "--json",
+                         "--hierarchy", str(tie), "a banana ate a banana")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert [r["assignment"] for r in record["readings"]] \
+        == [{"1": "{x|y}", "2": "banana"}]
+    assert record.get("agree") is agree     # only "both" compares
 
 
-def test_parse_bg_branches_on_a_non_bcpo_meet(capsys, tmp_path):
-    # the solver folds animate ^ banana to the tie {x, y} and takes x first
+def test_parse_bg_completes_a_non_bcpo_meet(capsys, tmp_path):
+    # the solver folds animate ^ banana to the completion {x|y}
     tie = tmp_path / "tie.sorts"
     tie.write_text(data.HIERARCHY.read_text()
                    + "x: person, banana\ny: person, banana\n")
@@ -301,7 +304,7 @@ def test_parse_bg_branches_on_a_non_bcpo_meet(capsys, tmp_path):
     assert (code, err) == (0, "")
     record = json.loads(out)
     assert [r["assignment"] for r in record["readings"]] \
-        == [{"1": "x", "2": "banana"}]
+        == [{"1": "{x|y}", "2": "banana"}]
 
 
 @pytest.mark.parametrize("argv, stage", [

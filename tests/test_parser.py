@@ -771,25 +771,34 @@ def test_the_bg_check_meets_through_glb(hierarchy, lexicon, decls,
 
 
 def test_shared_verdicts_hold_on_a_non_bcpo_hierarchy(monkeypatch):
-    # man and technician meet in two sorts; the solver branches on them
-    sorts = load_hierarchy(data.HIERARCHY.read_text()
-                           + "cyborg: man, technician\n")
-    assert sorts.bcpo_violations()
-    decls = load_declarations(data.DECLS.read_text(), sorts)
-    lexicon = load_lexicon(data.LEXICON.read_text(), sorts, decls)
+    # man ^ technician, then animate ^ banana, meet in two sorts each: both
+    # methods meet them in their completion and keep the same readings
     folded = counting_folds(monkeypatch)
-    sentences = [*CORPUS_SENTENCES,
+    sentences = [*CORPUS_SENTENCES, "a banana ate a banana",
                  *(ladder("attachment", k) for k in range(1, 7)),
                  *(ladder("sense", k) for k in (1, 2, 3))]
-    readings = folds = 0
-    for sentence in sentences:
-        folded.clear()
-        reports, _ = run_method(tokenize(sentence), lexicon, decls, sorts,
-                                "bg")
-        folds += len(folded)
-        readings += reports[0].pre_filter
-        assert_shared_results_are_fresh(reports, sorts)
-    assert folds < readings
+    for extra, completions in [
+            ("cyborg: man, technician\n", set()),
+            ("x: person, banana\ny: person, banana\n", {"{x|y}"})]:
+        sorts = load_hierarchy(data.HIERARCHY.read_text() + extra)
+        assert sorts.bcpo_violations()
+        decls = load_declarations(data.DECLS.read_text(), sorts)
+        lexicon = load_lexicon(data.LEXICON.read_text(), sorts, decls)
+        readings = folds = 0
+        assigned = set()
+        for sentence in sentences:
+            folded.clear()
+            reports, agree = run_method(tokenize(sentence), lexicon, decls,
+                                        sorts, "both")
+            assert agree is True, sentence
+            folds += len(folded)
+            readings += reports[0].pre_filter
+            assert_shared_results_are_fresh(reports, sorts)
+            assigned.update(sort for report in reports
+                            for _, assignment in report.surviving
+                            for sort in assignment.values())
+        assert folds < readings
+        assert {s for s in assigned if s.startswith("{")} == completions
 
 
 @pytest.mark.parametrize("family, k, sets", LADDER_SETS)
@@ -888,7 +897,7 @@ def test_indices_and_binds_fix_a_readings_constraint_set(hierarchy, lexicon,
 
 def test_a_shared_verdict_is_kept_per_hierarchy(hierarchy, lexicon, decls,
                                                 monkeypatch):
-    # the bundled hierarchy plus a tie: animate ^ banana is {x, y}
+    # the bundled hierarchy plus a tie: animate ^ banana is {x|y}
     tie = load_hierarchy(data.HIERARCHY.read_text()
                          + "x: person, banana\ny: person, banana\n")
     readings = Chart(tokenize("a banana ate a banana of the departments of "
@@ -901,7 +910,7 @@ def test_a_shared_verdict_is_kept_per_hierarchy(hierarchy, lexicon, decls,
     kept = check_reading(first, tie)
     assert rejected.narrative \
         == "violation: var=1 sorts=banana,animate from=banana,ate"
-    assert kept == Satisfiable({1: "x", 2: "banana", 3: "department",
+    assert kept == Satisfiable({1: "{x|y}", 2: "banana", 3: "department",
                                 4: "department"})
     assert len(folded) == 2
     assert check_reading(second, hierarchy) is rejected

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
-                      parse_sentence)
+                      meet_name, parse_sentence)
 from selparse import data, selres
 from selparse.grammar import (Relation, compile_entry, load_declarations,
                               load_lexicon, render_sign)
@@ -155,14 +155,6 @@ def test_solve_order_invariant_all_permutations(hierarchy, atoms):
     assert len(outcomes) == 1
 
 
-def oracle_variable(hierarchy, sorts):
-    """Oracle: scan every sort for common lower bounds, keep the maximal ones."""
-    common = [s for s in hierarchy.sorts
-              if all(hierarchy.subsumes(c, s) for c in sorts)]
-    return {s for s in common
-            if not any(t != s and hierarchy.subsumes(t, s) for t in common)}
-
-
 def test_solve_agrees_with_sort_scan_oracle(hierarchy):
     rng = random.Random(20240817)
     for hierarchy in (hierarchy, BRANCHING):
@@ -176,12 +168,12 @@ def test_solve_agrees_with_sort_scan_oracle(hierarchy):
                 atoms.extend(atom(s, var) for s in chosen)
             rng.shuffle(atoms)
             verdict = solve(atoms, hierarchy)
-            feasible = {var: oracle_variable(hierarchy, chosen)
+            feasible = {var: brute_maximal_lower_bounds(hierarchy, *chosen)
                         for var, chosen in per_var.items()}
             if isinstance(verdict, Satisfiable):
                 assert all(feasible[var] for var in per_var)
                 for var, sort in verdict.assignment.items():
-                    assert sort in feasible[var]
+                    assert sort == meet_name(feasible[var])
                     for constraint in per_var[var]:
                         assert hierarchy.subsumes(constraint, sort)
             else:
@@ -210,7 +202,7 @@ def fold_every_variable(atoms, hierarchy):
 
 @pytest.fixture
 def tie_branches(monkeypatch):
-    """The sort pairs a fold branches on: it asks the lattice for their ties."""
+    """The pairs `maximal_lower_bounds` is asked for: a fold never asks."""
     calls = []
     original = SortHierarchy.maximal_lower_bounds
 
@@ -238,11 +230,13 @@ def test_solve_merges_nothing_for_one_atom_variables(hierarchy, tie_branches):
     assert tie_branches == []
 
 
-def test_solve_branches_once_per_tie(tie_branches):
-    # a ^ b is the tie {x, y}; x ^ c conflicts and y ^ c is y
+def test_solve_meets_a_tie_in_its_completion(tie_branches):
+    # a ^ b is the tie {x|y}; {x|y} ^ c is y, without a branch
+    assert solve([atom("a", 1), atom("b", 1)], BRANCHING) \
+        == Satisfiable({1: "{x|y}"})
     atoms = [atom("a", 1), atom("b", 1), atom("c", 1)]
     assert solve(atoms, BRANCHING) == Satisfiable({1: "y"})
-    assert tie_branches == [("a", "b")]
+    assert tie_branches == []
 
 
 @pytest.mark.parametrize("sentence", [
@@ -304,7 +298,7 @@ def test_solve_merges_once_per_extra_atom_on_a_bcpo_hierarchy(
 
 def test_check_reading_equals_solving_the_extracted_atoms(
         hierarchy, lexicon, decls, tie_branches, monkeypatch):
-    # the bundled hierarchy plus a tie: animate ^ banana is {x, y}
+    # the bundled hierarchy plus a tie: animate ^ banana is {x|y}
     tie = load_hierarchy(data.HIERARCHY.read_text()
                          + "x: person, banana\ny: person, banana\n")
     tie_decls = load_declarations(data.DECLS.read_text(), tie)
@@ -319,7 +313,7 @@ def test_check_reading_equals_solving_the_extracted_atoms(
         "a banana ate a banana", tie_lexicon, tie_decls, tie, "bg")]
     expected = [solve(extract_constraints(reading, h), h)
                 for reading, h in cases]
-    assert tie_branches == [("banana", "animate")]
+    assert tie_branches == []
     assert {type(v) for v in expected} == {Satisfiable, Violation}
 
     built = []
@@ -338,8 +332,8 @@ def test_check_reading_equals_solving_the_extracted_atoms(
                 == list(want.assignment.items())
         else:
             assert got == want      # var, conflicting sorts and narrative
-    assert expected[-1] == Satisfiable({1: "x", 2: "banana"})
-    assert tie_branches == [("banana", "animate")]
+    assert expected[-1] == Satisfiable({1: "{x|y}", 2: "banana"})
+    assert tie_branches == []
     assert built == []
 
 

@@ -1,13 +1,12 @@
 import random
-from contextlib import suppress
 from copy import copy
 from itertools import combinations, permutations, product
 from time import perf_counter
 
 import pytest
 
-from conftest import brute_maximal_lower_bounds
-from selparse.sorts import (AmbiguousMeetError, HierarchyError, load_hierarchy)
+from conftest import brute_maximal_lower_bounds, meet_name
+from selparse.sorts import HierarchyError, load_hierarchy
 
 # top with two incomparable children that share two maximal lower bounds
 NON_BCPO = """\
@@ -133,11 +132,20 @@ def test_glb_examples(hierarchy):
     assert hierarchy.glb("man", "technician") == "male_tech"
 
 
-def test_glb_ambiguous_on_non_bcpo_hierarchy():
+def assert_tie_completes(h):
+    # a ^ b is the completion {c|d}: below a and b, above c and d
+    for x, y in [("a", "b"), ("b", "a")]:
+        assert h.glb(x, y) == "{c|d}"
+    for x, y in [("{c|d}", "c"), ("c", "{c|d}")]:
+        assert h.glb(x, y) == "c"
+    for x, y in [("{c|d}", "a"), ("a", "{c|d}")]:
+        assert h.glb(x, y) == "{c|d}"
+
+
+def test_glb_completes_a_tie_on_non_bcpo_hierarchy():
     h = load_hierarchy(NON_BCPO)
     assert h.maximal_lower_bounds("a", "b") == {"c", "d"}
-    with pytest.raises(AmbiguousMeetError):
-        h.glb("a", "b")
+    assert_tie_completes(h)
     assert [(a, b) for a, b, _ in h.bcpo_violations()] == [("a", "b")]
 
 
@@ -167,9 +175,16 @@ def test_lower_bound_set_properties(hierarchy):
             assert not hierarchy.subsumes(t, s)
 
 
+def lattices(hierarchy):
+    """The bundled hierarchy, then three with ties (1, 3 and 4 tied pairs)."""
+    return [hierarchy, load_hierarchy(NON_BCPO),
+            random_dag(0, size=12), random_dag(1, size=12)]
+
+
 def test_glb_commutative(hierarchy):
-    for a, b in product(sorted(hierarchy.sorts), repeat=2):
-        assert hierarchy.glb(a, b) == hierarchy.glb(b, a)
+    for h in lattices(hierarchy):
+        for a, b in product(sorted(h.sorts), repeat=2):
+            assert h.glb(a, b) == h.glb(b, a)
 
 
 def _glb_fold(hierarchy, sorts):
@@ -182,10 +197,11 @@ def _glb_fold(hierarchy, sorts):
 
 
 def test_glb_fold_order_invariant_all_triples(hierarchy):
-    sorts = sorted(hierarchy.sorts)
-    for triple in product(sorts, repeat=3):
-        results = {_glb_fold(hierarchy, list(p)) for p in permutations(triple)}
-        assert len(results) == 1, triple
+    for h in lattices(hierarchy):
+        for triple in product(sorted(h.sorts), repeat=3):
+            results = {_glb_fold(h, list(p)) for p in permutations(triple)}
+            assert results \
+                == {meet_name(brute_maximal_lower_bounds(h, *triple))}, triple
 
 
 def test_subsumption_implies_glb(hierarchy):
@@ -210,9 +226,8 @@ def test_all_pair_meets_match_oracle_and_leave_the_hierarchy_unchanged(
         before = state(h)
         for a, b in every_pair(h):
             h.maximal_lower_bounds(a, b)
-            with suppress(AmbiguousMeetError):
-                h.glb(a, b)
-        assert state(h) == before
+            h.glb(a, b)
+        assert state(h) == before   # no completion is cached
         for a, b in every_pair(h):
             expected = brute_maximal_lower_bounds(h, a, b)
             assert h.maximal_lower_bounds(a, b) == expected, (a, b)
@@ -224,19 +239,26 @@ def test_unknown_sort_raises_with_warm_memo():
     for a, b in every_pair(h):
         h.maximal_lower_bounds(a, b)
     for call in (h.subsumes, h.maximal_lower_bounds, h.glb):
-        with pytest.raises(HierarchyError, match="unknown sort 'gadget'"):
-            call("a", "gadget")
-        with pytest.raises(HierarchyError, match="unknown sort 'gadget'"):
-            call("gadget", "a")
+        for unknown in ("gadget", "{a|gadget}"):
+            with pytest.raises(HierarchyError, match="unknown sort 'gadget'"):
+                call("a", unknown)
+            with pytest.raises(HierarchyError, match="unknown sort 'gadget'"):
+                call(unknown, "a")
 
 
-def test_glb_ambiguous_on_every_call():
+def test_glb_completes_a_tie_on_every_call():
     h = load_hierarchy(NON_BCPO)
     for _ in range(2):
-        with pytest.raises(AmbiguousMeetError):
-            h.glb("a", "b")
-        with pytest.raises(AmbiguousMeetError):
-            h.glb("b", "a")
+        assert_tie_completes(h)
+
+
+def test_subsumes_and_maximal_lower_bounds_take_a_completion():
+    h = load_hierarchy(NON_BCPO)
+    assert h.subsumes("a", "{c|d}") and h.subsumes("top", "{c|d}")
+    assert h.subsumes("{c|d}", "c") and h.subsumes("{c|d}", "{c|d}")
+    assert not h.subsumes("c", "{c|d}") and not h.subsumes("{c|d}", "a")
+    assert h.maximal_lower_bounds("{c|d}", "a") == {"c", "d"}
+    assert h.maximal_lower_bounds("{c|d}", "d") == {"d"}
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_structure
+from selparse import data
 from selparse.parser import Chart, tokenize
 from selparse.selres import check_reading
+from selparse.sorts import load_hierarchy
 from selparse.tfs import (FeatureStructure, UnificationFailure, isomorphic,
-                          subsumes_fs, unify)
+                          subsumes_fs, unify, unify_map)
 
 
 def fs(sort, **feats):
@@ -43,6 +45,19 @@ def test_structural_sorts_require_equality(hierarchy):
     # atoms behave the same way
     assert isinstance(unify(fs("Tom"), fs("Sue"), hierarchy),
                       UnificationFailure)
+
+
+def test_a_tie_meets_in_its_completion():
+    # the bundled hierarchy plus a tie: animate ^ banana is {x|y}
+    tie = load_hierarchy(data.HIERARCHY.read_text()
+                         + "x: person, banana\ny: person, banana\n")
+    nodes = animate, banana, person = fs("animate"), fs("banana"), fs("person")
+    got = unify_map([(animate, banana), (banana, person)], nodes, tie)
+    assert {got[node].sort for node in nodes} == {"{x|y}"}
+    assert all(subsumes_fs(node, got[node], tie) for node in nodes)
+    # a completion meets as a sort; an atom still meets only itself
+    assert unify(got[person], fs("x"), tie).sort == "x"
+    assert isinstance(unify(got[person], fs("Tom"), tie), UnificationFailure)
 
 
 def test_failure_path_reported(hierarchy):
