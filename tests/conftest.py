@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from selparse import data
 from selparse.grammar import load_declarations, load_lexicon
 from selparse.parser import Chart, tokenize
 from selparse.sorts import load_hierarchy
 from selparse.tfs import FeatureStructure
+
+# every run draws the same examples, with or without --hypothesis-seed;
+# derandomize also turns off the example database
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 CORPUS_SENTENCES = [
     "tom ate a keyboard",

@@ -11,8 +11,14 @@ END_TO_END = [m["name"] for m in
 
 
 def test_bench_self_check_passes():
-    # the benchmark looks up parser and cli names (run_method, combine's
-    # schema argument) when tracing, so a rename there breaks it alone
+    # the benchmark reaches these library names, so a rename of any of them
+    # breaks it alone: cli.main and cli.run_method; sorts.load_hierarchy,
+    # SortHierarchy.glb, .maximal_lower_bounds and .bcpo_violations;
+    # grammar.load_declarations, .load_lexicon and .compile_entry;
+    # parser.Chart with fill, readings() and edges_built; parser.combine,
+    # whose third positional argument is the schema; selres.check_reading,
+    # Satisfiable, Violation, extract_constraints and merge_pair;
+    # tfs.unify_map and UnificationFailure; and a reading's identity
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--self-check"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)

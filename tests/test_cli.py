@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import selparse
-from selparse import data
+from conftest import ladder
+from selparse import data, grammar
 from selparse.cli import main
 from selparse.parser import Chart, Edge
 
@@ -28,6 +29,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def extended(tmp_path, resource, extra):
+    """A copy of the bundled `resource` file with `extra` appended."""
+    path = tmp_path / resource.name
+    path.write_text(resource.read_text() + extra)
+    return path
+
+
+# x and y are both maximal lower bounds of animate and banana
+TIE = "x: person, banana\ny: person, banana\n"
 
 
 def test_parse_both_methods_keyboard(capsys):
@@ -99,19 +111,34 @@ def test_parse_json_single_method(capsys):
     assert record["readings"][0]["assignment"] == {"1": "man", "2": "banana"}
 
 
-@pytest.mark.parametrize("sentence, assignment", [
-    ("the printer that repaired the keyboard called",
-     {"1": "printer_person", "2": "keybd"}),
-    ("list the employees of the departments that retire",
-     {"1": "employee", "2": "department"}),
-])
-def test_index_assignment_covers_every_variable(capsys, sentence, assignment):
+@pytest.mark.parametrize("method, extra, sentence, counts, assignment", [
     # the keyboard is reached only by the embedded verb, the departments
     # only by a preposition: both are still variables of the reading
-    code, out, _ = run(capsys, "parse", "--method", "index", "--json",
-                       sentence)
+    ("index", "", "the printer that repaired the keyboard called",
+     (2, 1, None), {"1": "printer_person", "2": "keybd"}),
+    ("index", "", "list the employees of the departments that retire",
+     (2, 1, None), {"1": "employee", "2": "department"}),
+    # two relative clauses on one noun phrase of the root sort: the
+    # variable's sort is its binds' meet, not the noun's own sort ref
+    ("index", "thing | noun | ref\n",
+     "the thing that retire that ate a banana retire",
+     (1, 1, None), {"1": "person", "2": "banana"}),
+    # the relative clause's verb and the main verb each put person(inst) on
+    # one variable: the reading is kept
+    ("both", "", "the employees that retire retire",
+     (1, 1, True), {"1": "employee"}),
+], ids=["relc", "pp", "thing", "retire"])
+def test_index_assignment_covers_every_variable(capsys, tmp_path, method,
+                                                extra, sentence, counts,
+                                                assignment):
+    lexicon = extended(tmp_path, data.LEXICON, extra)
+    code, out, _ = run(capsys, "parse", "--method", method, "--json",
+                       "--lexicon", str(lexicon), sentence)
     assert code == 0
-    (reading,) = json.loads(out)["readings"]
+    record = json.loads(out)
+    assert (record["pre_filter"], record["post_filter"],
+            record.get("agree")) == counts     # only "both" compares
+    (reading,) = record["readings"]
     assert reading["assignment"] == assignment
 
 
@@ -145,6 +172,9 @@ def test_parse_explain_renders_a_proper_nouns_name_atom(capsys):
         "animate(inst: #1:ref), edible(inst: #2:ref) }" in bg
     assert "    cont|nuc: eat(eater: #1:man, eaten: #2:banana)" in index
     assert "    cx|bg: { naming(brer: #1:man, name: Tom) }" in index
+    # the package exports the instance record these lines print
+    from selparse import Relation
+    assert Relation is grammar.Relation
 
 
 def test_batch_bundled_corpus(capsys):
@@ -154,13 +184,50 @@ def test_batch_bundled_corpus(capsys):
     assert "FAIL" not in out
 
 
-def test_batch_json_records(capsys):
+def test_batch_json_records(capsys, tmp_path):
     code, out, _ = run(capsys, "batch", "--json")
     assert code == 0
     records = [json.loads(line) for line in out.splitlines() if line.strip()]
     assert len(records) == 8
     assert all(r["status"] == "PASS" for r in records)
     assert all(r["agree"] for r in records)
+    # a loaded lexicon keeps each position's compiled sign for later
+    # sentences: the bundled corpus twice over repeats its records, under
+    # the index method alone too, which no golden runs
+    twice = extended(tmp_path, data.CORPUS, data.CORPUS.read_text())
+    code, both, _ = run(capsys, "batch", "--json", str(twice))
+    assert (code, both) == (0, out * 2)
+    code, index, _ = run(capsys, "batch", "--method", "index", "--json",
+                         str(twice))
+    assert code == 0
+    lines = index.splitlines()
+    assert len(lines) == 16 and lines[:8] == lines[8:]
+    # each index record keeps the counts and readings of the both record
+    keys = ("sentence", "pre_filter", "post_filter", "readings")
+    assert [[json.loads(line)[k] for k in keys] for line in lines] \
+        == [[json.loads(line)[k] for k in keys] for line in both.splitlines()]
+
+
+@pytest.mark.parametrize("method, sentence, counts, derivations", [
+    # attachment rung k = 7, which no golden covers: alone, the index
+    # method counts the bg chart's 1,430 readings without building it
+    ("index", ladder("attachment", 7), (1430, 429, None), None),
+    ("both", ladder("attachment", 7), (1430, 429, True), None),
+    # 1,200 stacked adjectives nest deeper than Python's default recursion
+    # limit: the derivation is built without recursion
+    ("both", "list the " + "overseas " * 1200 + "departments", (1, 1, True),
+     ["(S list (NP the " + "overseas " * 1200 + "departments))"]),
+], ids=["attachment-7-index", "attachment-7-both", "adjectives-1200-both"])
+def test_parse_json_record_on_a_large_input(capsys, method, sentence, counts,
+                                            derivations):
+    code, out, err = run(capsys, "parse", "--method", method, "--json",
+                         sentence)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["pre_filter"], record["post_filter"],
+            record.get("agree")) == counts     # only "both" compares
+    if derivations is not None:
+        assert [r["derivation"] for r in record["readings"]] == derivations
 
 
 def test_a_closed_output_pipe_ends_the_batch_quietly(tmp_path):
@@ -269,22 +336,25 @@ def test_validate_bundled(capsys):
     assert "20 entries for 19 words" in out
 
 
-def test_validate_non_bcpo_names_pair(capsys, tmp_path):
+@pytest.mark.parametrize("text, line", [
+    (NON_BCPO, "bcpo: violation (a, b) share {c, d}"),
+    # the bundled hierarchy plus a second meet of man and technician
+    (data.HIERARCHY.read_text() + "cyborg: man, technician\n",
+     "bcpo: violation (man, technician) share {cyborg, male_tech}"),
+], ids=["small", "cyborg"])
+def test_validate_non_bcpo_names_pair(capsys, tmp_path, text, line):
     bad = tmp_path / "bad.sorts"
-    bad.write_text(NON_BCPO)
+    bad.write_text(text)
     code, out, _ = run(capsys, "validate", "--hierarchy", str(bad))
     assert code == 1
-    assert "bcpo: violation (a, b)" in out
+    assert line in out.splitlines()
 
 
 @pytest.mark.parametrize("method, agree", [("index", None), ("both", True)],
                          ids=["index", "both"])
 def test_parse_non_bcpo_meet_is_its_completion(capsys, tmp_path, method,
                                                agree):
-    # x and y are both maximal lower bounds of animate and banana
-    tie = tmp_path / "tie.sorts"
-    tie.write_text(data.HIERARCHY.read_text()
-                   + "x: person, banana\ny: person, banana\n")
+    tie = extended(tmp_path, data.HIERARCHY, TIE)
     code, out, err = run(capsys, "parse", "--method", method, "--json",
                          "--hierarchy", str(tie), "a banana ate a banana")
     assert (code, err) == (0, "")
@@ -292,13 +362,17 @@ def test_parse_non_bcpo_meet_is_its_completion(capsys, tmp_path, method,
     assert [r["assignment"] for r in record["readings"]] \
         == [{"1": "{x|y}", "2": "banana"}]
     assert record.get("agree") is agree     # only "both" compares
+    # the index sign prints the completion as the variable's sort
+    code, out, err = run(capsys, "parse", "--method", method, "--explain",
+                         "--hierarchy", str(tie), "a banana ate a banana")
+    assert (code, err) == (0, "")
+    assert "    cont|nuc: eat(eater: #1:{x|y}, eaten: #2:banana)" \
+        in out.splitlines()
 
 
 def test_parse_bg_completes_a_non_bcpo_meet(capsys, tmp_path):
     # the solver folds animate ^ banana to the completion {x|y}
-    tie = tmp_path / "tie.sorts"
-    tie.write_text(data.HIERARCHY.read_text()
-                   + "x: person, banana\ny: person, banana\n")
+    tie = extended(tmp_path, data.HIERARCHY, TIE)
     code, out, err = run(capsys, "parse", "--method", "bg", "--json",
                          "--hierarchy", str(tie), "a banana ate a banana")
     assert (code, err) == (0, "")

@@ -180,12 +180,6 @@ def test_solve_agrees_with_sort_scan_oracle(hierarchy):
                 assert feasible[verdict.var] == set()
 
 
-def test_solve_explores_every_maximal_lower_bound():
-    # a ^ b branches to x and y; x fails against c, so only y survives
-    atoms = [atom("a", 1), atom("b", 1), atom("c", 1)]
-    assert solve(atoms, BRANCHING) == Satisfiable({1: "y"})
-
-
 def fold_every_variable(atoms, hierarchy):
     """Each variable folded: (var, sort) pairs, up to one (var, conflict)."""
     grouped = {}
@@ -231,7 +225,8 @@ def test_solve_merges_nothing_for_one_atom_variables(hierarchy, tie_branches):
 
 
 def test_solve_meets_a_tie_in_its_completion(tie_branches):
-    # a ^ b is the tie {x|y}; {x|y} ^ c is y, without a branch
+    # a ^ b is the tie {x|y}; x fails against c, so {x|y} ^ c is y alone,
+    # without a branch
     assert solve([atom("a", 1), atom("b", 1)], BRANCHING) \
         == Satisfiable({1: "{x|y}"})
     atoms = [atom("a", 1), atom("b", 1), atom("c", 1)]
