@@ -17,6 +17,7 @@ __all__ = [
     "FeatureStructure",
     "GrammarError",
     "LexicalEntry",
+    "Lexicon",
     "Relation",
     "Sign",
     "apply_qfpsoa_declarations",
@@ -67,14 +68,7 @@ class FeatureStructure:
 
 @dataclass(frozen=True)
 class LexicalEntry:
-    """One sense of a word, as `load_lexicon` read and checked it.
-
-    `edges` keeps the lexical edges `parser.lexical_edges` built for this
-    entry, under (method, token position), each as (hierarchy,
-    declarations, edge): the objects its sign was compiled under, and the
-    edge over that sign.  It is neither compared nor hashed, and it dies
-    with its entry.
-    """
+    """One sense of a word, as `load_lexicon` read and checked it."""
 
     phon: str
     pos: str
@@ -84,8 +78,23 @@ class LexicalEntry:
     valence: str | None = None      # verbs: trans / intrans / imp
     name_atom: str | None = None    # proper nouns
     overrides: tuple = ()           # ((role, sort), ...)
-    edges: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+
+
+class Lexicon(dict):
+    """word -> its senses, a tuple of LexicalEntry, as `load_lexicon` reads it.
+
+    `edges` keeps the lexical edges `parser.lexical_edges` built over this
+    lexicon, under (method, token position, word), each as (hierarchy,
+    declarations, edges): the objects the word's signs were compiled
+    under, and one edge per sense.  The lexicon owns them, so they go
+    with it, and no edge refers back to it.
+    """
+
+    __slots__ = ("edges",)
+
+    def __init__(self, senses=()):
+        super().__init__(senses)
+        self.edges = {}
 
 
 @dataclass(eq=False)
@@ -286,7 +295,7 @@ def load_lexicon(text, hierarchy, decls):
             raise GrammarError(
                 f"line {lineno}: duplicate sense {entry.sense_id!r} for {word!r}")
         lexicon.setdefault(word, []).append(entry)
-    return {word: tuple(entries) for word, entries in lexicon.items()}
+    return Lexicon((word, tuple(entries)) for word, entries in lexicon.items())
 
 
 def apply_qfpsoa_declarations(entry, decls, hierarchy):
@@ -326,8 +335,8 @@ def compile_entry(entry, decls, method, hierarchy):
     Each call builds new index nodes and `Relation` records, which compare
     by identity, so two tokens of one word stay distinct.
     `parser.lexical_edges` calls this once per (entry, method, token
-    position), keeps the lexical edge over the sign in the entry's `edges`
-    and reuses it in every later chart under the same hierarchy and
+    position), keeps the lexical edge over the sign in the `Lexicon`'s
+    `edges` and reuses it in every later chart under the same hierarchy and
     declarations: no code changes a sign once built, an edge keeps only
     values derived from it, and two tokens at one position never share a
     chart unless they are different senses, which are different entries.

@@ -237,28 +237,31 @@ def _valence_cat(subj, comps):
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     """One edge per (token position, lexical sense) over that sense's sign.
 
-    The edge is built on first use and kept in the entry's `edges` under
-    (method, position) for every later chart over the same hierarchy and
-    declarations objects, with its derivation string and variable table
-    once read; under others its sign is compiled anew and a new edge
-    replaces the kept one (see `compile_entry`).
+    A `grammar.Lexicon` keeps a word's edges at a position in its `edges`
+    under (method, position, word), built on first use, for every later
+    chart over the same hierarchy and declarations objects, with their
+    derivation strings and variable tables once read; under others the
+    signs are compiled anew and new edges replace the kept ones (see
+    `compile_entry`).  Any other mapping of words to senses keeps nothing.
     """
     unknown = sorted({t for t in tokens if t not in lexicon})
     if unknown:
         raise UnknownTokenError(unknown)
+    kept = getattr(lexicon, "edges", {})
     edges = []
     for i, token in enumerate(tokens):
-        for entry in lexicon[token]:
-            built = entry.edges.get((method, i))
-            if (built is None or built[0] is not hierarchy
-                    or built[1] is not decls):
+        built = kept.get((method, i, token))
+        if (built is None or built[0] is not hierarchy
+                or built[1] is not decls):
+            senses = []
+            for entry in lexicon[token]:
                 sign = compile_entry(entry, decls, method, hierarchy)
                 cat = (PARTS_OF_SPEECH[entry.pos][1]
                        or _valence_cat(sign.subj, sign.comps))
-                edge = Edge(i, i + 1, cat, sign,
-                            index_sort=sign.index and sign.index.sort)
-                built = entry.edges[method, i] = (hierarchy, decls, edge)
-            edges.append(built[2])
+                senses.append(Edge(i, i + 1, cat, sign,
+                                   index_sort=sign.index and sign.index.sort))
+            built = kept[method, i, token] = (hierarchy, decls, senses)
+        edges.extend(built[2])
     return edges
 
 

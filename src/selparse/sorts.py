@@ -37,58 +37,71 @@ class SortHierarchy:
     """Fixed DAG of sorts; an ancestor is more general than its descendants.
 
     `_mask[s]` has one bit per sort at or below s, its down-set (Ait-Kaci,
-    Boyer, Lincoln & Nasr 1989), and `_by_mask` maps each mask to its sort.
-    The AND of two masks is the down-set of their common lower bounds:
-    `maximal_lower_bounds` yields its most general sorts, none on a
-    conflict, and `glb` names it.  On a bounded complete partial order (see
-    `bcpo_violations`) every nonzero AND is a sort's own mask; elsewhere a
-    tie's AND is named as its completion, `{x|y}`, never stored.
+    Boyer, Lincoln & Nasr 1989), built in one leaves-first pass with bits
+    numbered children before parents.  The AND of two masks is the down-set
+    of their common lower bounds: `maximal_lower_bounds` yields its most
+    general sorts, none on a conflict, and `glb` names it.  Unless it is an
+    argument's mask, a nonzero AND is a multi-parent sort's, which `_meets`
+    maps to its sort, or a tie's, named as its completion `{x|y}` (see
+    `bcpo_violations`) and never stored.
     """
 
     def __init__(self, parents):
         self.parents = {s: frozenset(ps) for s, ps in parents.items()}
         self.sorts = frozenset(self.parents)
-        children = {s: [] for s in self.sorts}
-        for s in sorted(self.parents):
-            for p in sorted(self.parents[s]):
-                if p not in self.sorts:
-                    raise HierarchyError(
-                        f"sort {s!r} names undeclared parent {p!r}", s)
-                children[p].append(s)
-        roots = sorted(s for s, ps in self.parents.items() if not ps)
+        waiting = dict.fromkeys(self.parents, 0)    # children without a bit
+        try:
+            for ps in self.parents.values():
+                for p in ps:
+                    waiting[p] += 1
+        except KeyError:
+            s, p = min((s, p) for s, ps in self.parents.items() for p in ps
+                       if p not in waiting)
+            raise HierarchyError(
+                f"sort {s!r} names undeclared parent {p!r}", s) from None
+        roots = [s for s, ps in self.parents.items() if not ps]
         if not roots:
             raise HierarchyError("no root: every sort declares a parent")
         if len(roots) > 1:
-            raise HierarchyError("multiple roots: " + ", ".join(roots))
+            raise HierarchyError("multiple roots: " + ", ".join(sorted(roots)))
         self.root = roots[0]
-        # bit i is the i-th sort from the bottom: children before parents
-        self._by_bit = self._toposort(children)[::-1]
-        self._mask = dict.fromkeys(self._by_bit, 0)
-        for bit, s in enumerate(self._by_bit):
-            m = self._mask[s] = self._mask[s] | 1 << bit
+        # Kahn from the leaves: bit i is the i-th sort placed
+        by_bit = self._by_bit = [s for s, n in waiting.items() if not n]
+        mask = self._mask = dict.fromkeys(self.parents, 0)
+        for bit, s in enumerate(by_bit):    # grows while it is walked
+            m = mask[s] = mask[s] | 1 << bit
             for p in self.parents[s]:
-                self._mask[p] |= m
-        self._by_mask = {m: s for s, m in self._mask.items()}
+                mask[p] |= m
+                waiting[p] -= 1
+                if not waiting[p]:
+                    by_bit.append(p)
+        if len(by_bit) < len(mask):     # the rest are on or above a cycle
+            s = self._on_cycle()
+            raise HierarchyError(f"cycle detected through sort {s!r}", s)
+        self._meets = {mask[s]: s for s, ps in self.parents.items()
+                       if len(ps) > 1}
 
-    def _toposort(self, children):
-        # parents first (Kahn); a sort never placed is on or below a cycle
+    def _on_cycle(self):
+        # a parents-first order from the root never reaches the sorts on or
+        # below a cycle; each has such a parent, so climbing from the
+        # smallest by smallest such parent must revisit a sort on a cycle
+        children = {s: [] for s in self.parents}
+        for s, ps in self.parents.items():
+            for p in ps:
+                children[p].append(s)
         waiting = {s: len(ps) for s, ps in self.parents.items()}
-        order = [self.root]
-        for s in order:     # grows while it is walked
+        reached = [self.root]
+        for s in reached:   # grows while it is walked
             for c in children[s]:
                 waiting[c] -= 1
                 if not waiting[c]:
-                    order.append(c)
-        if len(order) < len(self.sorts):
-            # each pending sort has a pending parent; climbing from one
-            # by smallest such parent must revisit a sort on a cycle
-            pending = self.sorts.difference(order)
-            seen, s = set(), min(pending)
-            while s not in seen:
-                seen.add(s)
-                s = min(self.parents[s] & pending)
-            raise HierarchyError(f"cycle detected through sort {s!r}", s)
-        return order
+                    reached.append(c)
+        pending = self.sorts.difference(reached)
+        seen, s = set(), min(pending)
+        while s not in seen:
+            seen.add(s)
+            s = min(self.parents[s] & pending)
+        return s
 
     def __len__(self):
         return len(self.sorts)
@@ -129,6 +142,13 @@ class SortHierarchy:
         return frozenset(s for s in members
                          if members.isdisjoint(self.parents[s]))
 
+    def _name(self, common):
+        # the meet whose down-set is mask `common`: None, a sort or a tie
+        bounds = sorted(self._maximal(common))
+        if len(bounds) > 1:
+            return "{" + "|".join(bounds) + "}"
+        return bounds[0] if bounds else None
+
     def subsumes(self, a, b):
         """True iff a == b or a is an ancestor of b (a is at least as general)."""
         return self._common(a, b) == self._down(b)
@@ -136,7 +156,10 @@ class SortHierarchy:
     def maximal_lower_bounds(self, a, b):
         """Most general sorts subsumed by both a and b; empty means conflict."""
         common = self._common(a, b)
-        sort = self._by_mask.get(common)
+        for sort in (b, a):
+            if self._mask.get(sort) == common:
+                return frozenset((sort,))
+        sort = self._meets.get(common)
         return self._maximal(common) if sort is None else frozenset((sort,))
 
     def glb(self, a, b):
@@ -146,36 +169,58 @@ class SortHierarchy:
         completion: a name such as `{x|y}` listing its maximal lower bounds
         in name order, whose down-set is the OR of theirs.  `subsumes`,
         `maximal_lower_bounds` and `glb` take a completion as a sort; one
-        naming a sort the hierarchy lacks raises HierarchyError.
+        naming a sort the hierarchy lacks raises HierarchyError.  The meet
+        of two sorts costs an AND and up to three comparisons, plus a
+        lookup among multi-parent sorts when neither is below the other.
         """
-        common = self._common(a, b)
-        sort = self._by_mask.get(common)
-        if sort is None and common:
-            return "{" + "|".join(sorted(self._maximal(common))) + "}"
-        return sort
+        try:
+            ma = self._mask[a]
+            mb = self._mask[b]
+        except KeyError:    # a completion, or an unknown sort that raises
+            return self._name(self._down(a) & self._down(b))
+        # inline, not a helper call: this is on the index fill's path
+        common = ma & mb
+        if common == mb:
+            return b
+        if common == ma:
+            return a
+        if common:
+            return self._meets.get(common) or self._name(common)
+        return None
 
     def bcpo_violations(self):
         """Sort pairs with more than one maximal lower bound, in sorted order.
 
         Every bound of such a pair has two or more parents (one parent would
         be a greater common lower bound), so only incomparable pairs of
-        strict ancestors of a multi-parent sort are checked.
+        strict ancestors of a multi-parent sort are checked, and only those
+        ancestors get an up-set.
         """
-        up = {}     # sort -> mask of the sorts at or above it
-        for bit, s in reversed(list(enumerate(self._by_bit))):
-            up[s] = 1 << bit
-            for p in self.parents[s]:
-                up[s] |= up[p]
+        multi = [s for s, ps in self.parents.items() if len(ps) > 1]
+        above = set()
+        stack = [p for s in multi for p in self.parents[s]]
+        while stack:
+            a = stack.pop()
+            if a not in above:
+                above.add(a)
+                stack.extend(self.parents[a])
+        up = {}     # ancestor -> mask of the sorts at or above it
+        # a sort's own bit is its mask's highest, above its descendants'
+        for a in sorted(above, key=self._mask.__getitem__, reverse=True):
+            up[a] = 1 << self._mask[a].bit_length() - 1
+            for p in self.parents[a]:
+                up[a] |= up[p]
         pairs = set()
-        for s, ps in self.parents.items():
-            if len(ps) > 1:
-                above = up[s] & ~self._mask[s]
-                for a in self._members(above):
-                    for b in self._members(above & ~(up[a] | self._mask[a])):
-                        pairs.add((a, b) if a < b else (b, a))
+        for s in multi:
+            strict = 0
+            for p in self.parents[s]:
+                strict |= up[p]
+            for a in self._members(strict):
+                for b in self._members(strict & ~(up[a] | self._mask[a])):
+                    pairs.add((a, b) if a < b else (b, a))
         return [(a, b, self._maximal(self._mask[a] & self._mask[b]))
                 for a, b in sorted(pairs)
-                if self._mask[a] & self._mask[b] not in self._by_mask]
+                if self._mask[a] & self._mask[b] not in self._meets]
 
 
 def load_hierarchy(text):

@@ -142,6 +142,30 @@ def test_index_assignment_covers_every_variable(capsys, tmp_path, method,
     assert reading["assignment"] == assignment
 
 
+@pytest.mark.parametrize("sentence", [
+    "the thing that retire that beep called",
+    "the thing that beep that retire called",
+])
+def test_a_relative_clause_narrows_the_np_for_the_next(capsys, tmp_path,
+                                                       sentence):
+    # the first clause narrows the thing to person or artifact, so the
+    # second clause's verb then clashes with it under index as under bg
+    decls = extended(tmp_path, data.DECLS, "beep(beeper: artifact)\n")
+    lexicon = extended(tmp_path, data.LEXICON,
+                       "beep | verb | beep | intrans\nthing | noun | ref\n")
+    files = ["--decls", str(decls), "--lexicon", str(lexicon)]
+    code, out, _ = run(capsys, "parse", "--method", "both", "--json", *files,
+                       sentence)
+    record = json.loads(out)
+    assert code == 0
+    assert (record["pre_filter"], record["post_filter"], record["agree"]) \
+        == (1, 0, True)
+    code, out, _ = run(capsys, "parse", "--method", "index", "--json", *files,
+                       sentence)
+    assert code == 0
+    assert json.loads(out)["post_filter"] == 0
+
+
 def test_batch_reports_methods_that_disagree_on_assignments(capsys,
                                                             monkeypatch):
     # same readings, but the index method assigns no sorts

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import selparse
 import selparse.cli
 import selparse.grammar
 import selparse.parser
@@ -561,7 +562,7 @@ def test_the_parse_path_imports_nothing_from_tfs():
 def test_only_sorts_reads_the_lattice_encoding():
     # every other module meets and tests sorts through SortHierarchy's
     # methods and its `sorts`, never through the bit masks behind them
-    encoding = {"mask", "by_mask", "_mask", "_by_mask", "_by_bit"}
+    encoding = {"mask", "_mask", "_meets", "_by_bit"}
     package = Path(selparse.parser.__file__).parent
     for path in sorted(package.rglob("*.py")):
         if path.name == "sorts.py" and path.parent == package:
@@ -1082,10 +1083,31 @@ def test_compiled_signs_die_with_their_lexicon(hierarchy, decls):
     reports, _ = run_method(tokenize("tom ate a banana"), lexicon, decls,
                             hierarchy, "both")
     tom = weakref.ref(lexicon["tom"][0])
-    assert tom().edges      # the parse kept its edges on the entry
+    assert lexicon.edges    # the parse kept its edges in the lexicon
     del lexicon, reports
-    gc.collect()
     assert tom() is None
+
+
+def test_dropped_resources_free_themselves_without_the_collector():
+    # kept edges name their hierarchy and declarations, and no edge names
+    # its lexicon, so the last reference frees all three without a cycle
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        hierarchy, lexicon, decls = selparse.load_resources()
+        for sentence in ("tom ate a banana", ladder("sense", 2)):
+            for method in ("bg", "index", "both"):
+                run_method(tokenize(sentence), lexicon, decls, hierarchy,
+                           method)
+        assert lexicon.edges
+        kept = weakref.ref(hierarchy)
+        del hierarchy, lexicon, decls
+        assert gc.collect() == 0
+        assert kept() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_kept_sign_follows_the_declarations_and_hierarchy_given(

@@ -4,6 +4,8 @@ from itertools import combinations, permutations, product
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_maximal_lower_bounds, meet_name
 from selparse.sorts import HierarchyError, load_hierarchy
@@ -72,6 +74,141 @@ def test_hierarchy_error_names_its_line(text, message):
     assert str(info.value) == message
 
 
+POOL = ["ref", "a", "b", "c", "_", "_x", "s0", "s10", "x_1", "thing",
+        "q9", "top_", "z", "animate"]     # any 8 leave room for fresh names
+NAMES = st.sampled_from(POOL)
+CASES = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
+BAD_NAMES = st.sampled_from(["9x", "a-b", "x y", "é", "a.b"])
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+FILLER = st.sampled_from(["", "   ", "# a comment", "  # x: y, z"])
+COMMENT = st.text("abc :,#", max_size=6)
+EOL = st.sampled_from(["\n", "\r\n"])
+FAULTS = ["bad sort name", "bad parent name", "duplicate sort",
+          "undeclared parent", "cycle", "no root", "two roots"]
+
+
+@st.composite
+def dags(draw, min_size=1):
+    """{sort: parents} of a rooted DAG: the first sort is the root, and
+    every other names one to three earlier sorts, maybe one twice."""
+    names = draw(st.lists(NAMES, min_size=min_size, max_size=8, unique=True))
+    parents = {names[0]: []}
+    for i, name in enumerate(names[1:], start=1):
+        parents[name] = [names[j] for j in draw(
+            st.lists(st.integers(0, i - 1), min_size=1, max_size=3))]
+    return parents
+
+
+@st.composite
+def documents(draw, declarations):
+    """The (sort, parents) pairs as one line each, in random case and
+    spacing, between blank and comment lines, with empty parent parts and
+    trailing comments; returns the text and each pair's line number."""
+    def spaced(name):
+        return draw(SPACE) + draw(CASES)(name) + draw(SPACE)
+
+    out, linenos = [], []
+    for sort, parents in declarations:
+        out += draw(st.lists(FILLER, max_size=2))
+        parts = [spaced(p) for p in parents]
+        for _ in range(draw(st.integers(0, 2))):   # `a: , b,` names only b
+            parts.insert(draw(st.integers(0, len(parts))), draw(SPACE))
+        line = spaced(sort)
+        if parts or draw(st.booleans()):    # a root may end in `:`
+            line += ":" + ",".join(parts)
+        if draw(st.booleans()):
+            line += "#" + draw(COMMENT)
+        out.append(line)
+        linenos.append(len(out))
+    out += draw(st.lists(FILLER, max_size=2))
+    return "".join(line + draw(EOL) for line in out), linenos
+
+
+@st.composite
+def faulty_documents(draw, fault):
+    """A document with one `fault`: its text, the {sort: parents} it
+    declares, the line of each sort's last declaration, and the error, with
+    `{}` for the line of `sort` (None for a cycle: a sort on it is named)."""
+    parents = draw(dags(min_size=2 if fault == "cycle" else 1))
+    root = next(iter(parents))
+    sort = draw(st.sampled_from(sorted(parents)))
+    fresh = st.sampled_from([name for name in POOL if name not in parents])
+    message = None
+    if fault == "bad sort name":
+        sort = draw(BAD_NAMES)
+        parents[sort] = [root]
+        message = f"line {{}}: bad sort name {sort!r}"
+    elif fault == "bad parent name":
+        bad = draw(BAD_NAMES)
+        parents[sort] = [*parents[sort], bad]
+        message = f"line {{}}: bad parent name {bad!r}"
+    elif fault == "duplicate sort":
+        message = f"line {{}}: duplicate sort {sort!r}"
+    elif fault == "undeclared parent":
+        missing = draw(fresh)
+        parents[sort] = [*parents[sort], missing]
+        message = f"line {{}}: sort {sort!r} names undeclared parent " \
+            f"{missing!r}"
+    elif fault == "cycle":
+        # a non-root sort takes a parent at or below it, over a fresh leaf
+        sort = draw(st.sampled_from(sorted(set(parents) - {root})))
+        below = [s for s in sorted(parents) if reaches(parents, s, sort)]
+        parents[sort] = [*parents[sort], draw(st.sampled_from(below))]
+        parents[draw(fresh)] = [sort]
+    elif fault == "no root":
+        parents[root] = [sort]
+        message = "no root: every sort declares a parent"
+    elif fault == "two roots":
+        other = draw(fresh)
+        parents[other] = []
+        message = "multiple roots: " + ", ".join(sorted((root, other)))
+    declarations = draw(st.permutations(list(parents.items())))
+    if fault == "duplicate sort":
+        declarations.insert(draw(st.integers(0, len(declarations))),
+                            (sort, [root]))
+    text, linenos = draw(documents(declarations))
+    at = {name: lineno for (name, _), lineno in zip(declarations, linenos)}
+    return text, parents, at, message and message.format(at[sort])
+
+
+def reaches(parents, start, goal):
+    """True iff climbing from `start` by parents reaches `goal`."""
+    seen, todo = set(), [start]
+    while todo:
+        s = todo.pop()
+        if s == goal:
+            return True
+        if s not in seen:
+            seen.add(s)
+            todo += parents.get(s, ())
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_generated_document_loads_its_declarations(data):
+    parents = data.draw(dags())
+    text, _ = data.draw(documents(
+        data.draw(st.permutations(list(parents.items())))))
+    h = load_hierarchy(text)
+    assert h.parents == {s: set(ps) for s, ps in parents.items()}
+    assert h.root == next(iter(parents))
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a_generated_fault_names_its_line(fault, data):
+    text, parents, at, message = data.draw(faulty_documents(fault))
+    with pytest.raises(HierarchyError) as info:
+        load_hierarchy(text)
+    if message is None:
+        sort = str(info.value).rpartition(" ")[2][1:-1]
+        message = f"line {at[sort]}: cycle detected through sort {sort!r}"
+        assert any(reaches(parents, p, sort) for p in parents[sort])
+    assert str(info.value) == message
+
+
 def test_duplicate_sort():
     with pytest.raises(HierarchyError, match="duplicate sort 'thing'"):
         load_hierarchy("ref\nthing: ref\nthing: ref\n")
@@ -112,16 +249,30 @@ def test_maximal_lower_bounds_examples(hierarchy):
 
 def test_maximal_lower_bounds_matches_oracle_everywhere(hierarchy):
     # the bundled hierarchy has one multi-parent sort; the non-BCPO one and
-    # the random DAGs exercise many, with ties
+    # the random DAGs exercise many, with ties.  Only multi-parent sorts
+    # are looked up, so a completion's meets are checked against every sort
     for h in [hierarchy, load_hierarchy(NON_BCPO)] \
             + [random_dag(seed) for seed in range(20)]:
         ties = []
         for a, b in product(sorted(h.sorts), repeat=2):
             expected = brute_maximal_lower_bounds(h, a, b)
             assert h.maximal_lower_bounds(a, b) == expected, (a, b)
+            assert h.glb(a, b) == meet_name(expected), (a, b)
             if a < b and len(expected) > 1:
                 ties.append((a, b, expected))
         assert h.bcpo_violations() == ties
+        for tie in sorted({meet_name(bounds) for *_, bounds in ties}):
+            for s in sorted(h.sorts):
+                expected = brute_maximal_lower_bounds(h, tie, s)
+                assert h.glb(tie, s) == h.glb(s, tie) == meet_name(expected)
+                assert h.maximal_lower_bounds(tie, s) == expected, (tie, s)
+    # a completion is named by its maximal members, in name order
+    assert hierarchy.glb("{man}", "person") == "man"
+    assert hierarchy.glb("person", "{man}") == "man"
+    non_bcpo = load_hierarchy(NON_BCPO)
+    assert non_bcpo.glb("{d|c}", "a") == non_bcpo.glb("top", "{d|c}") \
+        == "{c|d}"
+    assert non_bcpo.glb("{d|c}", "c") == "c"
 
 
 def test_glb_examples(hierarchy):
