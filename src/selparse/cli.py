@@ -6,6 +6,7 @@ error), 1 = input or configuration error, 2 = batch expectation mismatch,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,6 +40,8 @@ def _add_analysis(sub):
     return output
 
 
+# built on first use, not at import; parse_args keeps no state between calls
+@functools.cache
 def _arg_parser():
     top = _ArgumentParser(
         prog="selparse",
@@ -250,6 +253,9 @@ def cmd_validate(args):
 
 
 def main(argv=None):
+    """Run one command from `argv` (default: sys.argv[1:]) and return its
+    exit code; a usage error raises SystemExit(1) and --help SystemExit(0).
+    Safe to call repeatedly in one process: every call reuses one parser."""
     args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)

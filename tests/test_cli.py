@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -504,6 +505,55 @@ def test_option_the_subcommand_does_not_take_is_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["validate"], 0, id="validate"),
+    pytest.param(["batch", "--json"], 0, id="batch"),
+    pytest.param(["parse", "--json", "tom ate a banana"], 0, id="parse-json"),
+    pytest.param(["parse", "--explain", "tom ate a banana"], 0,
+                 id="parse-explain"),
+    pytest.param(["parse", "tom ate a gizmo"], 1, id="unknown-token"),
+])
+def test_a_call_leaves_nothing_for_the_cyclic_collector(capsys, argv, code):
+    # the parser is built once per process, so a call's own garbage is freed
+    # by reference counting alone
+    main(argv)      # warm-up: builds the parser
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
+    sentence = "tom ate a banana"
+    code, out, _ = run(capsys, "parse", "--json", "--method", "index",
+                       sentence)
+    assert (code, json.loads(out)["method"]) == (0, "index")
+    code, both, _ = run(capsys, "parse", "--json", sentence)
+    record = json.loads(both)
+    assert (code, record["method"], record["agree"]) == (0, "both", True)
+    # a --hierarchy given once is not the next call's default
+    tie = extended(tmp_path, data.HIERARCHY, TIE)
+    code, out, _ = run(capsys, "parse", "--json", "--hierarchy", str(tie),
+                       "a banana ate a banana")
+    assert [r["assignment"] for r in json.loads(out)["readings"]] \
+        == [{"1": "{x|y}", "2": "banana"}]
+    assert run(capsys, "parse", "--json", "a banana ate a banana") \
+        == run(capsys, "parse", "--json", "--hierarchy", str(data.HIERARCHY),
+               "a banana ate a banana")
+    with pytest.raises(SystemExit) as stop:
+        main(["parse", "--json", "--explain", sentence])
+    assert stop.value.code == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: selparse")
+    assert run(capsys, "parse", "--json", sentence) == (0, both, "")
 
 
 def test_validate_missing_lexicon(capsys, tmp_path):
