@@ -33,17 +33,22 @@ def lines(text):
             yield lineno, line
 
 
+def _names(sort):
+    # the sorts a meet names: a completion `{x|y}`'s members, or the sort
+    return sort[1:-1].split("|") if sort[:1] + sort[-1:] == "{}" else (sort,)
+
+
 class SortHierarchy:
     """Fixed DAG of sorts; an ancestor is more general than its descendants.
 
     `_mask[s]` has one bit per sort at or below s, its down-set (Ait-Kaci,
     Boyer, Lincoln & Nasr 1989), built in one leaves-first pass with bits
     numbered children before parents.  The AND of two masks is the down-set
-    of their common lower bounds: `maximal_lower_bounds` yields its most
-    general sorts, none on a conflict, and `glb` names it.  Unless it is an
-    argument's mask, a nonzero AND is a multi-parent sort's, which `_meets`
-    maps to its sort, or a tie's, named as its completion `{x|y}` (see
-    `bcpo_violations`) and never stored.
+    of their common lower bounds, and `glb` alone decides which meet that
+    is: None when it is zero, an argument or the multi-parent sort `_meets`
+    maps it to, else a tie named as its completion `{x|y}` (see
+    `bcpo_violations`) and never stored.  `maximal_lower_bounds` and
+    `bcpo_violations` read their bounds off `glb`.
     """
 
     def __init__(self, parents):
@@ -112,18 +117,10 @@ class SortHierarchy:
     def declared(self, sort):
         return sort in self.sorts
 
-    def _common(self, a, b):
-        try:
-            return self._mask[a] & self._mask[b]
-        except KeyError:
-            return self._down(a) & self._down(b)
-
     def _down(self, sort):
         # a sort's mask; a completion `{x|y}`'s is the OR of its members'
-        names = (sort[1:-1].split("|") if sort[:1] + sort[-1:] == "{}"
-                 else (sort,))
         mask = 0
-        for name in names:
+        for name in _names(sort):
             try:
                 mask |= self._mask[name]
             except KeyError:
@@ -136,31 +133,25 @@ class SortHierarchy:
             yield self._by_bit[low.bit_length() - 1]
             m ^= low
 
-    def _maximal(self, common):
+    def _name(self, common):
+        # the meet whose down-set is mask `common`: None, a sort or a tie;
         # in a down-set, a member is maximal when none of its parents is one
         members = set(self._members(common))
-        return frozenset(s for s in members
-                         if members.isdisjoint(self.parents[s]))
-
-    def _name(self, common):
-        # the meet whose down-set is mask `common`: None, a sort or a tie
-        bounds = sorted(self._maximal(common))
+        bounds = sorted(s for s in members
+                        if members.isdisjoint(self.parents[s]))
         if len(bounds) > 1:
             return "{" + "|".join(bounds) + "}"
         return bounds[0] if bounds else None
 
     def subsumes(self, a, b):
         """True iff a == b or a is an ancestor of b (a is at least as general)."""
-        return self._common(a, b) == self._down(b)
+        down_a, down_b = self._down(a), self._down(b)
+        return down_a & down_b == down_b
 
     def maximal_lower_bounds(self, a, b):
         """Most general sorts subsumed by both a and b; empty means conflict."""
-        common = self._common(a, b)
-        for sort in (b, a):
-            if self._mask.get(sort) == common:
-                return frozenset((sort,))
-        sort = self._meets.get(common)
-        return self._maximal(common) if sort is None else frozenset((sort,))
+        meet = self.glb(a, b)
+        return frozenset(() if meet is None else _names(meet))
 
     def glb(self, a, b):
         """The greatest lower bound of a and b, or None when they conflict.
@@ -194,7 +185,8 @@ class SortHierarchy:
         Every bound of such a pair has two or more parents (one parent would
         be a greater common lower bound), so only incomparable pairs of
         strict ancestors of a multi-parent sort are checked, and only those
-        ancestors get an up-set.
+        ancestors get an up-set.  A pair is a tie when its `glb` is a
+        completion.
         """
         multi = [s for s, ps in self.parents.items() if len(ps) > 1]
         above = set()
@@ -218,9 +210,9 @@ class SortHierarchy:
             for a in self._members(strict):
                 for b in self._members(strict & ~(up[a] | self._mask[a])):
                     pairs.add((a, b) if a < b else (b, a))
-        return [(a, b, self._maximal(self._mask[a] & self._mask[b]))
-                for a, b in sorted(pairs)
-                if self._mask[a] & self._mask[b] not in self._meets]
+        meets = [(a, b, self.glb(a, b)) for a, b in sorted(pairs)]
+        return [(a, b, frozenset(_names(meet)))
+                for a, b, meet in meets if meet[0] == "{"]
 
 
 def load_hierarchy(text):

@@ -403,13 +403,18 @@ def test_glb_completes_a_tie_on_every_call():
         assert_tie_completes(h)
 
 
-def test_subsumes_and_maximal_lower_bounds_take_a_completion():
+def test_subsumes_and_maximal_lower_bounds_take_a_completion(hierarchy):
     h = load_hierarchy(NON_BCPO)
     assert h.subsumes("a", "{c|d}") and h.subsumes("top", "{c|d}")
     assert h.subsumes("{c|d}", "c") and h.subsumes("{c|d}", "{c|d}")
     assert not h.subsumes("c", "{c|d}") and not h.subsumes("{c|d}", "a")
     assert h.maximal_lower_bounds("{c|d}", "a") == {"c", "d"}
     assert h.maximal_lower_bounds("{c|d}", "d") == {"d"}
+    # members out of name order, and a one-member completion
+    assert h.maximal_lower_bounds("{d|c}", "a") == {"c", "d"}
+    assert h.maximal_lower_bounds("a", "{d|c}") == {"c", "d"}
+    assert h.subsumes("{d|c}", "c") and h.subsumes("{d|c}", "{c|d}")
+    assert hierarchy.maximal_lower_bounds("{man}", "person") == {"man"}
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
