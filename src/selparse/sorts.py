@@ -5,17 +5,12 @@ format, validated and never changed; `SortHierarchy.glb` is the one meet,
 total on every hierarchy, and only this module reads the masks behind it.
 """
 
-import re
-
 __all__ = [
     "HierarchyError",
     "SortHierarchy",
     "lines",
     "load_hierarchy",
 ]
-
-_NAME = re.compile(r"[a-z_][a-z0-9_]*$")
-
 
 class HierarchyError(ValueError):
     """A hierarchy document is malformed or structurally inconsistent."""
@@ -26,9 +21,12 @@ class HierarchyError(ValueError):
 
 
 def lines(text):
-    """(line number, stripped line) per line not blank once '#...' is cut."""
+    """(line number, stripped line) per line not blank once '#...' is cut.
+
+    Lines end where `str.splitlines` splits, at a form feed or U+2028 too.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw[:raw.index("#")] if "#" in raw else raw).strip()
         if line:
             yield lineno, line
 
@@ -77,8 +75,8 @@ class SortHierarchy:
             m = mask[s] = mask[s] | 1 << bit
             for p in self.parents[s]:
                 mask[p] |= m
-                waiting[p] -= 1
-                if not waiting[p]:
+                n = waiting[p] = waiting[p] - 1
+                if not n:
                     by_bit.append(p)
         if len(by_bit) < len(mask):     # the rest are on or above a cycle
             s = self._on_cycle()
@@ -218,26 +216,28 @@ class SortHierarchy:
 def load_hierarchy(text):
     """Parse the line-oriented hierarchy format (README, "File formats").
 
-    Raises HierarchyError for duplicate or ill-formed declarations, undeclared
-    parents, a missing or non-unique root, or a parent cycle; each names the
-    line of the sort it is about, if there is one.  Bounded completeness is
-    not required here; `bcpo_violations` reports it.
+    The text is lowercased and read by `lines`; a sort or parent name must
+    then be an ASCII identifier, `[a-z_][a-z0-9_]*`.  Raises HierarchyError
+    for duplicate or ill-formed declarations, undeclared parents, a missing
+    or non-unique root, or a parent cycle; each names the line of the sort
+    it is about, if there is one.  Bounded completeness is not required
+    here; `bcpo_violations` reports it.
     """
     parents = {}
     linenos = {}
-    for lineno, line in lines(text):
+    for lineno, line in lines(text.lower()):
         name, _, rest = line.partition(":")
-        name = name.strip().lower()
-        if not _NAME.match(name):
+        name = name.strip()
+        if not (name.isascii() and name.isidentifier()):
             raise HierarchyError(f"line {lineno}: bad sort name {name!r}")
         if name in parents:
             raise HierarchyError(f"line {lineno}: duplicate sort {name!r}")
         ps = []
-        for part in rest.split(","):
-            p = part.strip().lower()
+        for part in rest.split(",") if rest else ():
+            p = part.strip()
             if not p:
                 continue
-            if not _NAME.match(p):
+            if not (p.isascii() and p.isidentifier()):
                 raise HierarchyError(f"line {lineno}: bad parent name {p!r}")
             ps.append(p)
         parents[name] = ps

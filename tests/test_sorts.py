@@ -67,7 +67,11 @@ def test_undeclared_parent():
     ("ref\nq: ref\nw: z\nz: y\ny: z\nv: w\n",
      "line 4: cycle detected through sort 'z'"),
     ("root\na: b, root\nb: a\n", "line 2: cycle detected through sort 'a'"),
-], ids=["sort-name", "parent-name", "undeclared", "below-cycle", "cycle"])
+    ("ref\n: ref\n", "line 2: bad sort name ''"),
+    ("ref\na:: ref\n", "line 2: bad parent name ': ref'"),
+    ("ref\ncafé: ref\n", "line 2: bad sort name 'café'"),
+], ids=["sort-name", "parent-name", "undeclared", "below-cycle", "cycle",
+        "empty-name", "colon-parent", "non-ascii-name"])
 def test_hierarchy_error_names_its_line(text, message):
     with pytest.raises(HierarchyError) as info:
         load_hierarchy(text)
@@ -79,10 +83,12 @@ POOL = ["ref", "a", "b", "c", "_", "_x", "s0", "s10", "x_1", "thing",
 NAMES = st.sampled_from(POOL)
 CASES = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
 BAD_NAMES = st.sampled_from(["9x", "a-b", "x y", "é", "a.b"])
-SPACE = st.sampled_from(["", " ", "  ", "\t"])
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
 FILLER = st.sampled_from(["", "   ", "# a comment", "  # x: y, z"])
 COMMENT = st.text("abc :,#", max_size=6)
-EOL = st.sampled_from(["\n", "\r\n"])
+# line breaks `str.splitlines` splits on; a bare "\r" is left out, since
+# before an empty "\n"-ended line it is one break, not two
+EOL = st.sampled_from(["\n", "\r\n", "\x0c", "\u2028"])
 FAULTS = ["bad sort name", "bad parent name", "duplicate sort",
           "undeclared parent", "cycle", "no root", "two roots"]
 
