@@ -17,7 +17,7 @@ from .grammar import (GrammarError, LexicalEntry, Relation, Sign,
                       apply_qfpsoa_declarations, compile_entry,
                       load_declarations, load_lexicon, render_sign, tokenize)
 from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,
-                     lexical_edges, run_method)
+                     count, lexical_edges, run_method)
 from .selres import (ConstraintAtom, Satisfiable, Violation, check_reading,
                      extract_constraints, merge_pair, solve)
 from .sorts import HierarchyError, SortHierarchy, load_hierarchy

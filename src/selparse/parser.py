@@ -37,6 +37,7 @@ __all__ = [
     "SCHEMAS",
     "UnknownTokenError",
     "combine",
+    "count",
     "lexical_edges",
     "run_method",
     "tokenize",     # defined in grammar, beside the lexicon's token rule
@@ -308,7 +309,7 @@ def combine(left, right, schema, hierarchy):
 class Chart:
     """One parse's worth of edges, kept per span, plus size statistics.
 
-    A chart is filled when it is built and is private to one parse.
+    Filled when built, private to one parse, and sized unfilled by `count`.
     """
 
     def __init__(self, tokens, lexicon, decls, hierarchy, method="bg"):
@@ -377,44 +378,43 @@ class Chart:
                     reading._table = lookup
         return readings
 
-    def count_unfiltered(self):
-        """How many readings the bg chart of these tokens has, counted on
-        this chart's lexical edges without building another edge.
 
-        Under bg every meet in `combine` succeeds, so whether two edges
-        combine, and into what, follows from each one's shape: its category
-        and the lengths of its pending subj and comps.  One pass over the
-        spans adds up, per shape, the trees the rows of RULES build.
-        """
-        n = len(self.tokens)
-        counts = {}
-        for start in range(n):
-            cell = counts[start, start + 1] = {}
-            for edge in self.cells[start, start + 1]:
-                shape = (edge.cat, len(edge.parts.subj), len(edge.parts.comps))
-                cell[shape] = cell.get(shape, 0) + 1
-        for width in range(2, n + 1):
-            for start in range(n - width + 1):
-                end = start + width
-                cell = counts[start, end] = {}
-                for split in range(start + 1, end):
-                    for (lcat, *lvalence), left in counts[start, split].items():
-                        row = _SCHEMA_ROWS.get(lcat, {})
-                        for (rcat, *rvalence), right in counts[split,
-                                                               end].items():
-                            schema = row.get(rcat)
-                            if schema is None:
-                                continue
-                            rule = RULES[schema]
-                            subj, comps = rvalence if rule.head else lvalence
-                            if rule.selector == rule.head:  # pops its slot
-                                subj -= rule.slot == "subj"
-                                comps -= rule.slot == "comps"
-                            shape = (rule.mother or _valence_cat(subj, comps),
-                                     subj, comps)
-                            cell[shape] = cell.get(shape, 0) + left * right
-        return sum(count for (cat, *_), count in counts.get((0, n), {}).items()
-                   if cat == "s")
+def count(tokens, lexicon, decls, hierarchy, method):
+    """A `Chart`'s (len(readings()), edges_built), counted without a fill:
+    each cell keeps one edge per shape, all that `combine` reads of it
+    (category, pending subj and comps sorts, `index_sort`), and its trees,
+    as many as a chart's edges of that shape.  The fill's span pass sums
+    daughter tree products per mother shape (Goodman 1999, "Semiring
+    parsing"), calling `combine` on those edges.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    n = len(tokens)
+    cells = {(start, start + 1): {} for start in range(n)}
+
+    def add(cell, edge, trees):
+        parts = edge.parts
+        shape = (edge.cat, tuple(slot.sort for slot in parts.subj),
+                 tuple(slot.sort for slot in parts.comps), edge.index_sort)
+        cell.setdefault(shape, [edge, 0])[1] += trees
+
+    for edge in lexical_edges(tokens, lexicon, decls, hierarchy, method):
+        add(cells[edge.start, edge.end], edge, 1)
+    for width in range(2, n + 1):
+        for start in range(n - width + 1):
+            end = start + width
+            cell = cells[start, end] = {}
+            for split in range(start + 1, end):
+                for left, l_trees in cells[start, split].values():
+                    row = _SCHEMA_ROWS.get(left.cat, {})
+                    for right, r_trees in cells[split, end].values():
+                        schema = row.get(right.cat)
+                        if schema and (edge := combine(left, right, schema,
+                                                       hierarchy)):
+                            add(cell, edge, l_trees * r_trees)
+    full = cells.get((0, n), {}).values()
+    return (sum(trees for edge, trees in full if edge.cat == "s"),
+            sum(trees for cell in cells.values() for _, trees in cell.values()))
 
 
 @dataclass
@@ -439,7 +439,7 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     Nothing prunes during a "bg" parse (all indices stay at the root sort,
     so every meet in `combine` succeeds), so the bg chart doubles as the
     unfiltered baseline; under "index" alone only the index chart is
-    filled, and pre_filter is counted on it (`Chart.count_unfiltered`).
+    filled, and `count` counts the bg chart's readings for pre_filter.
     post_filter counts survivors: solver-approved readings under "bg", the
     pruned chart's own readings under "index".
 
@@ -468,7 +468,7 @@ def run_method(tokens, lexicon, decls, hierarchy, method):
     if method != "bg":
         chart = Chart(tokens, lexicon, decls, hierarchy, "index")
         if method == "index":
-            pre_filter = chart.count_unfiltered()
+            pre_filter = count(tokens, lexicon, decls, hierarchy, "bg")[0]
         surviving = [(reading, dict(reading.sorts))
                      for reading in chart.readings()]
         reports.append(MethodReport("index", pre_filter, len(surviving),

@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import math
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from selparse import data
 from selparse.grammar import (GrammarError, compile_entry, load_declarations,
                               load_lexicon)
 from selparse.parser import (_PHRASE_LABEL, Chart, Edge, SCHEMAS,
-                             UnknownTokenError, combine, lexical_edges,
+                             UnknownTokenError, combine, count, lexical_edges,
                              run_method, tokenize)
 from selparse.selres import Satisfiable, check_reading
 from selparse.sorts import SortHierarchy, load_hierarchy
@@ -573,6 +574,31 @@ def test_only_sorts_reads_the_lattice_encoding():
         assert not read, (path.name, read)
 
 
+def test_only_combine_reads_a_rule():
+    # what two edges make is decided in one place: outside `combine`, RULES
+    # is read only for SCHEMAS, its daughter categories, and no code reads
+    # a rule's selector, slot, mother or quantify (`head` is also a field
+    # of Sign, so it is left out)
+    fields = {"selector", "slot", "mother", "quantify"}
+    package = Path(selparse.parser.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for node in tree.body if path.name == "parser.py" else ():
+            if (isinstance(node, ast.FunctionDef) and node.name == "combine"
+                    or isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["SCHEMAS"]):
+                inside.update(ast.walk(node))
+        read = [getattr(node, "id", None) or node.attr
+                for node in ast.walk(tree) if node not in inside
+                and (isinstance(node, ast.Name) and node.id == "RULES"
+                     and isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute)
+                     and node.attr in fields)]
+        assert not read, (path.name, read)
+
+
 @pytest.mark.parametrize("method", ["bg", "index"])
 def test_fill_unifies_nothing_and_a_read_sign_once(hierarchy, lexicon, decls,
                                                    monkeypatch, method):
@@ -950,8 +976,7 @@ def test_a_parse_leaves_no_reference_cycle(hierarchy, lexicon, decls):
         gc.enable()
 
 
-def test_the_unfiltered_count_is_the_bg_chart_readings(hierarchy, lexicon,
-                                                       decls):
+def test_count_is_the_chart_readings_and_edges(hierarchy, lexicon, decls):
     sentences = [*CORPUS_SENTENCES,
                  *(ladder("attachment", k) for k in range(1, 8)),
                  *(ladder("sense", k) for k in range(1, 5))]
@@ -964,43 +989,74 @@ def test_the_unfiltered_count_is_the_bg_chart_readings(hierarchy, lexicon,
     counted = set()
     for sentence in sentences + phrases:
         tokens = tokenize(sentence)
-        bg = Chart(tokens, lexicon, decls, hierarchy, "bg")
-        index = Chart(tokens, lexicon, decls, hierarchy, "index")
-        readings = len(bg.readings())
-        assert bg.count_unfiltered() == index.count_unfiltered() == readings
+        charts = {method: Chart(tokens, lexicon, decls, hierarchy, method)
+                  for method in ("bg", "index")}
+        for method, chart in charts.items():
+            assert count(tokens, lexicon, decls, hierarchy, method) \
+                == (len(chart.readings()), chart.edges_built), \
+                (sentence, method)
+        readings = len(charts["bg"].readings())
         assert readings or sentence not in phrases, sentence
         counted.add(readings)
     assert {0, 1, 2, 1430} <= counted   # the random strings parse, some
 
 
-def test_the_index_method_builds_no_bg_edge(hierarchy, lexicon, decls,
+def test_count_meets_the_closed_forms_far_past_any_chart(hierarchy, lexicon,
+                                                         decls):
+    # attachment k: k PPs and a relative clause attach in Catalan many
+    # ways; sense k adds two senses per noun, one excluded under index
+    def catalan(k):
+        return math.comb(2 * k, k) // (k + 1)
+
+    def readings(family, k, method):
+        return count(tokenize(ladder(family, k)), lexicon, decls, hierarchy,
+                     method)[0]
+
+    for k in range(21):
+        assert readings("attachment", k, "bg") == catalan(k + 1)
+        assert readings("attachment", k, "index") == catalan(k)
+    for k in range(11):
+        assert readings("sense", k, "bg") == catalan(k + 1) * 2 ** (k + 1)
+        assert readings("sense", k, "index") == catalan(k + 1) * 2 ** k
+    # the paper's metric, bg against index chart edges, at a rung no
+    # chart reaches
+    tokens = tokenize(ladder("attachment", 20))
+    assert [count(tokens, lexicon, decls, hierarchy, method)
+            for method in ("bg", "index")] \
+        == [(24_466_267_020, 91_532_378_004), (6_564_120_420, 37_753_229_872)]
+
+
+def test_the_index_method_fills_no_bg_chart(hierarchy, lexicon, decls,
                                             monkeypatch, capsys):
-    built = []
+    # pre_filter is counted on bg lexical edges, one edge per shape and
+    # cell, with a few combines: a bg chart fill makes 5,965 at k = 7
+    filled = []
+    real_fill = Chart.fill
 
-    def counting(tokens, lexicon, decls, hierarchy, method):
-        built.append(method)
-        return lexical_edges(tokens, lexicon, decls, hierarchy, method)
+    def recording_fill(chart):
+        filled.append(chart.method)
+        real_fill(chart)
 
-    monkeypatch.setattr(selparse.parser, "lexical_edges", counting)
-    sentence = ladder("attachment", 4)
-    combines = Counter()
+    monkeypatch.setattr(Chart, "fill", recording_fill)
+    sentence = ladder("attachment", 7)
+    combines = []
     real_combine = selparse.parser.combine
 
     def counting_combine(left, right, schema, hierarchy):
-        combines[schema] += 1
+        combines.append(schema)
         return real_combine(left, right, schema, hierarchy)
 
     monkeypatch.setattr(selparse.parser, "combine", counting_combine)
     index = Chart(tokenize(sentence), lexicon, decls, hierarchy, "index")
-    alone = +combines
+    alone = len(combines)
     combines.clear()
     assert selparse.cli.main(["parse", "--method", "index", "--json",
                               sentence]) == 0
-    assert built == ["index", "index"]
-    assert combines == alone
+    assert filled == ["index", "index"]
+    assert alone < len(combines) <= alone + 200
     record = json.loads(capsys.readouterr().out)
     assert (record["pre_filter"], record["post_filter"]) \
-        == (42, len(index.readings()))
+        == (1430, len(index.readings()))
 
 
 def test_a_verb_relation_named_after_a_sort_constrains_nothing(hierarchy):
