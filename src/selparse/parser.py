@@ -24,6 +24,7 @@ background set of every mother is the union of its daughters' sets; the
 quantifier set grows by the noun's restriction when a determiner attaches.
 """
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -114,9 +115,9 @@ class Edge:
     `variables`, `sorts` or `verdicts` and kept the same way, except that
     the readings of one chart share it (see `Chart.readings`).  Every field,
     those two included, is a slot set by `__init__`, so no edge has an
-    instance dict.  A lexical edge is kept on its entry (see
-    `lexical_edges`) and reused, with both, by every later chart that puts
-    the entry at its position.
+    instance dict.  A lexical edge is kept in `grammar.Lexicon.edges` under
+    (method, position, word) and reused, with both, by every later chart
+    over that word at that position (see `lexical_edges`).
     """
 
     start: int
@@ -326,36 +327,38 @@ class Chart:
         self.fill()
 
     def fill(self):
+        """Walk the starts right to left and, at each, the ends of its cells
+        ascending (`ends[start]`): each pairs a complete left cell with the
+        non-empty cells at that split (`ends[split]`), complete as they lie
+        to its right.  A new cell's end is inserted past its split, so the
+        walk reaches it later.  A cell's edges come split ascending, then
+        in left and right cell order."""
         cells, ends, hierarchy = self.cells, self.ends, self.hierarchy
         lexical = lexical_edges(self.tokens, self.lexicon, self.decls,
                                 hierarchy, self.method)
         for edge in lexical:
             cells[edge.start, edge.end].append(edge)
-        self.edges_built = len(lexical)
         n = len(self.tokens)
-        for width in range(2, n + 1):
-            for start in range(0, n - width + 1):
-                end = start + width
-                cell = []
-                for split in ends[start]:
-                    rights = cells.get((split, end))
-                    if rights is None:
+        for start in range(n - 2, -1, -1):
+            follow = ends[start]
+            for split in follow:
+                if split == n:
+                    break
+                for l_edge in cells[start, split]:
+                    row = _SCHEMA_ROWS.get(l_edge.cat)
+                    if row is None:
                         continue
-                    for l_edge in cells[start, split]:
-                        row = _SCHEMA_ROWS.get(l_edge.cat)
-                        if row is None:
-                            continue
-                        for r_edge in rights:
+                    for end in ends[split]:
+                        for r_edge in cells[split, end]:
                             schema = row.get(r_edge.cat)
-                            if schema is None:
-                                continue
-                            edge = combine(l_edge, r_edge, schema, hierarchy)
-                            if edge is not None:
+                            if schema and (edge := combine(l_edge, r_edge,
+                                                           schema, hierarchy)):
+                                cell = cells.get((start, end))
+                                if cell is None:    # end > split: walked later
+                                    cell = cells[start, end] = []
+                                    insort(follow, end)
                                 cell.append(edge)
-                if cell:    # after its splits: ends[start] stays below end
-                    cells[start, end] = cell
-                    ends[start].append(end)
-                    self.edges_built += len(cell)
+        self.edges_built = sum(map(len, cells.values()))
 
     def readings(self):
         """Complete-sentence readings: saturated verbal edges spanning everything.
@@ -383,7 +386,8 @@ def count(tokens, lexicon, decls, hierarchy, method):
     """A `Chart`'s (len(readings()), edges_built), counted without a fill:
     each cell keeps one edge per shape, all that `combine` reads of it
     (category, pending subj and comps sorts, `index_sort`), and its trees,
-    as many as a chart's edges of that shape.  The fill's span pass sums
+    as many as a chart's edges of that shape.  The walk of `Chart.fill`,
+    each complete cell paired with the non-empty cells at its end, sums
     daughter tree products per mother shape (Goodman 1999, "Semiring
     parsing"), calling `combine` on those edges.
     """
@@ -391,6 +395,7 @@ def count(tokens, lexicon, decls, hierarchy, method):
         raise ValueError(f"unknown method {method!r}")
     n = len(tokens)
     cells = {(start, start + 1): {} for start in range(n)}
+    ends = [[start + 1] for start in range(n)]
 
     def add(cell, edge, trees):
         parts = edge.parts
@@ -400,17 +405,22 @@ def count(tokens, lexicon, decls, hierarchy, method):
 
     for edge in lexical_edges(tokens, lexicon, decls, hierarchy, method):
         add(cells[edge.start, edge.end], edge, 1)
-    for width in range(2, n + 1):
-        for start in range(n - width + 1):
-            end = start + width
-            cell = cells[start, end] = {}
-            for split in range(start + 1, end):
-                for left, l_trees in cells[start, split].values():
-                    row = _SCHEMA_ROWS.get(left.cat, {})
+    for start in range(n - 2, -1, -1):
+        follow = ends[start]
+        for split in follow:
+            if split == n:
+                break
+            for left, l_trees in cells[start, split].values():
+                row = _SCHEMA_ROWS.get(left.cat, {})
+                for end in ends[split]:
                     for right, r_trees in cells[split, end].values():
                         schema = row.get(right.cat)
                         if schema and (edge := combine(left, right, schema,
                                                        hierarchy)):
+                            cell = cells.get((start, end))
+                            if cell is None:    # end > split: walked later
+                                cell = cells[start, end] = {}
+                                insort(follow, end)
                             add(cell, edge, l_trees * r_trees)
     full = cells.get((0, n), {}).values()
     return (sum(trees for edge, trees in full if edge.cat == "s"),

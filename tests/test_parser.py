@@ -646,6 +646,101 @@ def test_fill_follows_the_edges(hierarchy, lexicon, decls):
     assert elapsed < 1.0
 
 
+def test_count_follows_the_edges(hierarchy, lexicon, decls):
+    # the same stack: count walks the non-empty cells as the fill does
+    tokens = ["list", "the", *["overseas"] * 480, "departments"]
+    start = time.perf_counter()
+    counted = count(tokens, lexicon, decls, hierarchy, "bg")
+    elapsed = time.perf_counter() - start
+    assert counted == (1, 965)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_fill_looks_up_cells_in_proportion_to_its_edges(
+        hierarchy, lexicon, decls, monkeypatch, method):
+    # counted, not timed: a pass over every span and split of the stack
+    # looks a cell up about n * n / 2 times
+    class CountingCells(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            self.lookups += 1
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.lookups += 1
+            return super().get(key, default)
+
+        def __contains__(self, key):
+            self.lookups += 1
+            return super().__contains__(key)
+
+    real_fill = Chart.fill
+    lookups = []
+
+    def counting_fill(chart):
+        chart.cells = CountingCells(chart.cells)
+        real_fill(chart)
+        lookups.append(chart.cells.lookups)
+
+    monkeypatch.setattr(Chart, "fill", counting_fill)
+    tokens = ["list", "the", *["overseas"] * 480, "departments"]
+    chart = Chart(tokens, lexicon, decls, hierarchy, method)
+    assert len(chart.readings()) == 1
+    (made,) = lookups
+    assert 0 < made <= 3 * (chart.edges_built + len(tokens))
+
+
+def width_major_cells(tokens, lexicon, decls, hierarchy, method):
+    """Oracle: the cells of a pass over every span, narrow to wide, and
+    every split of each, left to right; and the edges it built."""
+    n = len(tokens)
+    cells = {(start, start + 1): [] for start in range(n)}
+    for edge in lexical_edges(tokens, lexicon, decls, hierarchy, method):
+        cells[edge.start, edge.end].append(edge)
+    for width in range(2, n + 1):
+        for start in range(n - width + 1):
+            end = start + width
+            cell = [edge for split in range(start + 1, end)
+                    for left in cells.get((start, split), ())
+                    for right in cells.get((split, end), ())
+                    if (schema := SCHEMAS.get((left.cat, right.cat)))
+                    and (edge := combine(left, right, schema, hierarchy))]
+            if cell:
+                cells[start, end] = cell
+    return cells, sum(map(len, cells.values()))
+
+
+def test_the_fill_builds_the_width_major_cells_in_order(hierarchy, lexicon,
+                                                        decls):
+    def key(edge):
+        return edge.cat, *edge.identity, edge.binds
+
+    words = sorted(lexicon)
+    rng = random.Random(26)
+    sentences = [*CORPUS_SENTENCES,
+                 *(ladder("attachment", k) for k in range(7)),
+                 *(ladder("sense", k) for k in range(4)),
+                 *(" ".join(rng.choices(words, k=rng.randint(1, 9)))
+                   for _ in range(400)),
+                 *phrase_strings(lexicon, 26, 400)]
+    for sentence in sentences:
+        tokens = tokenize(sentence)
+        for method in ("bg", "index"):
+            chart = Chart(tokens, lexicon, decls, hierarchy, method)
+            cells, built = width_major_cells(tokens, lexicon, decls,
+                                             hierarchy, method)
+            assert chart.cells.keys() == cells.keys(), (sentence, method)
+            for span, cell in cells.items():
+                assert [key(e) for e in chart.cells[span]] \
+                    == [key(e) for e in cell], (sentence, method, span)
+            assert chart.edges_built == built
+            assert chart.ends == [sorted(end for start, end in cells
+                                         if start == at)
+                                  for at in range(len(tokens))]
+
+
 def test_an_adjective_stack_keeps_no_string_per_level(hierarchy, lexicon,
                                                       decls):
     # each unlabelled nbar level hands its words up instead of keeping them
