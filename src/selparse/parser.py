@@ -245,7 +245,10 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     derivation strings and variable tables once read; under others the
     signs are compiled anew and new edges replace the kept ones (see
     `compile_entry`).  Any other mapping of words to senses keeps nothing.
+    An unknown method is named before any token is read.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     unknown = sorted({t for t in tokens if t not in lexicon})
     if unknown:
         raise UnknownTokenError(unknown)
@@ -307,6 +310,45 @@ def combine(left, right, schema, hierarchy):
                 index_sort)
 
 
+def _walk(n, cells, ends, lexical, hierarchy, add):
+    """Fill the empty `cells`, span -> edges, and `ends`, each start's ends
+    of its non-empty cells ascending, over n tokens: `add(cell, edge)` puts
+    each `lexical` edge, then each mother `combine` makes, into its cell.
+
+    The starts are walked right to left and, at each, the ends in
+    `ends[start]` ascending: each names a complete left cell, whose edges
+    meet the right edges their row of `SCHEMAS` names in the non-empty
+    cells at that split (`ends[split]`), complete as they lie to its right.
+    A new cell's end is inserted past its split, so the walk reaches it
+    later; a cell's edges come split ascending, then in left and right
+    cell order.
+    """
+    for start in range(n):
+        cells[start, start + 1] = []
+        ends.append([start + 1])
+    for edge in lexical:
+        add(cells[edge.start, edge.end], edge)
+    for start in range(n - 2, -1, -1):
+        follow = ends[start]
+        for split in follow:
+            if split == n:
+                break
+            for l_edge in cells[start, split]:
+                row = _SCHEMA_ROWS.get(l_edge.cat)
+                if row is None:
+                    continue
+                for end in ends[split]:
+                    for r_edge in cells[split, end]:
+                        schema = row.get(r_edge.cat)
+                        if schema and (edge := combine(l_edge, r_edge,
+                                                       schema, hierarchy)):
+                            cell = cells.get((start, end))
+                            if cell is None:    # end > split: walked later
+                                cell = cells[start, end] = []
+                                insort(follow, end)
+                            add(cell, edge)
+
+
 class Chart:
     """One parse's worth of edges, kept per span, plus size statistics.
 
@@ -314,50 +356,21 @@ class Chart:
     """
 
     def __init__(self, tokens, lexicon, decls, hierarchy, method="bg"):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
         self.tokens = list(tokens)
         self.lexicon = lexicon
         self.decls = decls
         self.hierarchy = hierarchy
         self.method = method
-        n = len(self.tokens)
-        self.cells = {(start, start + 1): [] for start in range(n)}
-        self.ends = [[start + 1] for start in range(n)]  # per start, ascending
+        self.cells, self.ends = {}, []  # filled by `_walk`
         self.fill()
 
     def fill(self):
-        """Walk the starts right to left and, at each, the ends of its cells
-        ascending (`ends[start]`): each pairs a complete left cell with the
-        non-empty cells at that split (`ends[split]`), complete as they lie
-        to its right.  A new cell's end is inserted past its split, so the
-        walk reaches it later.  A cell's edges come split ascending, then
-        in left and right cell order."""
-        cells, ends, hierarchy = self.cells, self.ends, self.hierarchy
+        """Make the walk of `_walk` over the tokens, keeping every edge."""
+        cells, hierarchy = self.cells, self.hierarchy
         lexical = lexical_edges(self.tokens, self.lexicon, self.decls,
                                 hierarchy, self.method)
-        for edge in lexical:
-            cells[edge.start, edge.end].append(edge)
-        n = len(self.tokens)
-        for start in range(n - 2, -1, -1):
-            follow = ends[start]
-            for split in follow:
-                if split == n:
-                    break
-                for l_edge in cells[start, split]:
-                    row = _SCHEMA_ROWS.get(l_edge.cat)
-                    if row is None:
-                        continue
-                    for end in ends[split]:
-                        for r_edge in cells[split, end]:
-                            schema = row.get(r_edge.cat)
-                            if schema and (edge := combine(l_edge, r_edge,
-                                                           schema, hierarchy)):
-                                cell = cells.get((start, end))
-                                if cell is None:    # end > split: walked later
-                                    cell = cells[start, end] = []
-                                    insort(follow, end)
-                                cell.append(edge)
+        _walk(len(self.tokens), cells, self.ends, lexical, hierarchy,
+              list.append)
         self.edges_built = sum(map(len, cells.values()))
 
     def readings(self):
@@ -386,45 +399,30 @@ def count(tokens, lexicon, decls, hierarchy, method):
     """A `Chart`'s (len(readings()), edges_built), counted without a fill:
     each cell keeps one edge per shape, all that `combine` reads of it
     (category, pending subj and comps sorts, `index_sort`), and its trees,
-    as many as a chart's edges of that shape.  The walk of `Chart.fill`,
-    each complete cell paired with the non-empty cells at its end, sums
-    daughter tree products per mother shape (Goodman 1999, "Semiring
-    parsing"), calling `combine` on those edges.
+    as many as a chart's edges of that shape.  It makes the fill's walk
+    (`_walk`) with an `add` that keeps a cell's first edge of each shape
+    and adds every edge's product of daughter trees to that one's (Goodman
+    1999, "Semiring parsing").
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    n = len(tokens)
-    cells = {(start, start + 1): {} for start in range(n)}
-    ends = [[start + 1] for start in range(n)]
+    cells, first, trees = {}, {}, {}
 
-    def add(cell, edge, trees):
+    def add(cell, edge):
         parts = edge.parts
-        shape = (edge.cat, tuple(slot.sort for slot in parts.subj),
+        shape = (edge.start, edge.end, edge.cat,
+                 tuple(slot.sort for slot in parts.subj),
                  tuple(slot.sort for slot in parts.comps), edge.index_sort)
-        cell.setdefault(shape, [edge, 0])[1] += trees
+        made = (trees[edge.children[0]] * trees[edge.children[1]]
+                if edge.children else 1)
+        kept = first.setdefault(shape, edge)
+        if kept is edge:
+            cell.append(edge)
+        trees[kept] = trees.get(kept, 0) + made
 
-    for edge in lexical_edges(tokens, lexicon, decls, hierarchy, method):
-        add(cells[edge.start, edge.end], edge, 1)
-    for start in range(n - 2, -1, -1):
-        follow = ends[start]
-        for split in follow:
-            if split == n:
-                break
-            for left, l_trees in cells[start, split].values():
-                row = _SCHEMA_ROWS.get(left.cat, {})
-                for end in ends[split]:
-                    for right, r_trees in cells[split, end].values():
-                        schema = row.get(right.cat)
-                        if schema and (edge := combine(left, right, schema,
-                                                       hierarchy)):
-                            cell = cells.get((start, end))
-                            if cell is None:    # end > split: walked later
-                                cell = cells[start, end] = {}
-                                insort(follow, end)
-                            add(cell, edge, l_trees * r_trees)
-    full = cells.get((0, n), {}).values()
-    return (sum(trees for edge, trees in full if edge.cat == "s"),
-            sum(trees for cell in cells.values() for _, trees in cell.values()))
+    lexical = lexical_edges(tokens, lexicon, decls, hierarchy, method)
+    _walk(len(tokens), cells, [], lexical, hierarchy, add)
+    full = cells.get((0, len(tokens)), ())
+    return (sum(trees[edge] for edge in full if edge.cat == "s"),
+            sum(trees.values()))
 
 
 @dataclass

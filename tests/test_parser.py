@@ -160,11 +160,18 @@ def _bogus_combine(hierarchy, lexicon, decls):
     (_bogus_combine, "unknown schema 'bogus'"),
     (lambda h, lex, d: Chart(["tom"], lex, d, h, "bogus"),
      "unknown method 'bogus'"),
+    (lambda h, lex, d: Chart([], lex, d, h, "bogus"),
+     "unknown method 'bogus'"),
+    (lambda h, lex, d: count(["tom"], lex, d, h, "bogus"),
+     "unknown method 'bogus'"),
+    (lambda h, lex, d: lexical_edges(["tom"], lex, d, h, "bogus"),
+     "unknown method 'bogus'"),
     (lambda h, lex, d: run_method(["tom"], lex, d, h, "bogus"),
      "unknown method 'bogus'"),
     (lambda h, lex, d: compile_entry(lex["tom"][0], d, "bogus", h),
      "unknown method 'bogus'"),
-], ids=["combine", "chart", "run_method", "compile_entry"])
+], ids=["combine", "chart", "empty_chart", "count", "lexical_edges",
+        "run_method", "compile_entry"])
 def test_an_unknown_schema_or_method_is_named(hierarchy, lexicon, decls, call,
                                               message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -578,9 +585,12 @@ def test_only_combine_reads_a_rule():
     # what two edges make is decided in one place: outside `combine`, RULES
     # is read only for SCHEMAS, its daughter categories, and no code reads
     # a rule's selector, slot, mother or quantify (`head` is also a field
-    # of Sign, so it is left out)
+    # of Sign, so it is left out).  Which edges meet is decided in one
+    # more: `_walk`, run by both `Chart.fill` and `count`, is the only
+    # function that calls `combine` or `insort`
     fields = {"selector", "slot", "mother", "quantify"}
     package = Path(selparse.parser.__file__).parent
+    callers = set()
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         inside = set()
@@ -597,6 +607,17 @@ def test_only_combine_reads_a_rule():
                      or isinstance(node, ast.Attribute)
                      and node.attr in fields)]
         assert not read, (path.name, read)
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None)
+                or getattr(node.func, "attr", None))
+            if name in ("combine", "insort"):
+                callers.add((path.name, name, *(
+                    f.name for f in functions if node in ast.walk(f))))
+    assert callers == {("parser.py", "combine", "_walk"),
+                       ("parser.py", "insort", "_walk")}
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
