@@ -99,14 +99,18 @@ class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
     The fill reads an edge's category, and `combine` its `binds`,
-    `index_sort` and the head's fields of `parts`; the sets `parts` pools
-    from the daughters it only concatenates.  Only readings read those: the
-    checker, the index assignment and `render_sign` through `variables` and
-    `sorts`, the words and their senses from `parts.entries`.
+    `index_sort`, pending `subj` and `comps` and `sign`, the head word's
+    compiled sign, which a mother takes from its head daughter; the pooled
+    `entries`, `indices`, `restr`, `quants` and `bg` it only concatenates.
+    `parts`, the whole `Sign`, is a lexical edge's `sign`; a phrasal edge
+    builds it on first read, so a fill builds no `Sign`.  Only readings
+    read the pooled sets: the checker, the index assignment and
+    `render_sign` through `variables` and `sorts`, the words and their
+    senses from `parts.entries`.
     A bind identifies a verb-role slot with an np's index and keeps their
     meet; each class is a star, one index and its slots, and each bind meets
     the sort the earlier binds left, so an index's last bind holds its sort.
-    `index_sort` is that sort, else the node's own, for `parts.index` (see
+    `index_sort` is that sort, else the node's own, for `sign.index` (see
     `combine`).  A reading is an "s" edge spanning every token.  Its
     `derivation_string` is built on first read, in one left-to-right walk
     that stops at every string already kept, and kept by lexical and
@@ -114,20 +118,30 @@ class Edge:
     common subtrees.  The variable table is built on the first read of
     `variables`, `sorts` or `verdicts` and kept the same way, except that
     the readings of one chart share it (see `Chart.readings`).  Every field,
-    those two included, is a slot set by `__init__`, so no edge has an
-    instance dict.  A lexical edge is kept in `grammar.Lexicon.edges` under
-    (method, position, word) and reused, with both, by every later chart
-    over that word at that position (see `lexical_edges`).
+    those two and a kept `parts` included, is a slot set by `__init__`, so
+    no edge has an instance dict.  A lexical edge is kept in
+    `grammar.Lexicon.edges` under (method, position, word) and reused, with
+    its string and table, by every later chart over that word at that
+    position (`lexical_edges`).
     """
 
     start: int
     end: int
     cat: str
-    parts: Sign                     # the daughters pooled; nodes stay lexical
+    sign: Sign                      # lexical: its own; phrasal: the head's
     schema: str | None = None       # None marks a lexical edge
     children: tuple = ()
     binds: tuple = ()               # (slot, index, met) identifications below
-    index_sort: str | None = None   # the binds' sort for parts.index
+    index_sort: str | None = None   # the binds' sort for sign.index
+    # the pooled sets and pending valence, None on a hand-made lexical edge
+    entries: tuple | None = None
+    indices: tuple | None = None
+    restr: tuple | None = None
+    quants: tuple | None = None
+    bg: tuple | None = None
+    subj: tuple | None = None
+    comps: tuple | None = None
+    _parts: Sign | None = field(default=None, init=False, repr=False)
     _derivation: str | None = field(default=None, init=False, repr=False)
     # None, a chart's {(indices, binds set): table} lookup, or the table
     _table: tuple | dict | None = field(default=None, init=False, repr=False)
@@ -136,13 +150,14 @@ class Edge:
         """Keep and return the (variables, sorts, verdicts) table.
 
         Handed a chart's lookup, the edge takes the table kept there under
-        `(parts.indices, frozenset(binds))`, what a table is built from, or
-        builds one and keeps it there; else it builds its own.  A new table's
-        `verdicts` is empty.
+        `(indices, frozenset(binds))` (a lexical edge's `sign.indices`), what
+        a table is built from, or builds one and keeps it there; else it
+        builds its own.  A new table's `verdicts` is empty.
         """
         lookup = self._table
+        indices = self.sign.indices if self.schema is None else self.indices
         if lookup is not None:
-            key = self.parts.indices, frozenset(self.binds)
+            key = indices, frozenset(self.binds)
             table = lookup.get(key)
             if table is not None:
                 self._table = table
@@ -151,7 +166,7 @@ class Edge:
         for slot, index, met in self.binds:
             bound[slot], last_met[index] = index, met
         variables, sorts = {}, {}
-        for node in self.parts.indices:
+        for node in indices:
             index = bound.get(node, node)
             var = variables.get(index)
             if var is None:
@@ -188,6 +203,18 @@ class Edge:
         table = self._table
         return (table if table.__class__ is tuple else self._tabulate())[2]
 
+    @property
+    def parts(self):
+        """The edge's `Sign`, kept from a phrasal edge's first read."""
+        if self.schema is None:
+            return self.sign
+        if self._parts is None:
+            core = self.sign
+            self._parts = Sign(self.entries, self.indices, core.head,
+                               core.index, core.nucleus, self.subj,
+                               self.comps, self.restr, self.quants, self.bg)
+        return self._parts
+
     def __repr__(self):
         words = " ".join(e.phon for e in self.parts.entries)
         return f"<Edge {self.cat} {self.start}:{self.end} {words}>"
@@ -219,7 +246,7 @@ class Edge:
                     stack.append((edge, len(pieces), label))
                 stack += reversed(edge.children)
             else:
-                text = " ".join(e.phon for e in edge.parts.entries)
+                text = " ".join(e.phon for e in edge.sign.entries)
                 label = _PHRASE_LABEL.get(edge.cat)
                 edge._derivation = f"({label} {text})" if label else text
                 pieces.append(edge._derivation)
@@ -263,8 +290,11 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
                 sign = compile_entry(entry, decls, method, hierarchy)
                 cat = (PARTS_OF_SPEECH[entry.pos][1]
                        or _valence_cat(sign.subj, sign.comps))
-                senses.append(Edge(i, i + 1, cat, sign,
-                                   index_sort=sign.index and sign.index.sort))
+                senses.append(Edge(
+                    i, i + 1, cat, sign, None, (), (),
+                    sign.index and sign.index.sort, sign.entries,
+                    sign.indices, sign.restr, sign.quants, sign.bg,
+                    sign.subj, sign.comps))
             built = kept[method, i, token] = (hierarchy, decls, senses)
         edges.extend(built[2])
     return edges
@@ -272,17 +302,17 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
 
 def combine(left, right, schema, hierarchy):
     """Apply one schema to two adjacent edges, None when the index sorts
-    clash; the mother keeps the head's `index_sort`, or np_relc's new meet."""
+    clash; the mother keeps the head's `sign` and `index_sort`, or
+    np_relc's new meet, and builds no `Sign` (see `Edge.parts`)."""
     rule = RULES.get(schema)
     if rule is None:
         raise ValueError(f"unknown schema {schema!r}")
     head = right if rule.head else left
-    lsign, rsign, core = left.parts, right.parts, head.parts
-    subj, comps = core.subj, core.comps
+    subj, comps = head.subj, head.comps
     index_sort = head.index_sort    # the other daughter's binds miss it
     binds = left.binds + right.binds
     if rule.slot is not None:
-        selector, dependent = (rsign, left) if rule.selector else (lsign, right)
+        selector, dependent = (right, left) if rule.selector else (left, right)
         pending = selector.comps if rule.slot == "comps" else selector.subj
         slot = pending[0]
         met = slot.sort
@@ -290,24 +320,23 @@ def combine(left, right, schema, hierarchy):
             met = hierarchy.glb(met, dependent.index_sort)
         if met is None:
             return None
-        if selector is not core:    # np_relc: the np bound is the head
+        if selector is not head:    # np_relc: the np bound is the head
             index_sort = met
         elif rule.slot == "comps":
             comps = pending[1:]
         else:
             subj = pending[1:]
-        binds += ((slot, dependent.parts.index, met),)
-    restr = lsign.restr + rsign.restr
-    quants = lsign.quants + rsign.quants
+        binds += ((slot, dependent.sign.index, met),)
+    restr = left.restr + right.restr
+    quants = left.quants + right.quants
     if rule.quantify:
         restr, quants = (), quants + restr
-    # positional, in field order: keywords make this call two thirds slower
-    sign = Sign(lsign.entries + rsign.entries, lsign.indices + rsign.indices,
-                core.head, core.index, core.nucleus, subj, comps, restr,
-                quants, lsign.bg + rsign.bg)
     cat = rule.mother or _valence_cat(subj, comps)
-    return Edge(left.start, right.end, cat, sign, schema, (left, right), binds,
-                index_sort)
+    # positional, in field order: keywords make this call two thirds slower
+    return Edge(left.start, right.end, cat, head.sign, schema, (left, right),
+                binds, index_sort, left.entries + right.entries,
+                left.indices + right.indices, restr, quants,
+                left.bg + right.bg, subj, comps)
 
 
 def _walk(n, cells, ends, lexical, hierarchy, add):
@@ -398,19 +427,18 @@ class Chart:
 def count(tokens, lexicon, decls, hierarchy, method):
     """A `Chart`'s (len(readings()), edges_built), counted without a fill:
     each cell keeps one edge per shape, all that `combine` reads of it
-    (category, pending subj and comps sorts, `index_sort`), and its trees,
-    as many as a chart's edges of that shape.  It makes the fill's walk
-    (`_walk`) with an `add` that keeps a cell's first edge of each shape
-    and adds every edge's product of daughter trees to that one's (Goodman
-    1999, "Semiring parsing").
+    (category, the sorts of its `subj` and `comps` fields, `index_sort`; no
+    edge's `parts` is built), and its trees, as many as a chart's edges of
+    that shape.  It makes the fill's walk (`_walk`) with an `add` that keeps
+    a cell's first edge of each shape and adds every edge's product of
+    daughter trees to that one's (Goodman 1999, "Semiring parsing").
     """
     cells, first, trees = {}, {}, {}
 
     def add(cell, edge):
-        parts = edge.parts
         shape = (edge.start, edge.end, edge.cat,
-                 tuple(slot.sort for slot in parts.subj),
-                 tuple(slot.sort for slot in parts.comps), edge.index_sort)
+                 tuple(slot.sort for slot in edge.subj),
+                 tuple(slot.sort for slot in edge.comps), edge.index_sort)
         made = (trees[edge.children[0]] * trees[edge.children[1]]
                 if edge.children else 1)
         kept = first.setdefault(shape, edge)

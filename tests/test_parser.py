@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import json
 import math
@@ -854,9 +855,7 @@ def counting_folds(monkeypatch):
 
 def unshared(reading):
     """A copy of `reading` handed no chart's lookup: it shares nothing."""
-    return Edge(reading.start, reading.end, reading.cat, reading.parts,
-                reading.schema, reading.children, reading.binds,
-                reading.index_sort)
+    return dataclasses.replace(reading)
 
 
 def assert_shared_results_are_fresh(reports, hierarchy):
@@ -1036,6 +1035,91 @@ def test_indices_and_binds_fix_a_readings_constraint_set(hierarchy, lexicon,
                 readings += 1
                 repeats += kept is not parts
     assert (readings, repeats) == (6075, 4813)
+
+
+# the schemas whose head is the right daughter: the module docstring's
+# table, read by hand
+RIGHT_HEADED = {"head_subject", "det_nbar", "adj_nbar", "relpro_vp"}
+
+
+def pooled_parts(edge, pooled):
+    """`edge`'s sign pooled from its daughters' as a mother's whole sign
+    was first built: the head's core and remaining valence, both
+    daughters' entries, indices, restr, quants and bg left before right,
+    det_nbar moving restr into quants.  `pooled` keeps each edge's."""
+    kept = pooled.get(edge)
+    if kept is None:
+        if edge.schema is None:
+            kept = edge.parts
+        else:
+            left, right = (pooled_parts(child, pooled)
+                           for child in edge.children)
+            core = right if edge.schema in RIGHT_HEADED else left
+            subj, comps = core.subj, core.comps
+            if edge.schema == "head_subject":
+                subj = subj[1:]
+            elif edge.schema == "head_complement":
+                comps = comps[1:]
+            restr = left.restr + right.restr
+            quants = left.quants + right.quants
+            if edge.schema == "det_nbar":
+                restr, quants = (), quants + restr
+            kept = selparse.grammar.Sign(
+                left.entries + right.entries, left.indices + right.indices,
+                core.head, core.index, core.nucleus, subj, comps, restr,
+                quants, left.bg + right.bg)
+        pooled[edge] = kept
+    return kept
+
+
+def test_an_edges_parts_pool_its_daughters_parts(hierarchy, lexicon, decls):
+    # nodes and relations compare by identity: every edge's sign holds the
+    # very objects its words were compiled with, in word order
+    sentences = [*CORPUS_SENTENCES,
+                 *(ladder("attachment", k) for k in range(1, 7)),
+                 *(ladder("sense", k) for k in range(1, 4)),
+                 *phrase_strings(lexicon, 27, 400)]
+    edges = 0
+    for sentence in sentences:
+        for method in ("bg", "index"):
+            chart = Chart(tokenize(sentence), lexicon, decls, hierarchy,
+                          method)
+            pooled = {}
+            for cell in chart.cells.values():
+                for edge in cell:
+                    assert edge.parts == pooled_parts(edge, pooled), edge
+                    edges += 1
+    assert edges == 19271
+
+
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_a_fill_builds_no_sign_and_a_read_builds_one(hierarchy, lexicon,
+                                                     decls, monkeypatch,
+                                                     method):
+    # `combine` makes one object per edge: a phrasal edge shares its head
+    # word's compiled sign, and its own `Sign` waits for a read of `parts`
+    built = []
+    real_sign = selparse.parser.Sign
+
+    def counting_sign(*args):
+        built.append(args)
+        return real_sign(*args)
+
+    monkeypatch.setattr(selparse.parser, "Sign", counting_sign)
+    chart = Chart(tokenize(ladder("attachment", 6)), lexicon, decls,
+                  hierarchy, method)
+    edges = [edge for cell in chart.cells.values() for edge in cell]
+    phrasal = [edge for edge in edges if edge.children]
+    assert phrasal and built == []
+    assert all(edge._parts is None for edge in phrasal)
+    compiled = {id(edge.sign) for edge in edges if not edge.children}
+    assert {id(edge.sign) for edge in phrasal} <= compiled
+    reading = chart.readings()[0]
+    parts = reading.parts
+    assert len(built) == 1
+    assert reading.parts is parts and len(built) == 1
+    assert (parts.head, parts.index, parts.nucleus) \
+        == (reading.sign.head, reading.sign.index, reading.sign.nucleus)
 
 
 def test_a_shared_verdict_is_kept_per_hierarchy(hierarchy, lexicon, decls,
