@@ -1,13 +1,15 @@
 """Selectional-restriction parsing toolkit.
 
 A small unification grammar stack: a semantic sort hierarchy, typed feature
-structures, a lexicon compiled into signs, a chart parser, and a post-parse
-constraint solver.  The same lexical entries parse under two methods:
+structures (a reference unifier the parser does not call), a lexicon
+compiled into signs, a chart parser, and a post-parse constraint solver.
+The same lexical entries parse under two methods:
 
 * ``bg``    -- restrictions ride along as background constraints and a
                constraint solver filters the finished readings;
-* ``index`` -- restrictions are sorts on the referential indices, so typed
-               unification prunes violating analyses during parsing.
+* ``index`` -- restrictions are sorts on the referential indices, so the
+               parser's sort meets (``SortHierarchy.glb``) prune violating
+               analyses during parsing.
 """
 
 from pathlib import Path

@@ -71,7 +71,7 @@ def _arg_parser():
 
 def _senses(reading, lexicon):
     out = []
-    for entry in reading.parts.entries:
+    for entry in reading.entries:
         if len(lexicon[entry.phon]) > 1:
             out.append(f"{entry.phon}={entry.sense_id}")
     return out
@@ -115,8 +115,7 @@ def _print_report(sentence, reports, agree, lexicon, explain):
                 print("    sorts: " + " ".join(
                     f"{var}={sort}" for var, sort in sorted(assignment.items())))
             if explain:
-                print(textwrap.indent(render_sign(
-                    reading.parts, reading.variables, reading.sorts), "    "))
+                print(textwrap.indent(render_sign(reading), "    "))
         for reading, violation in rep.violations:
             print(f"  {violation.narrative}")
             print(f"    derivation: {reading.derivation_string}")

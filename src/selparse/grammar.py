@@ -5,7 +5,8 @@ sortal restrictions become single-role relation instances carried in the
 sign's background set (verb restrictions) or restriction set (common nouns),
 and all referential indices stay at the hierarchy's root sort.  Under
 "index" the restriction sorts are written onto the indices themselves, so
-ordinary typed unification enforces them during parsing.
+the parser's one sort meet per identification (`SortHierarchy.glb`)
+enforces them during parsing.
 """
 
 import re
@@ -22,6 +23,7 @@ __all__ = [
     "Sign",
     "apply_qfpsoa_declarations",
     "compile_entry",
+    "distinct_bg",
     "load_declarations",
     "load_lexicon",
     "render_sign",
@@ -138,16 +140,17 @@ class Sign:
     quants: tuple = ()
     bg: tuple = ()
 
-    def distinct_bg(self, variables):
-        """The bg instances, those `variables` numbers alike kept once: the
-        one rule for `render_sign`, which lists them, and for
-        `selres.check_reading`, which checks them."""
-        kept = {}
-        for ref in self.bg:
-            key = (ref.sort, tuple((role, variables.get(filler, filler))
-                                   for role, filler in ref.roles))
-            kept.setdefault(key, ref)
-        return tuple(kept.values())
+
+def distinct_bg(bg, variables):
+    """The `bg` instances, those `variables` numbers alike kept once: the
+    one rule for `render_sign`, which lists them, and for
+    `selres.check_reading`, which checks them."""
+    kept = {}
+    for ref in bg:
+        key = (ref.sort, tuple((role, variables.get(filler, filler))
+                               for role, filler in ref.roles))
+        kept.setdefault(key, ref)
+    return tuple(kept.values())
 
 
 def tokenize(text):
@@ -391,16 +394,19 @@ def _psoa_str(ref, variables, sorts):
     return f"{ref.sort}({inner})"
 
 
-def render_sign(sign, variables, sorts):
-    """Compact AVM-style rendering of a sign's parts through its variables.
+def render_sign(edge):
+    """Compact AVM-style rendering of a chart edge's sign through its
+    variables.
 
-    Each variable (see `parser.Edge.variables`) is shown as `#n:sort`, its
-    number and its `sorts` entry; bg instances made identical are listed
-    once (`distinct_bg`).  Pass an edge's `variables` and `sorts`.
+    The head, index and nucleus come from the edge's `sign`, the rest from
+    the edge.  Each variable (see `parser.Edge.variables`) is shown as
+    `#n:sort`, its number and its `sorts` entry; bg instances made
+    identical are listed once (`distinct_bg`).
     """
-    lines = [f"phon: {' '.join(e.phon for e in sign.entries)}",
+    sign, variables, sorts = edge.sign, edge.variables, edge.sorts
+    lines = [f"phon: {' '.join(e.phon for e in edge.entries)}",
              f"cat|head: {sign.head}"]
-    for label, slots in (("subj", sign.subj), ("comps", sign.comps)):
+    for label, slots in (("subj", edge.subj), ("comps", edge.comps)):
         rendered = ", ".join(f"np[{_filler_str(s, variables, sorts)}]"
                              for s in slots)
         lines.append(f"{label}: < {rendered} >" if rendered else f"{label}: < >")
@@ -408,8 +414,8 @@ def render_sign(sign, variables, sorts):
         lines.append(f"cont|nuc: {_psoa_str(sign.nucleus, variables, sorts)}")
     if sign.index is not None:
         lines.append(f"cont|index: {_filler_str(sign.index, variables, sorts)}")
-    for label, refs in (("cont|restr", sign.restr), ("cont|quants", sign.quants),
-                        ("cx|bg", sign.distinct_bg(variables))):
+    for label, refs in (("cont|restr", edge.restr), ("cont|quants", edge.quants),
+                        ("cx|bg", distinct_bg(edge.bg, variables))):
         inner = ", ".join(_psoa_str(r, variables, sorts) for r in refs)
         lines.append(f"{label}: {{ {inner} }}" if inner else f"{label}: {{ }}")
     return "\n".join(lines)

@@ -98,15 +98,16 @@ class UnknownTokenError(ValueError):
 class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
-    The fill reads an edge's category, and `combine` its `binds`,
-    `index_sort`, pending `subj` and `comps` and `sign`, the head word's
-    compiled sign, which a mother takes from its head daughter; the pooled
-    `entries`, `indices`, `restr`, `quants` and `bg` it only concatenates.
-    `parts`, the whole `Sign`, is a lexical edge's `sign`; a phrasal edge
-    builds it on first read, so a fill builds no `Sign`.  Only readings
-    read the pooled sets: the checker, the index assignment and
-    `render_sign` through `variables` and `sorts`, the words and their
-    senses from `parts.entries`.
+    `sign` is the head word's compiled sign, a lexical edge's own, which a
+    mother takes from its head daughter: the edge's `head`, `index` and
+    `nucleus` are read there.  The rest of its sign is its own: pending
+    `subj` and `comps`, and the `entries`, `indices`, `restr`, `quants` and
+    `bg` pooled from its daughters (a lexical edge's from its sign; see
+    `lexical_edges`).  The fill reads an edge's category, and `combine` its
+    `binds`, `index_sort`, `subj`, `comps` and `sign`; the pooled sets it
+    only concatenates, and only readings read them: the checker, the index
+    assignment and `render_sign` through `variables` and `sorts`, the words
+    and their senses from `entries`.
     A bind identifies a verb-role slot with an np's index and keeps their
     meet; each class is a star, one index and its slots, and each bind meets
     the sort the earlier binds left, so an index's last bind holds its sort.
@@ -118,30 +119,28 @@ class Edge:
     common subtrees.  The variable table is built on the first read of
     `variables`, `sorts` or `verdicts` and kept the same way, except that
     the readings of one chart share it (see `Chart.readings`).  Every field,
-    those two and a kept `parts` included, is a slot set by `__init__`, so
-    no edge has an instance dict.  A lexical edge is kept in
-    `grammar.Lexicon.edges` under (method, position, word) and reused, with
-    its string and table, by every later chart over that word at that
-    position (`lexical_edges`).
+    those two included, is a slot set by `__init__`, so no edge has an
+    instance dict.  A lexical edge is kept in `grammar.Lexicon.edges` under
+    (method, position, word) and reused, with its string and table, by
+    every later chart over that word at that position (`lexical_edges`).
     """
 
     start: int
     end: int
     cat: str
-    sign: Sign                      # lexical: its own; phrasal: the head's
-    schema: str | None = None       # None marks a lexical edge
-    children: tuple = ()
-    binds: tuple = ()               # (slot, index, met) identifications below
-    index_sort: str | None = None   # the binds' sort for sign.index
-    # the pooled sets and pending valence, None on a hand-made lexical edge
-    entries: tuple | None = None
-    indices: tuple | None = None
-    restr: tuple | None = None
-    quants: tuple | None = None
-    bg: tuple | None = None
-    subj: tuple | None = None
-    comps: tuple | None = None
-    _parts: Sign | None = field(default=None, init=False, repr=False)
+    sign: Sign                  # the head word's compiled sign
+    schema: str | None          # None marks a lexical edge
+    children: tuple
+    binds: tuple                # (slot, index, met) identifications below
+    index_sort: str | None      # the binds' sort for sign.index
+    # the pooled sets and pending valence; a lexical edge takes its sign's
+    entries: tuple
+    indices: tuple
+    restr: tuple
+    quants: tuple
+    bg: tuple
+    subj: tuple
+    comps: tuple
     _derivation: str | None = field(default=None, init=False, repr=False)
     # None, a chart's {(indices, binds set): table} lookup, or the table
     _table: tuple | dict | None = field(default=None, init=False, repr=False)
@@ -150,12 +149,11 @@ class Edge:
         """Keep and return the (variables, sorts, verdicts) table.
 
         Handed a chart's lookup, the edge takes the table kept there under
-        `(indices, frozenset(binds))` (a lexical edge's `sign.indices`), what
-        a table is built from, or builds one and keeps it there; else it
-        builds its own.  A new table's `verdicts` is empty.
+        `(indices, frozenset(binds))`, what a table is built from, or builds
+        one and keeps it there; else it builds its own.  A new table's
+        `verdicts` is empty.
         """
-        lookup = self._table
-        indices = self.sign.indices if self.schema is None else self.indices
+        lookup, indices = self._table, self.indices
         if lookup is not None:
             key = indices, frozenset(self.binds)
             table = lookup.get(key)
@@ -181,7 +179,7 @@ class Edge:
     @property
     def variables(self):
         """Index node or bound slot -> its variable number: numbered by first
-        appearance in `parts.indices` (word order), a slot as its index.
+        appearance in `indices` (word order), a slot as its index.
 
         Kept, and shared by the readings of one chart with the same indices
         and binds (see `Chart.readings`): read-only."""
@@ -203,20 +201,8 @@ class Edge:
         table = self._table
         return (table if table.__class__ is tuple else self._tabulate())[2]
 
-    @property
-    def parts(self):
-        """The edge's `Sign`, kept from a phrasal edge's first read."""
-        if self.schema is None:
-            return self.sign
-        if self._parts is None:
-            core = self.sign
-            self._parts = Sign(self.entries, self.indices, core.head,
-                               core.index, core.nucleus, self.subj,
-                               self.comps, self.restr, self.quants, self.bg)
-        return self._parts
-
     def __repr__(self):
-        words = " ".join(e.phon for e in self.parts.entries)
+        words = " ".join(e.phon for e in self.entries)
         return f"<Edge {self.cat} {self.start}:{self.end} {words}>"
 
     @property
@@ -246,7 +232,7 @@ class Edge:
                     stack.append((edge, len(pieces), label))
                 stack += reversed(edge.children)
             else:
-                text = " ".join(e.phon for e in edge.sign.entries)
+                text = " ".join(e.phon for e in edge.entries)
                 label = _PHRASE_LABEL.get(edge.cat)
                 edge._derivation = f"({label} {text})" if label else text
                 pieces.append(edge._derivation)
@@ -256,7 +242,7 @@ class Edge:
     def identity(self):
         """Hashable identity: derivation shape plus each word's sense id."""
         return (self.derivation_string,
-                tuple(e.sense_id for e in self.parts.entries))
+                tuple(e.sense_id for e in self.entries))
 
 
 def _valence_cat(subj, comps):
@@ -303,7 +289,7 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
 def combine(left, right, schema, hierarchy):
     """Apply one schema to two adjacent edges, None when the index sorts
     clash; the mother keeps the head's `sign` and `index_sort`, or
-    np_relc's new meet, and builds no `Sign` (see `Edge.parts`)."""
+    np_relc's new meet, and pools the rest (see `Edge`)."""
     rule = RULES.get(schema)
     if rule is None:
         raise ValueError(f"unknown schema {schema!r}")
@@ -406,7 +392,7 @@ class Chart:
         """Complete-sentence readings: saturated verbal edges spanning everything.
 
         Two or more readings are handed one lookup of this chart's, so those
-        with the same `parts.indices` and set of `binds` share one variable
+        with the same `indices` and set of `binds` share one variable
         table and one verdict per hierarchy (`Edge.verdicts`); callers must
         treat both as read-only.  The indices fix the constraint set: each
         quants and bg instance is compiled with its word's index nodes,
@@ -427,11 +413,11 @@ class Chart:
 def count(tokens, lexicon, decls, hierarchy, method):
     """A `Chart`'s (len(readings()), edges_built), counted without a fill:
     each cell keeps one edge per shape, all that `combine` reads of it
-    (category, the sorts of its `subj` and `comps` fields, `index_sort`; no
-    edge's `parts` is built), and its trees, as many as a chart's edges of
-    that shape.  It makes the fill's walk (`_walk`) with an `add` that keeps
-    a cell's first edge of each shape and adds every edge's product of
-    daughter trees to that one's (Goodman 1999, "Semiring parsing").
+    (category, the sorts of its `subj` and `comps`, `index_sort`), and its
+    trees, as many as a chart's edges of that shape.  It makes the fill's
+    walk (`_walk`) with an `add` that keeps a cell's first edge of each
+    shape and adds every edge's product of daughter trees to that one's
+    (Goodman 1999, "Semiring parsing").
     """
     cells, first, trees = {}, {}, {}
 

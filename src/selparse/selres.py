@@ -10,13 +10,15 @@ constraint this way.  The fold replaces them by one constraint on their
 (`{x|y}`), so it never branches and accepts the same readings.
 
 One pass reads a reading's constraints as (sort, source word) pairs per
-variable, taking the background instances `grammar.Sign.distinct_bg` keeps,
+variable, taking the background instances `grammar.distinct_bg` keeps,
 as `render_sign` lists them: `check_reading` folds the pairs and
 `extract_constraints` lists them as `ConstraintAtom`s; `solve` groups atoms
 into such pairs for the same fold.
 """
 
 from dataclasses import dataclass, field
+
+from .grammar import distinct_bg
 
 __all__ = [
     "ConstraintAtom",
@@ -154,13 +156,14 @@ def _grouped(reading, hierarchy):
     """A reading's constraints as {var: ((sort, source), ...)}, in one pass.
 
     Reads the quantifier and restriction sets and the background instances
-    `Sign.distinct_bg` keeps, in that order, keeping one-role instances named
-    by a sort (not `naming`, say), each on its filler's number in
+    `distinct_bg` keeps, in that order, keeping one-role instances named by
+    a sort (not `naming`, say), each on its filler's number in
     `reading.variables`.
     """
-    sign, variables, sorts = reading.parts, reading.variables, hierarchy.sorts
+    variables, sorts = reading.variables, hierarchy.sorts
     grouped = {}
-    for ref in sign.quants + sign.restr + sign.distinct_bg(variables):
+    for ref in (reading.quants + reading.restr
+                + distinct_bg(reading.bg, variables)):
         roles = ref.roles
         if len(roles) == 1 and ref.sort in sorts:
             var = variables[roles[0][1]]

@@ -3,7 +3,7 @@ from hypothesis import settings
 
 from selparse import data
 from selparse.grammar import load_declarations, load_lexicon
-from selparse.parser import Chart, tokenize
+from selparse.parser import Chart, Edge, tokenize
 from selparse.sorts import load_hierarchy
 from selparse.tfs import FeatureStructure
 
@@ -53,6 +53,14 @@ def lexicon(hierarchy, decls):
 def parse_sentence(sentence, lexicon, decls, hierarchy, method):
     return Chart(tokenize(sentence), lexicon, decls, hierarchy,
                  method).readings()
+
+
+def sign_edge(sign, start=0, end=1, cat="s"):
+    """A bind-free lexical edge over `sign`, its fields filled from the sign
+    as `lexical_edges` fills them."""
+    return Edge(start, end, cat, sign, None, (), (),
+                sign.index and sign.index.sort, sign.entries, sign.indices,
+                sign.restr, sign.quants, sign.bg, sign.subj, sign.comps)
 
 
 def brute_maximal_lower_bounds(hierarchy, *sorts):

@@ -74,7 +74,7 @@ def test_criterion_4_word_sense_disambiguation(hierarchy, lexicon, decls):
             if isinstance(check_reading(r, hierarchy), Satisfiable)]
         assert len(survivors) == 1
         senses = {entry.sense_id
-                  for entry in survivors[0].parts.entries
+                  for entry in survivors[0].entries
                   if entry.phon == "printer"}
         assert senses == {surviving_sense}
     _passed(4, "printer sentences: pre=2 post=1 with the expected senses")

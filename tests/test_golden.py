@@ -75,8 +75,7 @@ def edge_signs():
             for span in sorted(chart.cells):
                 for edge in chart.cells[span]:
                     record = (span, edge.derivation_string,
-                              render_sign(edge.parts, edge.variables,
-                                          edge.sorts))
+                              render_sign(edge))
                     digest.update(repr(record).encode() + b"\n")
                     count += 1
     return f"{count} {digest.hexdigest()}\n"

@@ -1,10 +1,10 @@
 import pytest
 
+from conftest import sign_edge
 from selparse import load_resources
 from selparse.grammar import (GrammarError, apply_qfpsoa_declarations,
                               compile_entry, load_declarations, load_lexicon,
                               render_sign)
-from selparse.parser import Edge
 
 
 def entry_of(lexicon, word, sense=None):
@@ -250,8 +250,7 @@ def test_a_word_lists_its_index_nodes(hierarchy, decls, lexicon, method):
 
 
 def rendered(sign):
-    edge = Edge(0, 1, "x", sign)
-    return render_sign(sign, edge.variables, edge.sorts)
+    return render_sign(sign_edge(sign, cat="x"))
 
 
 def test_compilation_deterministic(hierarchy, decls, lexicon):

@@ -23,8 +23,8 @@ import selparse.selres
 import selparse.tfs
 from conftest import CORPUS_SENTENCES, ladder, parse_sentence
 from selparse import data
-from selparse.grammar import (GrammarError, compile_entry, load_declarations,
-                              load_lexicon)
+from selparse.grammar import (GrammarError, compile_entry, distinct_bg,
+                              load_declarations, load_lexicon, render_sign)
 from selparse.parser import (_PHRASE_LABEL, Chart, Edge, SCHEMAS,
                              UnknownTokenError, combine, count, lexical_edges,
                              run_method, tokenize)
@@ -50,20 +50,20 @@ def test_intro_sentence_bg_reading(hierarchy, lexicon, decls):
     reading = readings[0]
     assert reading.derivation_string \
         == "(S (NP tom) (VP ate (NP a keyboard)))"
-    parts, variables = reading.parts, reading.variables
+    variables = reading.variables
 
     def atom_set(refs):
         return {(r.sort, variables[next(iter(dict(r.roles).values()))])
                 for r in refs if r.sort != "naming"}
 
-    bg_refs = parts.distinct_bg(variables)
+    bg_refs = distinct_bg(reading.bg, variables)
     bg = atom_set(bg_refs)
     # the man and edible constraints plus the uniformly emitted subject one
     assert {("man", 1), ("edible", 2)} <= bg
     assert bg == {("man", 1), ("edible", 2), ("animate", 1)}
     assert any(r.sort == "naming" and dict(r.roles)["name"] == "Tom"
                for r in bg_refs)
-    assert atom_set(parts.quants) == {("keybd", 2)}
+    assert atom_set(reading.quants) == {("keybd", 2)}
 
 
 def test_intro_sentence_blocked_by_index_method(hierarchy, lexicon, decls):
@@ -81,7 +81,7 @@ def test_banana_sentence_parses_under_index_method(hierarchy, lexicon, decls):
 def _edges_by_word(tokens, lexicon, decls, hierarchy, method):
     by_word = {}
     for edge in lexical_edges(tokens, lexicon, decls, hierarchy, method):
-        (entry,) = edge.parts.entries
+        (entry,) = edge.entries
         by_word.setdefault(entry.phon, []).append(edge)
     return by_word
 
@@ -101,11 +101,11 @@ def test_combine_verb_with_object(hierarchy, lexicon, decls, method,
         assert vp is None
         return
     assert vp.cat == "vp"
-    assert "edible" in {r.sort for r in vp.parts.distinct_bg(vp.variables)}
-    assert [r.sort for r in vp.parts.quants] == ["keybd"]
+    assert "edible" in {r.sort for r in distinct_bg(vp.bg, vp.variables)}
+    assert [r.sort for r in vp.quants] == ["keybd"]
     # the keyboard's index picked up the verb's eaten role filler
-    eaten = vp.variables[dict(vp.parts.nucleus.roles)["eaten"]]
-    assert vp.variables[dict(vp.parts.quants[0].roles)["inst"]] == eaten
+    eaten = vp.variables[dict(vp.sign.nucleus.roles)["eaten"]]
+    assert vp.variables[dict(vp.quants[0].roles)["inst"]] == eaten
 
 
 def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
@@ -114,19 +114,19 @@ def test_disjoint_bg_sets_add(hierarchy, lexicon, decls):
     (np,) = by_word["tom"]
     (vp,) = by_word["called"]
     sentence = combine(np, vp, "head_subject", hierarchy)
-    assert len(sentence.parts.distinct_bg(sentence.variables)) \
-        == len(np.parts.distinct_bg({})) + len(vp.parts.distinct_bg({}))
+    assert len(distinct_bg(sentence.bg, sentence.variables)) \
+        == len(distinct_bg(np.bg, {})) + len(distinct_bg(vp.bg, {}))
 
 
 def test_identified_bg_instances_are_kept_once(hierarchy, lexicon, decls):
     # both verbs restrict the one employee to person: one instance survives
     (reading,) = parse_sentence("the employees that retire retire", lexicon,
                                 decls, hierarchy, "bg")
-    parts, variables = reading.parts, reading.variables
-    (person,) = parts.distinct_bg(variables)
+    variables = reading.variables
+    (person,) = distinct_bg(reading.bg, variables)
     assert person.sort == "person"
     assert variables[dict(person.roles)["inst"]] \
-        == variables[dict(parts.nucleus.roles)["retirer"]]
+        == variables[dict(reading.sign.nucleus.roles)["retirer"]]
 
 
 @pytest.mark.parametrize("sentence,expected", [
@@ -146,7 +146,7 @@ def test_double_printer_survivor_senses(hierarchy, lexicon, decls):
                               lexicon, decls, hierarchy, "index")
     assert len(readings) == 1
     senses = [entry.sense_id
-              for entry in readings[0].parts.entries
+              for entry in readings[0].entries
               if entry.phon == "printer"]
     assert senses == ["printer_person", "printer_peripheral"]
 
@@ -191,7 +191,7 @@ def test_zero_readings_is_normal(hierarchy, lexicon, decls):
 
 def _bg_key(edge):
     return Counter((r.sort, r.source)
-                   for r in edge.parts.distinct_bg(edge.variables))
+                   for r in distinct_bg(edge.bg, edge.variables))
 
 
 def _assert_contextual_consistency(edge):
@@ -291,7 +291,7 @@ def test_viable_bg_edges_are_the_index_edges(hierarchy, lexicon, decls,
 
 def _skeleton(edge):
     if edge.schema is None:
-        (entry,) = edge.parts.entries
+        (entry,) = edge.entries
         return (edge.start, entry.sense_id)
     return (edge.schema,) + tuple(_skeleton(c) for c in edge.children)
 
@@ -441,13 +441,13 @@ def test_identification_classes_are_stars(hierarchy, thing_lexicon, decls,
         for sorts in meets.values():
             assert all(hierarchy.subsumes(above, below)
                        for above, below in zip(sorts, sorts[1:]))
-        index = edge.parts.index
+        index = edge.sign.index
         lexical = index and index.sort
         assert edge.index_sort == meets.get(index, [lexical])[-1]
         variables, sorts = edge.variables, edge.sorts
         classes = union_find_classes(edge.binds, hierarchy)
         # numbered 1, 2, ... by first appearance of a class in word order
-        indices = edge.parts.indices
+        indices = edge.indices
         assert set(variables) == set(indices)
         assert list(dict.fromkeys(variables[n] for n in indices)) \
             == list(sorts) == list(range(1, len(sorts) + 1))
@@ -463,7 +463,7 @@ def test_each_bind_on_an_index_narrows_it_in_turn(hierarchy, thing_lexicon,
                   thing_lexicon, decls, hierarchy, "index")
     (reading,) = chart.readings()
     (thing_edge,) = chart.cells[1, 2]
-    thing = thing_edge.parts.index
+    thing = thing_edge.sign.index
     assert thing.sort == "ref"
     # the relative clause's eater, then the main clause's retirer
     assert [met for _, index, met in reading.binds if index is thing] \
@@ -483,8 +483,8 @@ def test_long_adjective_stack_needs_no_recursion(hierarchy, lexicon, decls):
     np = combine(the, nbar, "det_nbar", hierarchy)
     words = " ".join(["the", *["overseas"] * n, "departments"])
     assert np.derivation_string == f"(NP {words})"
-    assert np.parts.entries \
-        == tuple(leaf.parts.entries[0] for leaf in (the, *adjectives, noun))
+    assert np.entries \
+        == tuple(leaf.entries[0] for leaf in (the, *adjectives, noun))
     assert np.identity == (f"(NP {words})",
                            ("the", *["overseas"] * n, "department"))
 
@@ -502,7 +502,7 @@ def walked_derivation(edge):
             parts.append(f"({label} ")
             stack.append(")")
         if not item.children:
-            (entry,) = item.parts.entries
+            (entry,) = item.entries
             parts.append(entry.phon)
         for i, child in enumerate(reversed(item.children)):
             stack.extend((" ", child) if i else (child,))
@@ -517,7 +517,7 @@ def walked_entries(edge):
         if item.children:
             stack.extend(reversed(item.children))
         else:
-            (entry,) = item.parts.entries
+            (entry,) = item.entries
             entries.append(entry)
     return tuple(entries)
 
@@ -543,7 +543,7 @@ def test_a_derivation_is_built_once_per_edge(hierarchy, lexicon, decls,
                 derivation, entries = (walked_derivation(edge),
                                        walked_entries(edge))
                 assert edge.derivation_string == derivation
-                assert edge.parts.entries == entries
+                assert edge.entries == entries
                 assert edge.identity == (
                     derivation, tuple(e.sense_id for e in entries))
                 # only lexical and labelled edges keep their string
@@ -588,7 +588,9 @@ def test_only_combine_reads_a_rule():
     # a rule's selector, slot, mother or quantify (`head` is also a field
     # of Sign, so it is left out).  Which edges meet is decided in one
     # more: `_walk`, run by both `Chart.fill` and `count`, is the only
-    # function that calls `combine` or `insort`
+    # function that calls `combine` or `insort`.  A chart edge is the one
+    # record its readers read: only `compile_entry` calls `Sign`, and no
+    # module reads a `parts` attribute
     fields = {"selector", "slot", "mother", "quantify"}
     package = Path(selparse.parser.__file__).parent
     callers = set()
@@ -608,17 +610,21 @@ def test_only_combine_reads_a_rule():
                      or isinstance(node, ast.Attribute)
                      and node.attr in fields)]
         assert not read, (path.name, read)
+        parts = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "parts"]
+        assert not parts, (path.name, parts)
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef)]
         for node in ast.walk(tree):
             name = isinstance(node, ast.Call) and (
                 getattr(node.func, "id", None)
                 or getattr(node.func, "attr", None))
-            if name in ("combine", "insort"):
+            if name in ("combine", "insort", "Sign"):
                 callers.add((path.name, name, *(
                     f.name for f in functions if node in ast.walk(f))))
     assert callers == {("parser.py", "combine", "_walk"),
-                       ("parser.py", "insort", "_walk")}
+                       ("parser.py", "insort", "_walk"),
+                       ("grammar.py", "Sign", "compile_entry")}
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
@@ -824,7 +830,7 @@ def test_no_chart_record_has_an_instance_dict(hierarchy, lexicon, decls):
     for cell in chart.cells.values():
         for edge in cell:
             assert not hasattr(edge, "__dict__")
-            assert not hasattr(edge.parts, "__dict__")
+            assert not hasattr(edge.sign, "__dict__")
     # on CPython 3.11, whether an edge's first stored derivation builds an
     # instance dict depended on the process's first stores, so the
     # measurement needs a process of its own
@@ -1025,15 +1031,14 @@ def test_indices_and_binds_fix_a_readings_constraint_set(hierarchy, lexicon,
             first = {}
             for reading in Chart(tokenize(sentence), lexicon, decls,
                                  hierarchy, method).readings():
-                parts = reading.parts
-                assert parts.restr == ()    # det_nbar quantified them all
-                key = parts.indices, frozenset(reading.binds)
-                kept = first.setdefault(key, parts)
+                assert reading.restr == ()  # det_nbar quantified them all
+                key = reading.indices, frozenset(reading.binds)
+                kept = first.setdefault(key, reading)
                 # instances compare by identity, so these are the same
                 # objects in the same order
-                assert kept.quants == parts.quants and kept.bg == parts.bg
+                assert kept.quants == reading.quants and kept.bg == reading.bg
                 readings += 1
-                repeats += kept is not parts
+                repeats += kept is not reading
     assert (readings, repeats) == (6075, 4813)
 
 
@@ -1050,7 +1055,7 @@ def pooled_parts(edge, pooled):
     kept = pooled.get(edge)
     if kept is None:
         if edge.schema is None:
-            kept = edge.parts
+            kept = edge.sign
         else:
             left, right = (pooled_parts(child, pooled)
                            for child in edge.children)
@@ -1073,8 +1078,11 @@ def pooled_parts(edge, pooled):
 
 
 def test_an_edges_parts_pool_its_daughters_parts(hierarchy, lexicon, decls):
-    # nodes and relations compare by identity: every edge's sign holds the
-    # very objects its words were compiled with, in word order
+    # nodes and relations compare by identity: every edge's own fields, and
+    # the head, index and nucleus of its `sign`, hold the very objects its
+    # words were compiled with, in word order
+    names = [f.name for f in dataclasses.fields(selparse.grammar.Sign)]
+    core = {"head", "index", "nucleus"}
     sentences = [*CORPUS_SENTENCES,
                  *(ladder("attachment", k) for k in range(1, 7)),
                  *(ladder("sense", k) for k in range(1, 4)),
@@ -1087,39 +1095,38 @@ def test_an_edges_parts_pool_its_daughters_parts(hierarchy, lexicon, decls):
             pooled = {}
             for cell in chart.cells.values():
                 for edge in cell:
-                    assert edge.parts == pooled_parts(edge, pooled), edge
+                    oracle = pooled_parts(edge, pooled)
+                    assert [getattr(edge.sign if name in core else edge, name)
+                            for name in names] \
+                        == [getattr(oracle, name) for name in names], edge
                     edges += 1
     assert edges == 19271
 
 
-@pytest.mark.parametrize("method", ["bg", "index"])
-def test_a_fill_builds_no_sign_and_a_read_builds_one(hierarchy, lexicon,
-                                                     decls, monkeypatch,
-                                                     method):
-    # `combine` makes one object per edge: a phrasal edge shares its head
-    # word's compiled sign, and its own `Sign` waits for a read of `parts`
+def test_readers_build_no_sign(hierarchy, lexicon, decls, monkeypatch):
+    # a chart edge is the one record its readers read: once the lexicon's
+    # edges are compiled, the fills, the bg check, the index assignment,
+    # the comparison, a JSON record and a rendering build no `Sign`
+    for sentence in CORPUS_SENTENCES:
+        run_method(tokenize(sentence), lexicon, decls, hierarchy, "both")
     built = []
-    real_sign = selparse.parser.Sign
+    real_init = selparse.grammar.Sign.__init__
 
-    def counting_sign(*args):
+    def counting_init(sign, *args, **kwargs):
         built.append(args)
-        return real_sign(*args)
+        real_init(sign, *args, **kwargs)
 
-    monkeypatch.setattr(selparse.parser, "Sign", counting_sign)
-    chart = Chart(tokenize(ladder("attachment", 6)), lexicon, decls,
-                  hierarchy, method)
-    edges = [edge for cell in chart.cells.values() for edge in cell]
-    phrasal = [edge for edge in edges if edge.children]
-    assert phrasal and built == []
-    assert all(edge._parts is None for edge in phrasal)
-    compiled = {id(edge.sign) for edge in edges if not edge.children}
-    assert {id(edge.sign) for edge in phrasal} <= compiled
-    reading = chart.readings()[0]
-    parts = reading.parts
-    assert len(built) == 1
-    assert reading.parts is parts and len(built) == 1
-    assert (parts.head, parts.index, parts.nucleus) \
-        == (reading.sign.head, reading.sign.index, reading.sign.nucleus)
+    monkeypatch.setattr(selparse.grammar.Sign, "__init__", counting_init)
+    survivors = 0
+    for sentence in CORPUS_SENTENCES:
+        reports, agree = run_method(tokenize(sentence), lexicon, decls,
+                                    hierarchy, "both")
+        selparse.cli._record(sentence, "both", reports, agree, lexicon)
+        for report in reports:
+            for reading, _ in report.surviving:
+                render_sign(reading)
+                survivors += 1
+    assert survivors > 0 and built == []
 
 
 def test_a_shared_verdict_is_kept_per_hierarchy(hierarchy, lexicon, decls,
@@ -1317,8 +1324,8 @@ def test_tokens_of_one_word_keep_their_own_nodes(hierarchy, decls, method):
     three = Chart(tokens, lexicon, decls, other_hierarchy, method)
     four = Chart(tokens, lexicon, other_decls, hierarchy, method)
     for sense in range(2):      # printer_person, printer_peripheral
-        first = one.cells[2, 3][sense].parts
-        second = one.cells[5, 6][sense].parts
+        first = one.cells[2, 3][sense].sign
+        second = one.cells[5, 6][sense].sign
         assert first.entries == second.entries
         assert first.index is not second.index
         assert len(first.restr) == len(second.restr) == (method == "bg")
@@ -1331,7 +1338,7 @@ def test_tokens_of_one_word_keep_their_own_nodes(hierarchy, decls, method):
         # but not under another hierarchy or declarations object
         for other in (three, four):
             assert other.cells[2, 3][sense] is not one.cells[2, 3][sense]
-            assert other.cells[2, 3][sense].parts is not first
+            assert other.cells[2, 3][sense].sign is not first
 
 
 def test_compiled_signs_die_with_their_lexicon(hierarchy, decls):
@@ -1383,7 +1390,7 @@ def test_a_kept_sign_follows_the_declarations_and_hierarchy_given(
 
     def ate(decls, hierarchy=hierarchy):
         chart = Chart(tokens, lexicon, decls, hierarchy, "index")
-        sign = chart.cells[1, 2][0].parts
+        sign = chart.cells[1, 2][0].sign
         return [index.sort for index in sign.indices], chart.readings()
 
     assert ate(decls) == (["animate", "edible"], [])

@@ -1,15 +1,14 @@
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
-                      meet_name, parse_sentence)
+                      meet_name, parse_sentence, sign_edge)
 from selparse import data, selres
-from selparse.grammar import (Relation, compile_entry, load_declarations,
-                              load_lexicon, render_sign)
-from selparse.parser import Edge, run_method, tokenize
+from selparse.grammar import (Relation, Sign, compile_entry,
+                              load_declarations, load_lexicon, render_sign)
+from selparse.parser import run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
                              solve)
@@ -60,7 +59,7 @@ def test_extract_skips_relations_without_matching_sort(hierarchy, lexicon,
 
 def test_extract_nothing_from_bare_sign(hierarchy, lexicon, decls):
     sign = compile_entry(lexicon["the"][0], decls, "bg", hierarchy)
-    reading = Edge(0, 1, "s", sign)
+    reading = sign_edge(sign)
     assert extract_constraints(reading, hierarchy) == []
 
 
@@ -349,14 +348,14 @@ def unified_reading(reading, hierarchy):
     """The reading as a bind-free edge whose index nodes one unify_map built.
 
     This is how a read sign was built before readings were checked through
-    their variables: every index node the parts reach is copied into a fresh
-    graph in which the binds are unified, each relation instance is rebuilt
-    over the copies, and background instances made identical are kept once,
-    the first of them.
+    their variables: every index node the reading reaches is copied into a
+    fresh graph in which the binds are unified, each relation instance is
+    rebuilt over the copies, and background instances made identical are
+    kept once, the first of them.
     """
-    parts = reading.parts
-    roots = [node for node in (parts.index, *parts.subj, *parts.comps,
-                               *parts.indices)
+    core = reading.sign
+    roots = [node for node in (core.index, *reading.subj, *reading.comps,
+                               *reading.indices)
              if node is not None]
     mapping = unify_map([(slot, index) for slot, index, _ in reading.binds],
                         roots, hierarchy)
@@ -370,18 +369,18 @@ def unified_reading(reading, hierarchy):
         return tuple(rebuilt(r) for r in instances)
 
     bg = {}
-    for ref in refs(parts.bg):
+    for ref in refs(reading.bg):
         key = (ref.sort, tuple((role, id(filler))
                                for role, filler in ref.roles))
         bg.setdefault(key, ref)
-    sign = replace(parts, indices=tuple(mapping[n] for n in parts.indices),
-                   index=mapping.get(parts.index),
-                   nucleus=parts.nucleus and rebuilt(parts.nucleus),
-                   subj=tuple(mapping[s] for s in parts.subj),
-                   comps=tuple(mapping[s] for s in parts.comps),
-                   restr=refs(parts.restr), quants=refs(parts.quants),
-                   bg=tuple(bg.values()))
-    return Edge(reading.start, reading.end, reading.cat, sign)
+    sign = Sign(reading.entries, tuple(mapping[n] for n in reading.indices),
+                core.head, mapping.get(core.index),
+                core.nucleus and rebuilt(core.nucleus),
+                tuple(mapping[s] for s in reading.subj),
+                tuple(mapping[s] for s in reading.comps),
+                refs(reading.restr), refs(reading.quants),
+                tuple(bg.values()))
+    return sign_edge(sign, reading.start, reading.end, reading.cat)
 
 
 def verdict(result):
@@ -413,9 +412,7 @@ def test_reading_variables_agree_with_unifying_the_sign(hierarchy, lexicon,
                 == with_sources(extract_constraints(old, hierarchy))
             assert verdict(check_reading(reading, hierarchy)) \
                 == verdict(check_reading(old, hierarchy))
-            assert render_sign(reading.parts, reading.variables,
-                               reading.sorts) \
-                == render_sign(old.parts, old.variables, old.sorts)
+            assert render_sign(reading) == render_sign(old)
     for reading, assignment in bg.surviving:
         old = unified_reading(reading, hierarchy)
         assert verdict(check_reading(old, hierarchy)) == assignment
@@ -440,12 +437,12 @@ def test_bg_constraints_made_identical_count_once(hierarchy):
     assert (bg.pre_filter, bg.post_filter, index.post_filter, agree) \
         == (1, 0, 0, True)
     ((reading, violation),) = bg.violations
-    assert [r.sort for r in reading.parts.bg].count("person") == 2
+    assert [r.sort for r in reading.bg].count("person") == 2
     assert violation.narrative == ("violation: var=1 sorts=employee,artifact"
                                    " from=employees,retire,beep")
     assert with_sources(extract_constraints(reading, hierarchy)) \
         == [("employee", 1, "employees"), ("person", 1, "retire"),
             ("artifact", 1, "beep")]
-    rendered = render_sign(reading.parts, reading.variables, reading.sorts)
+    rendered = render_sign(reading)
     assert "cx|bg: { person(inst: #1:ref), artifact(inst: #1:ref) }" \
         in rendered.splitlines()
