@@ -1103,6 +1103,30 @@ def test_an_edges_parts_pool_its_daughters_parts(hierarchy, lexicon, decls):
     assert edges == 19271
 
 
+@pytest.mark.parametrize("method", ["bg", "index"])
+def test_a_fill_builds_no_sign(hierarchy, lexicon, decls, monkeypatch,
+                               method):
+    # `combine` makes one object per edge: once the lexicon's edges are
+    # compiled, a fill builds no `Sign`, and a phrasal edge shares its head
+    # word's compiled sign
+    tokens = tokenize(ladder("attachment", 6))
+    Chart(tokens, lexicon, decls, hierarchy, method)
+    built = []
+    real_init = selparse.grammar.Sign.__init__
+
+    def counting_init(sign, *args, **kwargs):
+        built.append(args)
+        real_init(sign, *args, **kwargs)
+
+    monkeypatch.setattr(selparse.grammar.Sign, "__init__", counting_init)
+    chart = Chart(tokens, lexicon, decls, hierarchy, method)
+    edges = [edge for cell in chart.cells.values() for edge in cell]
+    phrasal = [edge for edge in edges if edge.children]
+    assert phrasal and built == []
+    compiled = {id(edge.sign) for edge in edges if not edge.children}
+    assert {id(edge.sign) for edge in phrasal} <= compiled
+
+
 def test_readers_build_no_sign(hierarchy, lexicon, decls, monkeypatch):
     # a chart edge is the one record its readers read: once the lexicon's
     # edges are compiled, the fills, the bg check, the index assignment,
