@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import data
 from .grammar import (GrammarError, LexicalEntry, Relation, Sign,
-                      apply_qfpsoa_declarations, compile_entry,
+                      apply_qfpsoa_declarations, compile_entry, fold,
                       load_declarations, load_lexicon, render_sign, tokenize)
 from .parser import (Chart, Edge, MethodReport, UnknownTokenError, combine,
                      count, lexical_edges, run_method)

@@ -12,7 +12,7 @@ import os
 import sys
 import textwrap
 from . import _load_file, data, load_resources, read_resource
-from .grammar import METHODS, GrammarError, compile_entry, \
+from .grammar import METHODS, GrammarError, compile_entry, fold, \
     load_declarations, load_lexicon, render_sign, tokenize
 from .parser import UnknownTokenError, run_method
 from .sorts import HierarchyError, lines, load_hierarchy
@@ -242,8 +242,7 @@ def cmd_validate(args):
         print(f"lexicon: {entries} entries for {len(lexicon)} words")
         for senses in lexicon.values():
             for entry in senses:
-                for method in ("bg", "index"):
-                    compile_entry(entry, decls, method, hierarchy)
+                fold(compile_entry(entry, decls, hierarchy), hierarchy)
         print("compilation: ok")
     except (GrammarError, OSError) as exc:
         print(f"resources: ERROR {exc}")

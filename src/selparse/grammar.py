@@ -1,12 +1,10 @@
 """Lexicon and relation declarations, compiled into HPSG-style signs.
 
-Every lexical entry compiles under either of two methods.  Under "bg" the
-sortal restrictions become single-role relation instances carried in the
-sign's background set (verb restrictions) or restriction set (common nouns),
-and all referential indices stay at the hierarchy's root sort.  Under
-"index" the restriction sorts are written onto the indices themselves, so
-the parser's one sort meet per identification (`SortHierarchy.glb`)
-enforces them during parsing.
+`compile_entry` compiles an entry's "bg" sign: its indices stay at the
+hierarchy's root sort, and each restriction is a `sortal` relation instance
+on its index.  `fold` makes the "index" sign by meeting those sorts onto
+the indices, so the parser's one sort meet per identification
+(`SortHierarchy.glb`) enforces them during parsing.
 """
 
 import re
@@ -24,9 +22,11 @@ __all__ = [
     "apply_qfpsoa_declarations",
     "compile_entry",
     "distinct_bg",
+    "fold",
     "load_declarations",
     "load_lexicon",
     "render_sign",
+    "sortal",
     "tokenize",
 ]
 
@@ -86,10 +86,9 @@ class Lexicon(dict):
     """word -> its senses, a tuple of LexicalEntry, as `load_lexicon` reads it.
 
     `edges` keeps the lexical edges `parser.lexical_edges` built over this
-    lexicon, under (method, token position, word), each as (hierarchy,
-    declarations, edges): the objects the word's signs were compiled
-    under, and one edge per sense.  The lexicon owns them, so they go
-    with it, and no edge refers back to it.
+    lexicon: (token position, word) -> [hierarchy, declarations, bg edges,
+    index edges or None], one edge per sense, compiled under those objects.
+    The lexicon owns them, so they go with it, and no edge refers back to it.
     """
 
     __slots__ = ("edges",)
@@ -115,18 +114,15 @@ class Relation:
 
 @dataclass(slots=True)
 class Sign:
-    """A compiled sign: its head sort and content plus set-valued parts.
+    """One word's compiled sign: its head sort, content and set-valued parts.
 
     `index` (nouns) or `nucleus` (verbs) is the content; subj/comps are the
     pending valence slots, each a nucleus role filler that a dependent's
     index is identified with; restr, quants and bg hold `Relation` records
-    over index nodes.  `entries` are the LexicalEntry objects of the words
-    the sign spans, left to right: its PHON is their `phon`, its sense
-    choices their `sense_id`.  `indices` are those words' index nodes in
-    word order: a noun's index, a verb's role indices in declaration order.
-    A `variables` mapping (see `parser.Edge.variables`) numbers them, a
-    bound slot taking its index's number.  A sign is a slotted record:
-    `__init__` sets every field, and no sign has an instance dict.
+    over index nodes.  `entries` holds the word's LexicalEntry, and
+    `indices` its index nodes: a noun's index, a verb's role indices in
+    declaration order.  A sign is a slotted record: `__init__` sets every
+    field, and no sign has an instance dict.
     """
 
     entries: tuple
@@ -147,8 +143,8 @@ def distinct_bg(bg, variables):
     `selres.check_reading`, which checks them."""
     kept = {}
     for ref in bg:
-        key = (ref.sort, tuple((role, variables.get(filler, filler))
-                               for role, filler in ref.roles))
+        key = (ref.sort, tuple([(role, variables.get(filler, filler))
+                                for role, filler in ref.roles]))
         kept.setdefault(key, ref)
     return tuple(kept.values())
 
@@ -332,55 +328,75 @@ def apply_qfpsoa_declarations(entry, decls, hierarchy):
     return tuple(effective)
 
 
-def compile_entry(entry, decls, method, hierarchy):
-    """Compile one lexical entry into a fresh Sign under the given method.
-
-    Each call builds new index nodes and `Relation` records, which compare
-    by identity, so two tokens of one word stay distinct.
-    `parser.lexical_edges` calls this once per (entry, method, token
-    position), keeps the lexical edge over the sign in the `Lexicon`'s
-    `edges` and reuses it in every later chart under the same hierarchy and
-    declarations: no code changes a sign once built, an edge keeps only
-    values derived from it, and two tokens at one position never share a
-    chart unless they are different senses, which are different entries.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+def compile_entry(entry, decls, hierarchy):
+    """Compile one lexical entry into a fresh bg Sign (`fold` makes its
+    index sign): new index nodes and `Relation` records, which compare by
+    identity, so two tokens of one word stay distinct.  No code changes a
+    sign once built, so `parser.lexical_edges` keeps one per position."""
     top = hierarchy.root
     word = entry.phon
     head = PARTS_OF_SPEECH[entry.pos][0]
 
     if entry.pos == "verb":
         effective = apply_qfpsoa_declarations(entry, decls, hierarchy)
-        nsubj, ncomps = VALENCES[entry.valence]
-        indices = [FeatureStructure(sort if method == "index" else top)
-                   for _role, sort in effective]
+        nsubj = VALENCES[entry.valence][0]
+        indices = tuple([FeatureStructure(top) for _ in effective])
         nuc = Relation(entry.nucleus, tuple(
             (role, idx) for (role, _), idx in zip(effective, indices)), word)
-        bg = tuple(Relation(sort, (("inst", idx),), word)
-                   for (_role, sort), idx in zip(effective, indices)
-                   if method == "bg" and sort != top)
-        return Sign(entries=(entry,), indices=tuple(indices), head=head,
-                    nucleus=nuc, subj=tuple(indices[:nsubj]),
-                    comps=tuple(indices[nsubj:]), bg=bg)
+        return Sign(entries=(entry,), indices=indices, head=head, nucleus=nuc,
+                    subj=indices[:nsubj], comps=indices[nsubj:],
+                    bg=tuple([Relation(sort, (("inst", idx),), word)
+                              for (_role, sort), idx in zip(effective, indices)
+                              if sort != top]))
 
     if entry.pos in ("noun", "proper-noun"):
         if not hierarchy.declared(entry.index_sort):
             raise GrammarError(f"{word!r}: unknown sort {entry.index_sort!r}")
-        idx = FeatureStructure(entry.index_sort if method == "index" else top)
-        # under bg the index sort is a relation instance: a common noun's
-        # restriction, a proper noun's background
-        sortal = ((Relation(entry.index_sort, (("inst", idx),), word),)
-                  if method == "bg" else ())
+        idx = FeatureStructure(top)
+        restriction = Relation(entry.index_sort, (("inst", idx),), word)
         if entry.pos == "noun":
             return Sign(entries=(entry,), indices=(idx,), head=head,
-                        index=idx, restr=sortal)
+                        index=idx, restr=(restriction,))
         naming = Relation("naming", (("brer", idx), ("name", entry.name_atom)),
                           word)
         return Sign(entries=(entry,), indices=(idx,), head=head, index=idx,
-                    bg=(naming, *sortal))
+                    bg=(naming, restriction))
 
     return Sign(entries=(entry,), indices=(), head=head)
+
+
+def sortal(ref, hierarchy):
+    """Whether `ref` restricts its one filler's sort: it has one role and a
+    sort names it (read in restr, quants and bg, never in a nucleus)."""
+    return len(ref.roles) == 1 and ref.sort in hierarchy.sorts
+
+
+def _over(ref, fresh):  # `ref` with its index fillers' `fresh` copies
+    roles = tuple([(role, fresh.get(f, f)) for role, f in ref.roles])
+    return Relation(ref.sort, roles, ref.source)
+
+
+def fold(sign, hierarchy):
+    """The index sign of bg sign `sign`: each `sortal` instance in its restr,
+    quants and bg is met onto a fresh copy of its filler node and dropped,
+    the rest rebuilt over the copies.  No index nodes: `sign` as it is."""
+    if not sign.indices:
+        return sign
+    fresh = {node: FeatureStructure(node.sort) for node in sign.indices}
+    kept = [(), (), ()]
+    for i, refs in enumerate((sign.restr, sign.quants, sign.bg)):
+        for ref in refs:
+            if sortal(ref, hierarchy):
+                node = fresh[ref.roles[0][1]]
+                node.sort = hierarchy.glb(node.sort, ref.sort)
+            else:
+                kept[i] += (_over(ref, fresh),)
+    # positional, in field order: keywords make this call twice as slow
+    return Sign(sign.entries, tuple(fresh.values()), sign.head,
+                fresh.get(sign.index),
+                sign.nucleus and _over(sign.nucleus, fresh),
+                tuple(map(fresh.get, sign.subj)),
+                tuple(map(fresh.get, sign.comps)), *kept)
 
 
 def _filler_str(filler, variables, sorts):

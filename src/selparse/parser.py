@@ -28,7 +28,8 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .grammar import METHODS, PARTS_OF_SPEECH, Sign, compile_entry, tokenize
+from .grammar import (METHODS, PARTS_OF_SPEECH, Sign, compile_entry, fold,
+                      tokenize)
 from .selres import Satisfiable, check_reading
 
 __all__ = [
@@ -120,9 +121,9 @@ class Edge:
     `variables`, `sorts` or `verdicts` and kept the same way, except that
     the readings of one chart share it (see `Chart.readings`).  Every field,
     those two included, is a slot set by `__init__`, so no edge has an
-    instance dict.  A lexical edge is kept in `grammar.Lexicon.edges` under
-    (method, position, word) and reused, with its string and table, by
-    every later chart over that word at that position (`lexical_edges`).
+    instance dict.  A lexical edge is kept in `grammar.Lexicon.edges` and
+    reused, with its string and table, by every later chart over that word
+    at that position (`lexical_edges`).
     """
 
     start: int
@@ -249,16 +250,25 @@ def _valence_cat(subj, comps):
     return "v" if comps else "vp" if subj else "s"
 
 
+def _lexical_edge(i, sign):
+    (entry,) = sign.entries
+    cat = PARTS_OF_SPEECH[entry.pos][1] or _valence_cat(sign.subj, sign.comps)
+    return Edge(i, i + 1, cat, sign, None, (), (),
+                sign.index and sign.index.sort, sign.entries, sign.indices,
+                sign.restr, sign.quants, sign.bg, sign.subj, sign.comps)
+
+
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     """One edge per (token position, lexical sense) over that sense's sign.
 
     A `grammar.Lexicon` keeps a word's edges at a position in its `edges`
-    under (method, position, word), built on first use, for every later
-    chart over the same hierarchy and declarations objects, with their
-    derivation strings and variable tables once read; under others the
-    signs are compiled anew and new edges replace the kept ones (see
-    `compile_entry`).  Any other mapping of words to senses keeps nothing.
-    An unknown method is named before any token is read.
+    for every later chart over the same hierarchy and declarations objects,
+    with their derivation strings and variable tables once read; under
+    others the word is compiled anew (`compile_entry`).  A word is compiled
+    once per position for both methods: its index edges there, built on
+    first use, are over its bg edges' signs folded (`fold`).  Any other
+    mapping of words to senses keeps nothing.  An unknown method is named
+    before any token is read.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -266,23 +276,18 @@ def lexical_edges(tokens, lexicon, decls, hierarchy, method):
     if unknown:
         raise UnknownTokenError(unknown)
     kept = getattr(lexicon, "edges", {})
+    slot = 2 if method == "bg" else 3
     edges = []
     for i, token in enumerate(tokens):
-        built = kept.get((method, i, token))
-        if (built is None or built[0] is not hierarchy
-                or built[1] is not decls):
-            senses = []
-            for entry in lexicon[token]:
-                sign = compile_entry(entry, decls, method, hierarchy)
-                cat = (PARTS_OF_SPEECH[entry.pos][1]
-                       or _valence_cat(sign.subj, sign.comps))
-                senses.append(Edge(
-                    i, i + 1, cat, sign, None, (), (),
-                    sign.index and sign.index.sort, sign.entries,
-                    sign.indices, sign.restr, sign.quants, sign.bg,
-                    sign.subj, sign.comps))
-            built = kept[method, i, token] = (hierarchy, decls, senses)
-        edges.extend(built[2])
+        built = kept.get((i, token))
+        if built is None or built[0] is not hierarchy or built[1] is not decls:
+            built = kept[i, token] = [hierarchy, decls, [
+                _lexical_edge(i, compile_entry(entry, decls, hierarchy))
+                for entry in lexicon[token]], None]
+        if built[slot] is None:     # the index edges, over the bg signs
+            built[3] = [_lexical_edge(i, fold(edge.sign, hierarchy))
+                        for edge in built[2]]
+        edges.extend(built[slot])
     return edges
 
 
@@ -370,7 +375,7 @@ class Chart:
     Filled when built, private to one parse, and sized unfilled by `count`.
     """
 
-    def __init__(self, tokens, lexicon, decls, hierarchy, method="bg"):
+    def __init__(self, tokens, lexicon, decls, hierarchy, method):
         self.tokens = list(tokens)
         self.lexicon = lexicon
         self.decls = decls

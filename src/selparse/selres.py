@@ -1,13 +1,13 @@
 """Post-parse checking of sortal constraints carried by a finished reading.
 
-The checker collects the single-role relation instances whose relation name
-is itself a sort of the hierarchy, treating each as a constraint on the
-index variable filling its role.  Two constraints on one variable can be
-replaced by a constraint for each of their sorts' maximal lower bounds; a
-reading is acceptable exactly when every variable reduces to a single
-constraint this way.  The fold replaces them by one constraint on their
-`SortHierarchy.glb`, which joins several such bounds in their completion
-(`{x|y}`), so it never branches and accepts the same readings.
+The checker collects the `grammar.sortal` relation instances, which an
+index sign carries on its indices instead (`grammar.fold`), treating each as
+a constraint on the index variable filling its role.  Two constraints on one
+variable can be replaced by a constraint for each of their sorts' maximal
+lower bounds; a reading is acceptable exactly when every variable reduces to
+a single constraint this way.  The fold replaces them by one constraint on
+their `SortHierarchy.glb`, which joins several such bounds in their
+completion (`{x|y}`), so it never branches and accepts the same readings.
 
 One pass reads a reading's constraints as (sort, source word) pairs per
 variable, taking the background instances `grammar.distinct_bg` keeps,
@@ -18,7 +18,7 @@ into such pairs for the same fold.
 
 from dataclasses import dataclass, field
 
-from .grammar import distinct_bg
+from .grammar import distinct_bg, sortal
 
 __all__ = [
     "ConstraintAtom",
@@ -153,21 +153,19 @@ def solve(atoms, hierarchy):
 
 
 def _grouped(reading, hierarchy):
-    """A reading's constraints as {var: ((sort, source), ...)}, in one pass.
+    """A reading's constraints as {var: [(sort, source), ...]}, in one pass.
 
     Reads the quantifier and restriction sets and the background instances
-    `distinct_bg` keeps, in that order, keeping one-role instances named by
-    a sort (not `naming`, say), each on its filler's number in
-    `reading.variables`.
+    `distinct_bg` keeps, in that order, keeping the `grammar.sortal` ones,
+    each on its filler's number in `reading.variables`.
     """
-    variables, sorts = reading.variables, hierarchy.sorts
+    variables = reading.variables
     grouped = {}
     for ref in (reading.quants + reading.restr
                 + distinct_bg(reading.bg, variables)):
-        roles = ref.roles
-        if len(roles) == 1 and ref.sort in sorts:
-            var = variables[roles[0][1]]
-            grouped[var] = grouped.get(var, ()) + ((ref.sort, ref.source),)
+        if sortal(ref, hierarchy):
+            var = variables[ref.roles[0][1]]
+            grouped.setdefault(var, []).append((ref.sort, ref.source))
     return grouped
 
 

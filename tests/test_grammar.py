@@ -2,9 +2,16 @@ import pytest
 
 from conftest import sign_edge
 from selparse import load_resources
-from selparse.grammar import (GrammarError, apply_qfpsoa_declarations,
-                              compile_entry, load_declarations, load_lexicon,
-                              render_sign)
+from selparse.grammar import (PARTS_OF_SPEECH, VALENCES, FeatureStructure,
+                              GrammarError, Relation, Sign,
+                              apply_qfpsoa_declarations, compile_entry, fold,
+                              load_declarations, load_lexicon, render_sign)
+
+
+def compiled(entry, decls, method, hierarchy):
+    """The entry's sign under `method`: the bg sign, or its fold."""
+    sign = compile_entry(entry, decls, hierarchy)
+    return fold(sign, hierarchy) if method == "index" else sign
 
 
 def entry_of(lexicon, word, sense=None):
@@ -151,7 +158,7 @@ def test_override_widening_rejected(hierarchy, decls):
 
 
 def test_compile_ate_bg(hierarchy, decls, lexicon):
-    sign = compile_entry(entry_of(lexicon, "ate"), decls, "bg", hierarchy)
+    sign = compile_entry(entry_of(lexicon, "ate"), decls, hierarchy)
     nuc = sign.nucleus
     assert nuc.sort == "eat"
     assert list(dict(nuc.roles)) == ["eater", "eaten"]
@@ -169,7 +176,7 @@ def test_compile_ate_bg(hierarchy, decls, lexicon):
 
 
 def test_compile_ate_index(hierarchy, decls, lexicon):
-    sign = compile_entry(entry_of(lexicon, "ate"), decls, "index", hierarchy)
+    sign = compiled(entry_of(lexicon, "ate"), decls, "index", hierarchy)
     assert dict(sign.nucleus.roles)["eater"].sort == "animate"
     assert dict(sign.nucleus.roles)["eaten"].sort == "edible"
     assert sign.bg == ()
@@ -177,7 +184,7 @@ def test_compile_ate_index(hierarchy, decls, lexicon):
 
 def test_compile_tom_both_methods(hierarchy, decls, lexicon):
     tom = entry_of(lexicon, "tom")
-    bg_sign = compile_entry(tom, decls, "bg", hierarchy)
+    bg_sign = compile_entry(tom, decls, hierarchy)
     assert bg_sign.index.sort == "ref"
     atoms = {(r.sort, tuple(dict(r.roles))) for r in bg_sign.bg}
     assert atoms == {("naming", ("brer", "name")), ("man", ("inst",))}
@@ -185,20 +192,20 @@ def test_compile_tom_both_methods(hierarchy, decls, lexicon):
     assert dict(naming.roles)["brer"] is bg_sign.index
     assert dict(naming.roles)["name"] == "Tom"
 
-    ix_sign = compile_entry(tom, decls, "index", hierarchy)
+    ix_sign = compiled(tom, decls, "index", hierarchy)
     assert ix_sign.index.sort == "man"
     assert [r.sort for r in ix_sign.bg] == ["naming"]
 
 
 def test_compile_keyboard_both_methods(hierarchy, decls, lexicon):
     keyboard = entry_of(lexicon, "keyboard")
-    bg_sign = compile_entry(keyboard, decls, "bg", hierarchy)
+    bg_sign = compile_entry(keyboard, decls, hierarchy)
     assert bg_sign.index.sort == "ref"
     assert [r.sort for r in bg_sign.restr] == ["keybd"]
     assert dict(bg_sign.restr[0].roles)["inst"] is bg_sign.index
     assert bg_sign.bg == ()
 
-    ix_sign = compile_entry(keyboard, decls, "index", hierarchy)
+    ix_sign = compiled(keyboard, decls, "index", hierarchy)
     assert ix_sign.index.sort == "keybd"
     assert ix_sign.restr == () and ix_sign.bg == ()
 
@@ -231,8 +238,8 @@ def _restriction_pairs_index(sign, hierarchy):
 def test_method_correspondence(hierarchy, decls, lexicon):
     for entries in lexicon.values():
         for entry in entries:
-            bg_sign = compile_entry(entry, decls, "bg", hierarchy)
-            ix_sign = compile_entry(entry, decls, "index", hierarchy)
+            bg_sign = compile_entry(entry, decls, hierarchy)
+            ix_sign = compiled(entry, decls, "index", hierarchy)
             assert _restriction_pairs_bg(bg_sign, hierarchy) \
                 == _restriction_pairs_index(ix_sign, hierarchy), entry
 
@@ -241,7 +248,7 @@ def test_method_correspondence(hierarchy, decls, lexicon):
 def test_a_word_lists_its_index_nodes(hierarchy, decls, lexicon, method):
     for entries in lexicon.values():
         for entry in entries:
-            sign = compile_entry(entry, decls, method, hierarchy)
+            sign = compiled(entry, decls, method, hierarchy)
             if sign.nucleus is not None:
                 expected = tuple(dict(sign.nucleus.roles).values())
             else:
@@ -257,9 +264,90 @@ def test_compilation_deterministic(hierarchy, decls, lexicon):
     for entries in lexicon.values():
         for entry in entries:
             for method in ("bg", "index"):
-                one = compile_entry(entry, decls, method, hierarchy)
-                two = compile_entry(entry, decls, method, hierarchy)
+                one = compiled(entry, decls, method, hierarchy)
+                two = compiled(entry, decls, method, hierarchy)
                 assert rendered(one) == rendered(two)
                 for part in ("index", "nucleus"):
                     node = getattr(one, part)
                     assert node is None or node is not getattr(two, part)
+
+
+def index_compile(entry, decls, hierarchy):
+    """Oracle: the index sign compiled directly, each restriction sort
+    written onto its index node, as the index method compiled it before
+    `fold` derived it from the bg sign."""
+    word, head = entry.phon, PARTS_OF_SPEECH[entry.pos][0]
+    if entry.pos == "verb":
+        effective = apply_qfpsoa_declarations(entry, decls, hierarchy)
+        nsubj = VALENCES[entry.valence][0]
+        indices = tuple(FeatureStructure(sort) for _role, sort in effective)
+        nuc = Relation(entry.nucleus, tuple(
+            (role, idx) for (role, _), idx in zip(effective, indices)), word)
+        return Sign(entries=(entry,), indices=indices, head=head,
+                    nucleus=nuc, subj=indices[:nsubj], comps=indices[nsubj:])
+    if entry.pos in ("noun", "proper-noun"):
+        idx = FeatureStructure(entry.index_sort)
+        if entry.pos == "noun":
+            return Sign(entries=(entry,), indices=(idx,), head=head, index=idx)
+        naming = Relation("naming", (("brer", idx), ("name", entry.name_atom)),
+                          word)
+        return Sign(entries=(entry,), indices=(idx,), head=head, index=idx,
+                    bg=(naming,))
+    return Sign(entries=(entry,), indices=(), head=head)
+
+
+def sign_shape(sign):
+    """A sign with each node as (number by first appearance, sort) and each
+    relation as (sort, roles, source): equal shapes mean equal node sorts,
+    node sharing, relations and sources."""
+    numbers = {}
+
+    def node(n):
+        if not isinstance(n, FeatureStructure):
+            return n    # a name atom
+        return numbers.setdefault(n, len(numbers)), n.sort
+
+    def relation(ref):
+        return (ref.sort, tuple((role, node(f)) for role, f in ref.roles),
+                ref.source)
+
+    return (sign.entries, sign.head, tuple(map(node, sign.indices)),
+            sign.index and node(sign.index),
+            sign.nucleus and relation(sign.nucleus),
+            tuple(map(node, sign.subj)), tuple(map(node, sign.comps)),
+            *(tuple(map(relation, refs))
+              for refs in (sign.restr, sign.quants, sign.bg)))
+
+
+HAND_MADE = """\
+gobbled | verb | eat | trans, eaten=banana
+thing | noun | ref
+itemise | verb | list | imp
+sue | proper-noun | technician | name=Sue
+bat | noun | animate | sense=bat_animal
+bat | verb | repair | trans, sense=bat_verb
+"""
+
+
+@pytest.mark.parametrize("source", ["bundled", "hand-made"])
+def test_the_index_sign_is_the_bg_sign_folded(hierarchy, decls, lexicon,
+                                              source):
+    # hand-made: an override, a noun at the root sort, a role at the root,
+    # a proper noun and a homograph
+    if source == "hand-made":
+        lexicon = load_lexicon(HAND_MADE, hierarchy, decls)
+        assert len(lexicon["bat"]) == 2
+    for entries in lexicon.values():
+        for entry in entries:
+            bg_sign = compile_entry(entry, decls, hierarchy)
+            folded = fold(bg_sign, hierarchy)
+            assert sign_shape(folded) \
+                == sign_shape(index_compile(entry, decls, hierarchy)), entry
+            if not bg_sign.indices:
+                assert folded is bg_sign    # nothing to fold
+                continue
+            # else the fold builds its own nodes and relations
+            old, new = ({id(part) for part in (*sign.indices, sign.nucleus,
+                                               *sign.restr, *sign.bg)}
+                        for sign in (bg_sign, folded))
+            assert not old & new - {id(None)}, entry

@@ -169,10 +169,8 @@ def _bogus_combine(hierarchy, lexicon, decls):
      "unknown method 'bogus'"),
     (lambda h, lex, d: run_method(["tom"], lex, d, h, "bogus"),
      "unknown method 'bogus'"),
-    (lambda h, lex, d: compile_entry(lex["tom"][0], d, "bogus", h),
-     "unknown method 'bogus'"),
 ], ids=["combine", "chart", "empty_chart", "count", "lexical_edges",
-        "run_method", "compile_entry"])
+        "run_method"])
 def test_an_unknown_schema_or_method_is_named(hierarchy, lexicon, decls, call,
                                               message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -589,8 +587,8 @@ def test_only_combine_reads_a_rule():
     # of Sign, so it is left out).  Which edges meet is decided in one
     # more: `_walk`, run by both `Chart.fill` and `count`, is the only
     # function that calls `combine` or `insort`.  A chart edge is the one
-    # record its readers read: only `compile_entry` calls `Sign`, and no
-    # module reads a `parts` attribute
+    # record its readers read: only `compile_entry` and `fold` call `Sign`,
+    # and no module reads a `parts` attribute
     fields = {"selector", "slot", "mother", "quantify"}
     package = Path(selparse.parser.__file__).parent
     callers = set()
@@ -624,7 +622,8 @@ def test_only_combine_reads_a_rule():
                     f.name for f in functions if node in ast.walk(f))))
     assert callers == {("parser.py", "combine", "_walk"),
                        ("parser.py", "insort", "_walk"),
-                       ("grammar.py", "Sign", "compile_entry")}
+                       ("grammar.py", "Sign", "compile_entry"),
+                       ("grammar.py", "Sign", "fold")}
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
@@ -1290,11 +1289,14 @@ def test_the_index_method_fills_no_bg_chart(hierarchy, lexicon, decls,
         == (1430, len(index.readings()))
 
 
-def test_a_verb_relation_named_after_a_sort_constrains_nothing(hierarchy):
-    # "man" is a sort and, here, a one-role relation: only bg instances
-    # constrain, so the verb's nucleus restricts its doer to ref alone
-    decls = load_declarations(data.DECLS.read_text() + "man(doer: ref)\n",
-                              hierarchy)
+@pytest.mark.parametrize("role", ["doer", "inst"])
+def test_a_verb_relation_named_after_a_sort_constrains_nothing(hierarchy,
+                                                               role):
+    # "man" is a sort and, here, a one-role relation, which loads: only
+    # restr, quants and bg instances are sortal, and no fold meets a
+    # nucleus, so the verb restricts its one role to ref alone
+    decls = load_declarations(
+        data.DECLS.read_text() + f"man({role}: ref)\n", hierarchy)
     lexicon = load_lexicon(data.LEXICON.read_text()
                            + "mans | verb | man | intrans\n",
                            hierarchy, decls)
@@ -1315,17 +1317,18 @@ def test_each_lexical_sign_is_compiled_once_per_position(hierarchy, decls,
                                                          monkeypatch):
     # a lexicon of its own: the shared fixture's entries already keep signs
     lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
+    # once for both methods: the index sign is the bg sign folded
     compiled = []
 
-    def counting(entry, decls, method, hierarchy):
-        compiled.append((entry, method))
-        return compile_entry(entry, decls, method, hierarchy)
+    def counting(entry, decls, hierarchy):
+        compiled.append(entry)
+        return compile_entry(entry, decls, hierarchy)
 
     monkeypatch.setattr(selparse.parser, "compile_entry", counting)
-    keys = {(entry.phon, entry.sense_id, method, i)
+    keys = {(entry.phon, entry.sense_id, i)
             for sentence in REUSE_SENTENCES
             for i, token in enumerate(tokenize(sentence))
-            for entry in lexicon[token] for method in ("bg", "index")}
+            for entry in lexicon[token]}
     for sentence in REUSE_SENTENCES:
         run_method(tokenize(sentence), lexicon, decls, hierarchy, "both")
     assert len(compiled) == len(keys)
@@ -1406,9 +1409,9 @@ def test_a_kept_sign_follows_the_declarations_and_hierarchy_given(
     tokens = tokenize("tom ate a keyboard")
     compiled = []
 
-    def counting(entry, decls, method, hierarchy):
+    def counting(entry, decls, hierarchy):
         compiled.append(entry.phon)
-        return compile_entry(entry, decls, method, hierarchy)
+        return compile_entry(entry, decls, hierarchy)
 
     monkeypatch.setattr(selparse.parser, "compile_entry", counting)
 

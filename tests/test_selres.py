@@ -58,7 +58,7 @@ def test_extract_skips_relations_without_matching_sort(hierarchy, lexicon,
 
 
 def test_extract_nothing_from_bare_sign(hierarchy, lexicon, decls):
-    sign = compile_entry(lexicon["the"][0], decls, "bg", hierarchy)
+    sign = compile_entry(lexicon["the"][0], decls, hierarchy)
     reading = sign_edge(sign)
     assert extract_constraints(reading, hierarchy) == []
 
