@@ -114,26 +114,25 @@ class Relation:
 
 @dataclass(slots=True)
 class Sign:
-    """One word's compiled sign: its head sort, content and set-valued parts.
+    """One word's compiled sign: its content and set-valued parts.
 
     `index` (nouns) or `nucleus` (verbs) is the content; subj/comps are the
     pending valence slots, each a nucleus role filler that a dependent's
-    index is identified with; restr, quants and bg hold `Relation` records
-    over index nodes.  `entries` holds the word's LexicalEntry, and
-    `indices` its index nodes: a noun's index, a verb's role indices in
-    declaration order.  A sign is a slotted record: `__init__` sets every
-    field, and no sign has an instance dict.
+    index is identified with; restr and bg hold `Relation` records over
+    index nodes (a word has no quants).  `entries` holds the word's
+    LexicalEntry, whose part of speech names its head sort, and `indices`
+    its index nodes: a noun's index, a verb's role indices in declaration
+    order.  A sign is a slotted record: `__init__` sets every field, and no
+    sign has an instance dict.
     """
 
     entries: tuple
     indices: tuple
-    head: str
     index: FeatureStructure | None = None
     nucleus: Relation | None = None
     subj: tuple = ()
     comps: tuple = ()
     restr: tuple = ()
-    quants: tuple = ()
     bg: tuple = ()
 
 
@@ -335,7 +334,6 @@ def compile_entry(entry, decls, hierarchy):
     sign once built, so `parser.lexical_edges` keeps one per position."""
     top = hierarchy.root
     word = entry.phon
-    head = PARTS_OF_SPEECH[entry.pos][0]
 
     if entry.pos == "verb":
         effective = apply_qfpsoa_declarations(entry, decls, hierarchy)
@@ -343,7 +341,7 @@ def compile_entry(entry, decls, hierarchy):
         indices = tuple([FeatureStructure(top) for _ in effective])
         nuc = Relation(entry.nucleus, tuple(
             (role, idx) for (role, _), idx in zip(effective, indices)), word)
-        return Sign(entries=(entry,), indices=indices, head=head, nucleus=nuc,
+        return Sign(entries=(entry,), indices=indices, nucleus=nuc,
                     subj=indices[:nsubj], comps=indices[nsubj:],
                     bg=tuple([Relation(sort, (("inst", idx),), word)
                               for (_role, sort), idx in zip(effective, indices)
@@ -355,14 +353,14 @@ def compile_entry(entry, decls, hierarchy):
         idx = FeatureStructure(top)
         restriction = Relation(entry.index_sort, (("inst", idx),), word)
         if entry.pos == "noun":
-            return Sign(entries=(entry,), indices=(idx,), head=head,
-                        index=idx, restr=(restriction,))
+            return Sign(entries=(entry,), indices=(idx,), index=idx,
+                        restr=(restriction,))
         naming = Relation("naming", (("brer", idx), ("name", entry.name_atom)),
                           word)
-        return Sign(entries=(entry,), indices=(idx,), head=head, index=idx,
+        return Sign(entries=(entry,), indices=(idx,), index=idx,
                     bg=(naming, restriction))
 
-    return Sign(entries=(entry,), indices=(), head=head)
+    return Sign(entries=(entry,), indices=())
 
 
 def sortal(ref, hierarchy):
@@ -377,14 +375,14 @@ def _over(ref, fresh):  # `ref` with its index fillers' `fresh` copies
 
 
 def fold(sign, hierarchy):
-    """The index sign of bg sign `sign`: each `sortal` instance in its restr,
-    quants and bg is met onto a fresh copy of its filler node and dropped,
-    the rest rebuilt over the copies.  No index nodes: `sign` as it is."""
+    """The index sign of bg sign `sign`: each `sortal` instance in its restr
+    and bg is met onto a fresh copy of its filler node and dropped, the rest
+    rebuilt over the copies.  No index nodes: `sign` as it is."""
     if not sign.indices:
         return sign
     fresh = {node: FeatureStructure(node.sort) for node in sign.indices}
-    kept = [(), (), ()]
-    for i, refs in enumerate((sign.restr, sign.quants, sign.bg)):
+    kept = [(), ()]
+    for i, refs in enumerate((sign.restr, sign.bg)):
         for ref in refs:
             if sortal(ref, hierarchy):
                 node = fresh[ref.roles[0][1]]
@@ -392,8 +390,7 @@ def fold(sign, hierarchy):
             else:
                 kept[i] += (_over(ref, fresh),)
     # positional, in field order: keywords make this call twice as slow
-    return Sign(sign.entries, tuple(fresh.values()), sign.head,
-                fresh.get(sign.index),
+    return Sign(sign.entries, tuple(fresh.values()), fresh.get(sign.index),
                 sign.nucleus and _over(sign.nucleus, fresh),
                 tuple(map(fresh.get, sign.subj)),
                 tuple(map(fresh.get, sign.comps)), *kept)
@@ -414,14 +411,15 @@ def render_sign(edge):
     """Compact AVM-style rendering of a chart edge's sign through its
     variables.
 
-    The head, index and nucleus come from the edge's `sign`, the rest from
-    the edge.  Each variable (see `parser.Edge.variables`) is shown as
-    `#n:sort`, its number and its `sorts` entry; bg instances made
-    identical are listed once (`distinct_bg`).
+    The head sort (by its word's part of speech), index and nucleus come
+    from the edge's `sign`, the rest from the edge.  Each variable (see
+    `parser.Edge.variables`) is shown as `#n:sort`, its number and its
+    `sorts` entry; bg instances made identical are listed once
+    (`distinct_bg`).
     """
     sign, variables, sorts = edge.sign, edge.variables, edge.sorts
     lines = [f"phon: {' '.join(e.phon for e in edge.entries)}",
-             f"cat|head: {sign.head}"]
+             f"cat|head: {PARTS_OF_SPEECH[sign.entries[0].pos][0]}"]
     for label, slots in (("subj", edge.subj), ("comps", edge.comps)):
         rendered = ", ".join(f"np[{_filler_str(s, variables, sorts)}]"
                              for s in slots)

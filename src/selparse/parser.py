@@ -100,15 +100,16 @@ class Edge:
     """A chart edge: a sign over a token span plus its derivation record.
 
     `sign` is the head word's compiled sign, a lexical edge's own, which a
-    mother takes from its head daughter: the edge's `head`, `index` and
-    `nucleus` are read there.  The rest of its sign is its own: pending
-    `subj` and `comps`, and the `entries`, `indices`, `restr`, `quants` and
-    `bg` pooled from its daughters (a lexical edge's from its sign; see
-    `lexical_edges`).  The fill reads an edge's category, and `combine` its
-    `binds`, `index_sort`, `subj`, `comps` and `sign`; the pooled sets it
-    only concatenates, and only readings read them: the checker, the index
-    assignment and `render_sign` through `variables` and `sorts`, the words
-    and their senses from `entries`.
+    mother takes from its head daughter: the edge's `index` and `nucleus`
+    are read there.  The rest of its sign is its own: pending `subj` and
+    `comps`, and the `entries`, `indices`, `restr`, `quants` and `bg`
+    pooled from its daughters (a lexical edge, one with no `children`, has
+    its sign's and no `quants`; see `lexical_edges`).  The fill reads an
+    edge's category, and `combine` its `binds`, `index_sort`, `subj`,
+    `comps` and `sign`; the pooled sets it only concatenates, and only
+    readings read them: the checker, the index assignment and `render_sign`
+    through `variables` and `sorts`, the words and their senses from
+    `entries`.
     A bind identifies a verb-role slot with an np's index and keeps their
     meet; each class is a star, one index and its slots, and each bind meets
     the sort the earlier binds left, so an index's last bind holds its sort.
@@ -130,8 +131,7 @@ class Edge:
     end: int
     cat: str
     sign: Sign                  # the head word's compiled sign
-    schema: str | None          # None marks a lexical edge
-    children: tuple
+    children: tuple             # () marks a lexical edge
     binds: tuple                # (slot, index, met) identifications below
     index_sort: str | None      # the binds' sort for sign.index
     # the pooled sets and pending valence; a lexical edge takes its sign's
@@ -253,13 +253,14 @@ def _valence_cat(subj, comps):
 def _lexical_edge(i, sign):
     (entry,) = sign.entries
     cat = PARTS_OF_SPEECH[entry.pos][1] or _valence_cat(sign.subj, sign.comps)
-    return Edge(i, i + 1, cat, sign, None, (), (),
-                sign.index and sign.index.sort, sign.entries, sign.indices,
-                sign.restr, sign.quants, sign.bg, sign.subj, sign.comps)
+    return Edge(i, i + 1, cat, sign, (), (), sign.index and sign.index.sort,
+                sign.entries, sign.indices, sign.restr, (), sign.bg,
+                sign.subj, sign.comps)
 
 
 def lexical_edges(tokens, lexicon, decls, hierarchy, method):
-    """One edge per (token position, lexical sense) over that sense's sign.
+    """One edge per (token position, lexical sense) over that sense's sign:
+    no children, the sign's restr, bg and valence, and no quants.
 
     A `grammar.Lexicon` keeps a word's edges at a position in its `edges`
     for every later chart over the same hierarchy and declarations objects,
@@ -324,8 +325,8 @@ def combine(left, right, schema, hierarchy):
         restr, quants = (), quants + restr
     cat = rule.mother or _valence_cat(subj, comps)
     # positional, in field order: keywords make this call two thirds slower
-    return Edge(left.start, right.end, cat, head.sign, schema, (left, right),
-                binds, index_sort, left.entries + right.entries,
+    return Edge(left.start, right.end, cat, head.sign, (left, right), binds,
+                index_sort, left.entries + right.entries,
                 left.indices + right.indices, restr, quants,
                 left.bg + right.bg, subj, comps)
 

@@ -3,7 +3,7 @@ from hypothesis import settings
 
 from selparse import data
 from selparse.grammar import load_declarations, load_lexicon
-from selparse.parser import Chart, Edge, tokenize
+from selparse.parser import SCHEMAS, Chart, Edge, tokenize
 from selparse.sorts import load_hierarchy
 from selparse.tfs import FeatureStructure
 
@@ -58,9 +58,18 @@ def parse_sentence(sentence, lexicon, decls, hierarchy, method):
 def sign_edge(sign, start=0, end=1, cat="s"):
     """A bind-free lexical edge over `sign`, its fields filled from the sign
     as `lexical_edges` fills them."""
-    return Edge(start, end, cat, sign, None, (), (),
-                sign.index and sign.index.sort, sign.entries, sign.indices,
-                sign.restr, sign.quants, sign.bg, sign.subj, sign.comps)
+    return Edge(start, end, cat, sign, (), (), sign.index and sign.index.sort,
+                sign.entries, sign.indices, sign.restr, (), sign.bg,
+                sign.subj, sign.comps)
+
+
+def schema_of(edge):
+    """The schema that built phrasal `edge`: the fill and `count` apply the
+    one its daughters' categories name.  None for a lexical edge."""
+    if edge.children:
+        left, right = edge.children
+        return SCHEMAS[left.cat, right.cat]
+    return None
 
 
 def brute_maximal_lower_bounds(hierarchy, *sorts):

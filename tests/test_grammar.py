@@ -1,11 +1,13 @@
+import dataclasses
+
 import pytest
 
 from conftest import sign_edge
 from selparse import load_resources
-from selparse.grammar import (PARTS_OF_SPEECH, VALENCES, FeatureStructure,
-                              GrammarError, Relation, Sign,
-                              apply_qfpsoa_declarations, compile_entry, fold,
-                              load_declarations, load_lexicon, render_sign)
+from selparse.grammar import (VALENCES, FeatureStructure, GrammarError,
+                              Relation, Sign, apply_qfpsoa_declarations,
+                              compile_entry, fold, load_declarations,
+                              load_lexicon, render_sign)
 
 
 def compiled(entry, decls, method, hierarchy):
@@ -256,6 +258,16 @@ def test_a_word_lists_its_index_nodes(hierarchy, decls, lexicon, method):
             assert sign.indices == expected, entry
 
 
+def test_every_sign_field_is_set_on_a_bundled_word(hierarchy, decls,
+                                                   lexicon):
+    # a sign keeps only what compilation fills: each field is set (not None,
+    # not empty) on the bg sign of at least one bundled entry
+    signs = [compile_entry(entry, decls, hierarchy)
+             for entries in lexicon.values() for entry in entries]
+    assert [f.name for f in dataclasses.fields(Sign)
+            if not any(getattr(sign, f.name) for sign in signs)] == []
+
+
 def rendered(sign):
     return render_sign(sign_edge(sign, cat="x"))
 
@@ -276,24 +288,24 @@ def index_compile(entry, decls, hierarchy):
     """Oracle: the index sign compiled directly, each restriction sort
     written onto its index node, as the index method compiled it before
     `fold` derived it from the bg sign."""
-    word, head = entry.phon, PARTS_OF_SPEECH[entry.pos][0]
+    word = entry.phon
     if entry.pos == "verb":
         effective = apply_qfpsoa_declarations(entry, decls, hierarchy)
         nsubj = VALENCES[entry.valence][0]
         indices = tuple(FeatureStructure(sort) for _role, sort in effective)
         nuc = Relation(entry.nucleus, tuple(
             (role, idx) for (role, _), idx in zip(effective, indices)), word)
-        return Sign(entries=(entry,), indices=indices, head=head,
-                    nucleus=nuc, subj=indices[:nsubj], comps=indices[nsubj:])
+        return Sign(entries=(entry,), indices=indices, nucleus=nuc,
+                    subj=indices[:nsubj], comps=indices[nsubj:])
     if entry.pos in ("noun", "proper-noun"):
         idx = FeatureStructure(entry.index_sort)
         if entry.pos == "noun":
-            return Sign(entries=(entry,), indices=(idx,), head=head, index=idx)
+            return Sign(entries=(entry,), indices=(idx,), index=idx)
         naming = Relation("naming", (("brer", idx), ("name", entry.name_atom)),
                           word)
-        return Sign(entries=(entry,), indices=(idx,), head=head, index=idx,
+        return Sign(entries=(entry,), indices=(idx,), index=idx,
                     bg=(naming,))
-    return Sign(entries=(entry,), indices=(), head=head)
+    return Sign(entries=(entry,), indices=())
 
 
 def sign_shape(sign):
@@ -311,12 +323,12 @@ def sign_shape(sign):
         return (ref.sort, tuple((role, node(f)) for role, f in ref.roles),
                 ref.source)
 
-    return (sign.entries, sign.head, tuple(map(node, sign.indices)),
+    return (sign.entries, tuple(map(node, sign.indices)),
             sign.index and node(sign.index),
             sign.nucleus and relation(sign.nucleus),
             tuple(map(node, sign.subj)), tuple(map(node, sign.comps)),
             *(tuple(map(relation, refs))
-              for refs in (sign.restr, sign.quants, sign.bg)))
+              for refs in (sign.restr, sign.bg)))
 
 
 HAND_MADE = """\

@@ -21,7 +21,7 @@ import selparse.grammar
 import selparse.parser
 import selparse.selres
 import selparse.tfs
-from conftest import CORPUS_SENTENCES, ladder, parse_sentence
+from conftest import CORPUS_SENTENCES, ladder, parse_sentence, schema_of
 from selparse import data
 from selparse.grammar import (GrammarError, compile_entry, distinct_bg,
                               load_declarations, load_lexicon, render_sign)
@@ -193,11 +193,10 @@ def _bg_key(edge):
 
 
 def _assert_contextual_consistency(edge):
-    if edge.schema is None:
+    if not edge.children:
         return
     left, right = edge.children
-    assert _bg_key(edge) == _bg_key(left) + _bg_key(right), \
-        edge.schema
+    assert _bg_key(edge) == _bg_key(left) + _bg_key(right), schema_of(edge)
     _assert_contextual_consistency(left)
     _assert_contextual_consistency(right)
 
@@ -288,10 +287,10 @@ def test_viable_bg_edges_are_the_index_edges(hierarchy, lexicon, decls,
 
 
 def _skeleton(edge):
-    if edge.schema is None:
+    if not edge.children:
         (entry,) = edge.entries
         return (edge.start, entry.sense_id)
-    return (edge.schema,) + tuple(_skeleton(c) for c in edge.children)
+    return (schema_of(edge),) + tuple(_skeleton(c) for c in edge.children)
 
 
 def brute_force_complete(tokens, lexicon, decls, hierarchy, method):
@@ -583,13 +582,12 @@ def test_only_sorts_reads_the_lattice_encoding():
 def test_only_combine_reads_a_rule():
     # what two edges make is decided in one place: outside `combine`, RULES
     # is read only for SCHEMAS, its daughter categories, and no code reads
-    # a rule's selector, slot, mother or quantify (`head` is also a field
-    # of Sign, so it is left out).  Which edges meet is decided in one
-    # more: `_walk`, run by both `Chart.fill` and `count`, is the only
-    # function that calls `combine` or `insort`.  A chart edge is the one
-    # record its readers read: only `compile_entry` and `fold` call `Sign`,
-    # and no module reads a `parts` attribute
-    fields = {"selector", "slot", "mother", "quantify"}
+    # a rule's head, selector, slot, mother or quantify.  Which edges meet
+    # is decided in one more: `_walk`, run by both `Chart.fill` and `count`,
+    # is the only function that calls `combine` or `insort`.  A chart edge
+    # is the one record its readers read: only `compile_entry` and `fold`
+    # call `Sign`, and no module reads a `parts` attribute
+    fields = {"head", "selector", "slot", "mother", "quantify"}
     package = Path(selparse.parser.__file__).parent
     callers = set()
     for path in sorted(package.rglob("*.py")):
@@ -624,6 +622,19 @@ def test_only_combine_reads_a_rule():
                        ("parser.py", "insort", "_walk"),
                        ("grammar.py", "Sign", "compile_entry"),
                        ("grammar.py", "Sign", "fold")}
+
+
+def test_every_edge_field_is_read():
+    # an edge keeps only what the program reads: each of its fields is
+    # read as an attribute somewhere in the package (by name: an attribute
+    # of another record with the same name counts)
+    package = Path(selparse.parser.__file__).parent
+    read = {node.attr for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in dataclasses.fields(Edge)
+            if f.name not in read] == []
 
 
 @pytest.mark.parametrize("method", ["bg", "index"])
@@ -1048,40 +1059,46 @@ RIGHT_HEADED = {"head_subject", "det_nbar", "adj_nbar", "relpro_vp"}
 
 def pooled_parts(edge, pooled):
     """`edge`'s sign pooled from its daughters' as a mother's whole sign
-    was first built: the head's core and remaining valence, both
-    daughters' entries, indices, restr, quants and bg left before right,
-    det_nbar moving restr into quants.  `pooled` keeps each edge's."""
+    was first built, part name -> value: the head's core and remaining
+    valence, both daughters' entries, indices, restr, quants and bg left
+    before right, det_nbar moving restr into quants; a word's its compiled
+    sign's, with no quants.  `pooled` keeps each edge's."""
     kept = pooled.get(edge)
     if kept is None:
-        if edge.schema is None:
-            kept = edge.sign
+        schema = schema_of(edge)
+        if schema is None:
+            kept = {f.name: getattr(edge.sign, f.name)
+                    for f in dataclasses.fields(edge.sign)}
+            kept["quants"] = ()
         else:
             left, right = (pooled_parts(child, pooled)
                            for child in edge.children)
-            core = right if edge.schema in RIGHT_HEADED else left
-            subj, comps = core.subj, core.comps
-            if edge.schema == "head_subject":
+            core = right if schema in RIGHT_HEADED else left
+            subj, comps = core["subj"], core["comps"]
+            if schema == "head_subject":
                 subj = subj[1:]
-            elif edge.schema == "head_complement":
+            elif schema == "head_complement":
                 comps = comps[1:]
-            restr = left.restr + right.restr
-            quants = left.quants + right.quants
-            if edge.schema == "det_nbar":
+            restr = left["restr"] + right["restr"]
+            quants = left["quants"] + right["quants"]
+            if schema == "det_nbar":
                 restr, quants = (), quants + restr
-            kept = selparse.grammar.Sign(
-                left.entries + right.entries, left.indices + right.indices,
-                core.head, core.index, core.nucleus, subj, comps, restr,
-                quants, left.bg + right.bg)
+            kept = dict(entries=left["entries"] + right["entries"],
+                        indices=left["indices"] + right["indices"],
+                        index=core["index"], nucleus=core["nucleus"],
+                        subj=subj, comps=comps, restr=restr, quants=quants,
+                        bg=left["bg"] + right["bg"])
         pooled[edge] = kept
     return kept
 
 
 def test_an_edges_parts_pool_its_daughters_parts(hierarchy, lexicon, decls):
     # nodes and relations compare by identity: every edge's own fields, and
-    # the head, index and nucleus of its `sign`, hold the very objects its
-    # words were compiled with, in word order
+    # the index and nucleus of its `sign`, hold the very objects its words
+    # were compiled with, in word order
     names = [f.name for f in dataclasses.fields(selparse.grammar.Sign)]
-    core = {"head", "index", "nucleus"}
+    names.append("quants")
+    core = {"index", "nucleus"}
     sentences = [*CORPUS_SENTENCES,
                  *(ladder("attachment", k) for k in range(1, 7)),
                  *(ladder("sense", k) for k in range(1, 4)),
@@ -1097,7 +1114,7 @@ def test_an_edges_parts_pool_its_daughters_parts(hierarchy, lexicon, decls):
                     oracle = pooled_parts(edge, pooled)
                     assert [getattr(edge.sign if name in core else edge, name)
                             for name in names] \
-                        == [getattr(oracle, name) for name in names], edge
+                        == [oracle[name] for name in names], edge
                     edges += 1
     assert edges == 19271
 
@@ -1368,6 +1385,36 @@ def test_tokens_of_one_word_keep_their_own_nodes(hierarchy, decls, method):
             assert other.cells[2, 3][sense].sign is not first
 
 
+def test_a_plain_dict_of_words_parses_as_the_lexicon_and_keeps_nothing(
+        hierarchy, decls, lexicon):
+    words = dict(lexicon)
+    tokens = tokenize(ladder("sense", 2))
+    for method in ("bg", "index"):
+        loaded, one, two = (Chart(tokens, source, decls, hierarchy, method)
+                            for source in (lexicon, words, words))
+        for chart in (one, two):
+            assert {span: _edge_keys(cell)
+                    for span, cell in chart.cells.items()} \
+                == {span: _edge_keys(cell)
+                    for span, cell in loaded.cells.items()}
+            assert [r.identity for r in chart.readings()] \
+                == [r.identity for r in loaded.readings()]
+        lexical = [{id(edge) for cell in chart.cells.values()
+                    for edge in cell if not edge.children}
+                   for chart in (one, two)]
+        assert len(lexical[0]) == len(lexical[1]) == 14
+        assert not lexical[0] & lexical[1]
+
+    def analysed(source):
+        reports, agree = run_method(tokens, source, decls, hierarchy, "both")
+        return agree, [(report.method, report.pre_filter, report.post_filter,
+                        [(r.identity, a) for r, a in report.surviving],
+                        [(r.identity, v) for r, v in report.violations])
+                       for report in reports]
+
+    assert analysed(words) == analysed(lexicon)
+
+
 def test_compiled_signs_die_with_their_lexicon(hierarchy, decls):
     lexicon = load_lexicon(data.LEXICON.read_text(), hierarchy, decls)
     reports, _ = run_method(tokenize("tom ate a banana"), lexicon, decls,
@@ -1456,3 +1503,11 @@ def test_a_chart_rejects_a_sort_its_hierarchy_lacks(hierarchy, decls, method):
                                            "for role 'fiddled'$"):
         run_method(tokenize("tom fiddled the keyboard"), fiddled, fiddle,
                    hierarchy, method)
+
+    # declarations without the relation a verb names
+    no_eat = load_declarations(
+        "".join(line for line in data.DECLS.read_text().splitlines(True)
+                if not line.startswith("eat(")), hierarchy)
+    with pytest.raises(GrammarError, match="^'ate': unknown qfpsoa 'eat'$"):
+        run_method(tokenize("tom ate a banana"), lexicon, no_eat, hierarchy,
+                   method)

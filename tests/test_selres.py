@@ -8,7 +8,7 @@ from conftest import (CORPUS_SENTENCES, brute_maximal_lower_bounds, ladder,
 from selparse import data, selres
 from selparse.grammar import (Relation, Sign, compile_entry,
                               load_declarations, load_lexicon, render_sign)
-from selparse.parser import run_method, tokenize
+from selparse.parser import Edge, run_method, tokenize
 from selparse.selres import (ConstraintAtom, Satisfiable, Violation,
                              check_reading, extract_constraints, merge_pair,
                              solve)
@@ -351,7 +351,8 @@ def unified_reading(reading, hierarchy):
     their variables: every index node the reading reaches is copied into a
     fresh graph in which the binds are unified, each relation instance is
     rebuilt over the copies, and background instances made identical are
-    kept once, the first of them.
+    kept once, the first of them.  Its sign holds what an edge reads of its
+    head word's: the word's entry, its index and its nucleus.
     """
     core = reading.sign
     roots = [node for node in (core.index, *reading.subj, *reading.comps,
@@ -373,14 +374,14 @@ def unified_reading(reading, hierarchy):
         key = (ref.sort, tuple((role, id(filler))
                                for role, filler in ref.roles))
         bg.setdefault(key, ref)
-    sign = Sign(reading.entries, tuple(mapping[n] for n in reading.indices),
-                core.head, mapping.get(core.index),
-                core.nucleus and rebuilt(core.nucleus),
+    sign = Sign(core.entries, (), mapping.get(core.index),
+                core.nucleus and rebuilt(core.nucleus))
+    return Edge(reading.start, reading.end, reading.cat, sign, (), (),
+                sign.index and sign.index.sort, reading.entries,
+                tuple(mapping[n] for n in reading.indices),
+                refs(reading.restr), refs(reading.quants), tuple(bg.values()),
                 tuple(mapping[s] for s in reading.subj),
-                tuple(mapping[s] for s in reading.comps),
-                refs(reading.restr), refs(reading.quants),
-                tuple(bg.values()))
-    return sign_edge(sign, reading.start, reading.end, reading.cat)
+                tuple(mapping[s] for s in reading.comps))
 
 
 def verdict(result):
